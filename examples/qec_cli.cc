@@ -59,6 +59,7 @@
 #include <cstring>
 #include <deque>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -127,6 +128,18 @@ int Usage() {
   return 2;
 }
 
+/// Strict unsigned flag value (qec::ParseSize) that must also fit `T`.
+template <typename T>
+bool ParseUnsigned(std::string_view text, T* out) {
+  uint64_t v = 0;
+  if (!qec::ParseSize(text, &v) ||
+      v > static_cast<uint64_t>(std::numeric_limits<T>::max())) {
+    return false;
+  }
+  *out = static_cast<T>(v);
+  return true;
+}
+
 qec::Result<std::string> ReadFile(const std::string& path) {
   std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
       std::fopen(path.c_str(), "rb"), &std::fclose);
@@ -144,8 +157,7 @@ bool EndsWith(const std::string& s, const char* suffix) {
 }
 
 /// Parses "clustered:<docs>:<clusters>[:<seed>]" into generator options.
-/// Returns false when `spec` is not a clustered spec at all; malformed
-/// counts surface as an error from std::stoull.
+/// Returns false when `spec` is malformed.
 bool ParseClusteredSpec(const std::string& spec,
                         qec::datagen::ClusteredOptions* options) {
   if (!qec::StartsWith(spec, "clustered:")) return false;
@@ -158,9 +170,11 @@ bool ParseClusteredSpec(const std::string& spec,
     begin = end + 1;
   }
   if (parts.size() < 2 || parts.size() > 3) return false;
-  options->num_docs = static_cast<size_t>(std::stoull(parts[0]));
-  options->num_clusters = static_cast<size_t>(std::stoull(parts[1]));
-  if (parts.size() == 3) options->seed = std::stoull(parts[2]);
+  if (!ParseUnsigned(parts[0], &options->num_docs) ||
+      !ParseUnsigned(parts[1], &options->num_clusters) ||
+      (parts.size() == 3 && !ParseUnsigned(parts[2], &options->seed))) {
+    return false;
+  }
   return options->num_docs > 0 && options->num_clusters > 0;
 }
 
@@ -498,14 +512,15 @@ int CmdExpand(const std::vector<std::string>& args) {
       }
       i += 2;
     } else if (args[i] == "-k" && i + 1 < args.size()) {
-      options.max_clusters = static_cast<size_t>(std::stoul(args[i + 1]));
+      if (!ParseUnsigned(args[i + 1], &options.max_clusters)) return Usage();
       i += 2;
     } else if (qec::StartsWith(args[i], "--sweep-threads=")) {
       // Scatter-gather benefit/cost sweeps inside every algorithm; merges
       // are candidate-ordered, so output is byte-identical to serial.
-      const size_t n = static_cast<size_t>(
-          std::stoul(args[i].substr(strlen("--sweep-threads="))));
-      options.sweep.threads = n;
+      if (!ParseUnsigned(args[i].substr(strlen("--sweep-threads=")),
+                         &options.sweep.threads)) {
+        return Usage();
+      }
       i += 1;
     } else {
       return Usage();
@@ -560,7 +575,7 @@ int CmdExplain(const std::vector<std::string>& args) {
       if (!ParseAlgoName(args[i + 1], &shadow_algo)) return Usage();
       i += 2;
     } else if (args[i] == "-k" && i + 1 < args.size()) {
-      options.max_clusters = static_cast<size_t>(std::stoul(args[i + 1]));
+      if (!ParseUnsigned(args[i + 1], &options.max_clusters)) return Usage();
       i += 2;
     } else {
       return Usage();
@@ -649,7 +664,7 @@ int CmdAbtest(const std::vector<std::string>& args) {
     } else if (args[i] == "-b" && i + 1 < args.size()) {
       if (!ParseAlgoName(args[++i], &shadow_algo)) return Usage();
     } else if (args[i] == "-n" && i + 1 < args.size()) {
-      limit = static_cast<size_t>(std::stoul(args[++i]));
+      if (!ParseUnsigned(args[++i], &limit)) return Usage();
     } else if (qec::StartsWith(args[i], "--queries=")) {
       queries_file = args[i].substr(strlen("--queries="));
     } else if (corpus_arg.empty()) {
@@ -852,66 +867,93 @@ int CmdServe(const std::vector<std::string>& args) {
   for (const std::string& arg : args) {
     if (qec::StartsWith(arg, "--port=")) {
       net_mode = true;
-      net_options.port =
-          static_cast<uint16_t>(std::stoul(arg.substr(strlen("--port="))));
+      if (!ParseUnsigned(arg.substr(strlen("--port=")), &net_options.port)) {
+        return Usage();
+      }
     } else if (qec::StartsWith(arg, "--host=")) {
       net_options.host = arg.substr(strlen("--host="));
     } else if (qec::StartsWith(arg, "--max-conns=")) {
-      net_options.max_connections =
-          static_cast<size_t>(std::stoul(arg.substr(strlen("--max-conns="))));
+      if (!ParseUnsigned(arg.substr(strlen("--max-conns=")),
+                         &net_options.max_connections)) {
+        return Usage();
+      }
     } else if (qec::StartsWith(arg, "--max-line-bytes=")) {
-      net_options.max_line_bytes = static_cast<size_t>(
-          std::stoul(arg.substr(strlen("--max-line-bytes="))));
+      if (!ParseUnsigned(arg.substr(strlen("--max-line-bytes=")),
+                         &net_options.max_line_bytes)) {
+        return Usage();
+      }
     } else if (qec::StartsWith(arg, "--drain-ms=")) {
-      net_options.drain_timeout_ms =
-          std::stoull(arg.substr(strlen("--drain-ms=")));
+      if (!ParseUnsigned(arg.substr(strlen("--drain-ms=")),
+                         &net_options.drain_timeout_ms)) {
+        return Usage();
+      }
     } else if (qec::StartsWith(arg, "--admin-port=")) {
       admin_mode = true;
-      admin_options.port = static_cast<uint16_t>(
-          std::stoul(arg.substr(strlen("--admin-port="))));
+      if (!ParseUnsigned(arg.substr(strlen("--admin-port=")),
+                         &admin_options.port)) {
+        return Usage();
+      }
     } else if (qec::StartsWith(arg, "--admin-host=")) {
       admin_options.host = arg.substr(strlen("--admin-host="));
     } else if (qec::StartsWith(arg, "--snapshot=")) {
       snapshot_path = arg.substr(strlen("--snapshot="));
     } else if (qec::StartsWith(arg, "--threads=")) {
-      options.num_threads =
-          static_cast<size_t>(std::stoul(arg.substr(strlen("--threads="))));
+      if (!ParseUnsigned(arg.substr(strlen("--threads=")),
+                         &options.num_threads)) {
+        return Usage();
+      }
     } else if (qec::StartsWith(arg, "--queue=")) {
-      options.queue_capacity =
-          static_cast<size_t>(std::stoul(arg.substr(strlen("--queue="))));
+      if (!ParseUnsigned(arg.substr(strlen("--queue=")),
+                         &options.queue_capacity)) {
+        return Usage();
+      }
     } else if (qec::StartsWith(arg, "--deadline-ms=")) {
-      options.default_deadline_ms =
-          std::stoull(arg.substr(strlen("--deadline-ms=")));
+      if (!ParseUnsigned(arg.substr(strlen("--deadline-ms=")),
+                         &options.default_deadline_ms)) {
+        return Usage();
+      }
     } else if (arg == "--no-cache") {
       options.enable_expansion_cache = false;
       options.enable_set_algebra_cache = false;
     } else if (qec::StartsWith(arg, "--cache-size=")) {
-      options.expansion_cache_capacity =
-          static_cast<size_t>(std::stoul(arg.substr(strlen("--cache-size="))));
+      if (!ParseUnsigned(arg.substr(strlen("--cache-size=")),
+                         &options.expansion_cache_capacity)) {
+        return Usage();
+      }
     } else if (qec::StartsWith(arg, "--slowlog-dump=")) {
       options.slowlog_dump_path = arg.substr(strlen("--slowlog-dump="));
     } else if (qec::StartsWith(arg, "--slow-ms=")) {
-      options.slow_request_threshold_ms =
-          std::stoull(arg.substr(strlen("--slow-ms=")));
+      if (!ParseUnsigned(arg.substr(strlen("--slow-ms=")),
+                         &options.slow_request_threshold_ms)) {
+        return Usage();
+      }
     } else if (qec::StartsWith(arg, "--flight-recorder=")) {
-      options.flight_recorder_capacity = static_cast<size_t>(
-          std::stoul(arg.substr(strlen("--flight-recorder="))));
+      if (!ParseUnsigned(arg.substr(strlen("--flight-recorder=")),
+                         &options.flight_recorder_capacity)) {
+        return Usage();
+      }
     } else if (qec::StartsWith(arg, "--metrics-flush-interval=")) {
-      metrics_flush_interval_s =
-          std::stoull(arg.substr(strlen("--metrics-flush-interval=")));
+      if (!ParseUnsigned(arg.substr(strlen("--metrics-flush-interval=")),
+                         &metrics_flush_interval_s)) {
+        return Usage();
+      }
     } else if (qec::StartsWith(arg, "--metrics-flush-out=")) {
       metrics_flush_out = arg.substr(strlen("--metrics-flush-out="));
     } else if (qec::StartsWith(arg, "--shadow-rate=")) {
-      options.shadow_sample_rate =
-          std::stod(arg.substr(strlen("--shadow-rate=")));
+      if (!qec::ParseDouble(arg.substr(strlen("--shadow-rate=")),
+                            &options.shadow_sample_rate)) {
+        return Usage();
+      }
     } else if (qec::StartsWith(arg, "--shadow-algo=")) {
       if (!ParseAlgoName(arg.substr(strlen("--shadow-algo=")),
                          &options.shadow_algorithm)) {
         return Usage();
       }
     } else if (qec::StartsWith(arg, "--shadow-queue=")) {
-      options.shadow_queue_capacity = static_cast<size_t>(
-          std::stoul(arg.substr(strlen("--shadow-queue="))));
+      if (!ParseUnsigned(arg.substr(strlen("--shadow-queue=")),
+                         &options.shadow_queue_capacity)) {
+        return Usage();
+      }
     } else if (qec::StartsWith(arg, "--")) {
       return Usage();
     } else if (corpus_arg.empty()) {
@@ -1115,8 +1157,9 @@ int CmdSlowlog(const std::vector<std::string>& args) {
   size_t keep = 0;  // 0 = all
   for (size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "-n") {
-      if (i + 1 >= args.size()) return Usage();
-      keep = static_cast<size_t>(std::stoul(args[++i]));
+      if (i + 1 >= args.size() || !ParseUnsigned(args[++i], &keep)) {
+        return Usage();
+      }
     } else if (path.empty()) {
       path = args[i];
     } else {
@@ -1248,12 +1291,15 @@ int CmdProfile(const std::vector<std::string>& args) {
   for (size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
     if (arg == "-n") {
-      if (i + 1 >= args.size()) return Usage();
-      limit = static_cast<size_t>(std::stoul(args[++i]));
+      if (i + 1 >= args.size() || !ParseUnsigned(args[++i], &limit)) {
+        return Usage();
+      }
     } else if (qec::StartsWith(arg, "--self=")) {
-      self_seconds = std::stod(arg.substr(strlen("--self=")));
+      if (!qec::ParseDouble(arg.substr(strlen("--self=")), &self_seconds)) {
+        return Usage();
+      }
     } else if (qec::StartsWith(arg, "--hz=")) {
-      hz = std::stoi(arg.substr(strlen("--hz=")));
+      if (!ParseUnsigned(arg.substr(strlen("--hz=")), &hz)) return Usage();
     } else if (qec::StartsWith(arg, "--out=")) {
       out_path = arg.substr(strlen("--out="));
     } else if (qec::StartsWith(arg, "--")) {

@@ -1,7 +1,10 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 
 namespace qec {
 
@@ -60,6 +63,33 @@ std::string FormatDouble(double v, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, v);
   return buf;
+}
+
+bool ParseSize(std::string_view text, uint64_t* out) {
+  if (text.empty()) return false;
+  uint64_t v = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') return false;
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (v > (std::numeric_limits<uint64_t>::max() - digit) / 10) return false;
+    v = v * 10 + digit;
+  }
+  *out = v;
+  return true;
+}
+
+bool ParseDouble(std::string_view text, double* out) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  const std::string buffer(text);
+  char* end = nullptr;
+  const double v = std::strtod(buffer.c_str(), &end);
+  if (end != buffer.c_str() + buffer.size() || !std::isfinite(v)) {
+    return false;
+  }
+  *out = v;
+  return true;
 }
 
 }  // namespace qec

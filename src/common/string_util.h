@@ -1,6 +1,7 @@
 #ifndef QEC_COMMON_STRING_UTIL_H_
 #define QEC_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,6 +28,15 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 
 /// Formats a double with `digits` digits after the decimal point.
 std::string FormatDouble(double v, int digits);
+
+/// Strict unsigned decimal: digits only, no leading whitespace/'+'/'-'
+/// (strtoull accepts all three — and wraps "-1" to 2^64-1), overflow
+/// rejected.
+bool ParseSize(std::string_view text, uint64_t* out);
+
+/// Strict finite double: all of `text` is one strtod number with no
+/// leading whitespace; inf and nan are rejected.
+bool ParseDouble(std::string_view text, double* out);
 
 }  // namespace qec
 

@@ -1,6 +1,7 @@
 #ifndef QEC_COMMON_SWEEP_POOL_H_
 #define QEC_COMMON_SWEEP_POOL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -10,17 +11,18 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/threading.h"
+
 namespace qec::common {
 
-/// Process-wide pool of parked sweep workers. The benefit/cost sweeps in
-/// ISKR/PEBC/F-measure and the per-cluster fan-out in QueryExpander used
-/// to spawn a fresh std::vector<std::thread> per sweep; at steady state a
-/// single expansion performs hundreds of sweeps, so thread churn dominated
-/// the parallel path. SweepPool parks workers on a condition variable and
-/// hands tasks over by queue generation (an epoch: each Run() submission
-/// bumps the wake predicate), so steady-state sweeps perform zero thread
-/// spawns — mirrored by the spawns/reuses stats counters the same way
-/// ScratchArena exposes allocs/reuses.
+/// Process-wide pool of parked sweep workers behind ParallelFor (below).
+/// At steady state a single expansion performs hundreds of sweeps, so
+/// spawning threads per sweep would dominate the parallel path. SweepPool
+/// parks workers on a condition variable and hands tasks over by queue
+/// generation (an epoch: each Run() submission bumps the wake predicate),
+/// so steady-state sweeps perform zero thread spawns — mirrored by the
+/// spawns/reuses stats counters the same way ScratchArena exposes
+/// allocs/reuses.
 ///
 /// Workers are spawned lazily on first demand and only when every existing
 /// worker is already claimed (concurrent callers — server requests or
@@ -47,12 +49,11 @@ class SweepPool {
 
   /// Runs `body()` concurrently on `threads` workers: the calling thread
   /// plus threads-1 pool helpers, every one invoking the same body. Work
-  /// distribution lives in the closure (the call sites share a
-  /// work-stealing index), so the pool needs no per-item plumbing and the
-  /// candidate-index-ordered merges the callers perform afterwards stay
-  /// byte-identical to serial. Returns once every worker has finished.
-  /// `threads <= 1` runs body inline without touching the pool. Safe to
-  /// call from multiple threads, including from inside another Run body.
+  /// distribution lives in the closure (ParallelFor shares a work-stealing
+  /// index), so the pool needs no per-item plumbing. Returns once every
+  /// worker has finished. `threads <= 1` runs body inline without touching
+  /// the pool. Safe to call from multiple threads, including from inside
+  /// another Run body.
   template <typename Fn>
   void Run(size_t threads, Fn&& body) {
     if (threads <= 1) {
@@ -84,6 +85,27 @@ class SweepPool {
   bool stopping_ = false;
   Stats stats_;
 };
+
+/// Calls `body(i)` exactly once for every i in [0, n) on
+/// ResolveThreadCount(threads, n) workers (1 = serial, 0 = auto). The one
+/// fan-out of the expansion layer: the ISKR/PEBC/F-measure candidate
+/// sweeps and QueryExpander's per-cluster expansion. A body that writes
+/// only slot i of a caller-owned buffer, merged afterwards in index order,
+/// is byte-identical for every thread count. One worker runs a plain
+/// inline loop — no pool, no atomics, no type erasure; more workers share
+/// an atomic work-stealing index on the SweepPool. Nested calls are safe.
+template <typename Body>
+void ParallelFor(size_t threads, size_t n, Body&& body) {
+  const size_t workers = ResolveThreadCount(threads, n);
+  if (workers <= 1) {
+    for (size_t i = 0; i < n; ++i) body(i);
+    return;
+  }
+  std::atomic<size_t> next{0};
+  SweepPool::Instance().Run(workers, [&] {
+    for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) body(i);
+  });
+}
 
 }  // namespace qec::common
 

@@ -1,9 +1,9 @@
 #include "core/expansion_context.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/logging.h"
+#include "core/benefit_cost.h"
 
 namespace qec::core {
 
@@ -24,30 +24,22 @@ ExpansionContext MakeContext(const ResultUniverse& universe,
 
 std::vector<TermExplain> ExplainAddedTerms(
     const ExpansionContext& context, const std::vector<TermId>& final_query) {
-  const ResultUniverse& universe = *context.universe;
   std::vector<TermExplain> out;
-  ResultUniverse::ScratchBitset retrieved = universe.AcquireScratch();
-  universe.RetrieveInto(context.user_query, &*retrieved);
+  AdditionEvaluator eval(context);
   for (TermId k : final_query) {
     if (std::find(context.user_query.begin(), context.user_query.end(), k) !=
         context.user_query.end()) {
       continue;
     }
-    const DynamicBitset& docs_k = universe.DocsWithTerm(k);
+    const BenefitCost bc = eval.Evaluate(k);
     TermExplain row;
     row.term = k;
-    row.benefit =
-        universe.WeightOfAndNotAnd(*retrieved, docs_k, context.others);
-    row.cost = universe.WeightOfAndNotAnd(*retrieved, docs_k, context.cluster);
-    if (row.cost > 0.0) {
-      row.value = row.benefit / row.cost;
-    } else {
-      row.value =
-          row.benefit > 0.0 ? std::numeric_limits<double>::infinity() : 0.0;
-    }
+    row.benefit = bc.benefit;
+    row.cost = bc.cost;
+    row.value = ValueOf(bc.benefit, bc.cost);
     out.push_back(row);
     // Apply the addition so the next term is scored against R(prefix + k).
-    *retrieved &= docs_k;
+    eval.Add(k);
   }
   return out;
 }

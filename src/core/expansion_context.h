@@ -81,7 +81,9 @@ struct TermExplain {
 /// Post-hoc per-term benefit/cost attribution: walks `final_query`'s added
 /// keywords (those not in the context's user query) in order, scoring each
 /// against the retrieved set of the preceding prefix — exactly the sequence
-/// of ISKR addition entries had the terms been added in that order.
+/// of ISKR addition entries had the terms been added in that order (both
+/// use AdditionEvaluator). A cluster-killing addition reports benefit =
+/// cost = 0; none occurs in a query whose F-measure is above 0.
 std::vector<TermExplain> ExplainAddedTerms(const ExpansionContext& context,
                                            const std::vector<TermId>& final_query);
 

@@ -1,7 +1,6 @@
 #include "core/fmeasure_expander.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <unordered_set>
 #include <vector>
@@ -9,7 +8,6 @@
 #include "common/logging.h"
 #include "common/small_vector.h"
 #include "common/sweep_pool.h"
-#include "common/threading.h"
 
 namespace qec::core {
 
@@ -34,6 +32,7 @@ ExpansionResult FMeasureExpander::Expand(
   universe.RetrieveInto(query, &*retrieved);
   double current_f =
       EvaluateQuery(universe, *retrieved, context.cluster).f_measure;
+  const double s_cluster = universe.TotalWeight(context.cluster);
 
   size_t iterations = 0;
   size_t recomputations = 0;
@@ -54,43 +53,28 @@ ExpansionResult FMeasureExpander::Expand(
     // to be dynamically computed, and updated after every change to q"),
     // and the reason it is orders of magnitude slower than ISKR's
     // incremental maintenance (Fig. 6). R(q) is loop-invariant across the
-    // candidate sweep, so it is retrieved once and each candidate costs a
-    // single AND.
+    // candidate sweep, so it is retrieved once and each candidate costs two
+    // fused passes: S(R ∩ D(k) ∩ C) and S(R ∩ D(k)). They visit the bits
+    // of R(q ∪ {k}) in the same ascending order EvaluateQuery would, so
+    // the F-measure is bit-identical. Each candidate writes only its own
+    // slot, merged below in candidate-index order, so any
+    // SweepOptions::threads is byte-identical to serial.
     universe.RetrieveInto(query, &*base);
     std::unordered_set<TermId> in_query(query.begin(), query.end());
     const size_t n = context.candidates.size();
     candidate_f.assign(n, -1.0);
     evaluated.assign(n, 0);
-    const size_t threads = ResolveThreadCount(sweep_.threads, n);
-    if (threads <= 1) {
-      for (size_t i = 0; i < n; ++i) {
-        TermId k = context.candidates[i];
-        if (in_query.count(k) != 0) continue;
-        evaluated[i] = 1;
-        *r = *base;
-        *r &= universe.DocsWithTerm(k);
-        candidate_f[i] =
-            EvaluateQuery(universe, *r, context.cluster).f_measure;
-      }
-    } else {
-      // Scatter-gather: each candidate's delta-F is computed whole by one
-      // work-stealing SweepPool worker (own scratch lease per worker),
-      // then merged below in candidate-index order — byte-identical to
-      // the serial sweep.
-      std::atomic<size_t> next{0};
-      common::SweepPool::Instance().Run(threads, [&] {
-        auto rt = universe.AcquireScratch();
-        for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-          TermId k = context.candidates[i];
-          if (in_query.count(k) != 0) continue;
-          evaluated[i] = 1;
-          *rt = *base;
-          *rt &= universe.DocsWithTerm(k);
-          candidate_f[i] =
-              EvaluateQuery(universe, *rt, context.cluster).f_measure;
-        }
-      });
-    }
+    common::ParallelFor(sweep_.threads, n, [&](size_t i) {
+      const TermId k = context.candidates[i];
+      if (in_query.count(k) != 0) return;
+      evaluated[i] = 1;
+      const DynamicBitset& docs_k = universe.DocsWithTerm(k);
+      candidate_f[i] =
+          QualityFromWeights(
+              universe.WeightOfAndAnd(*base, docs_k, context.cluster),
+              universe.WeightOfAnd(*base, docs_k), s_cluster)
+              .f_measure;
+    });
     for (size_t i = 0; i < n; ++i) {
       if (evaluated[i] == 0) continue;
       ++recomputations;

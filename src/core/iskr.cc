@@ -1,15 +1,13 @@
 #include "core/iskr.h"
 
 #include <algorithm>
-#include <atomic>
-#include <limits>
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/small_vector.h"
 #include "common/sweep_pool.h"
-#include "common/threading.h"
+#include "core/benefit_cost.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -17,28 +15,24 @@ namespace qec::core {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
+/// ISKR's ranking of an entry: a cluster-killing addition can never help.
+double RankValue(const BenefitCost& e) {
+  return e.kills_cluster ? 0.0 : ValueOf(e.benefit, e.cost);
+}
 
-struct Entry {
-  double benefit = 0.0;
-  double cost = 0.0;
-  // True for an addition that would eliminate every cluster result still
-  // retrieved: the benefit/cost ratio may exceed 1, but recall — and hence
-  // F-measure — would drop to exactly 0, so the move can never help.
-  bool kills_cluster = false;
-
-  double value() const {
-    if (kills_cluster) return 0.0;
-    if (cost > 0.0) return benefit / cost;
-    return benefit > 0.0 ? kInf : 0.0;
-  }
+/// The addition entry of one candidate keyword (ctx.candidates[i] owns
+/// slots_[i]). `evals` counts its evaluations; being per slot, it needs no
+/// synchronization when a sweep fans out.
+struct Slot {
+  BenefitCost add;
+  uint32_t evals = 0;
+  bool in_query = false;
 };
 
-/// Mutable ISKR state over one expansion context. All per-evaluation set
-/// algebra runs on the fused ResultUniverse/DynamicBitset kernels: a
-/// benefit/cost (re)computation performs zero heap allocations, and the
-/// few long-lived buffers are leased from the universe's scratch arena so
-/// repeated expansions over one universe stop allocating entirely.
+/// Mutable ISKR state over one expansion context. R(q) lives in the shared
+/// AdditionEvaluator, which computes every addition entry; the removal
+/// entries and two step-scoped scratches leased from the universe arena
+/// (delta results and R(q\k)) are ISKR's own. No evaluation allocates.
 class IskrState {
  public:
   IskrState(const ExpansionContext& ctx, const IskrOptions& options,
@@ -47,182 +41,153 @@ class IskrState {
         options_(options),
         sweep_(sweep),
         trace_(trace),
-        retrieved_(ctx.universe->AcquireScratch()),
+        eval_(ctx),
         delta_(ctx.universe->AcquireScratch()),
         without_(ctx.universe->AcquireScratch()),
         cluster_range_(ctx.cluster.NonzeroWordRange()),
-        others_range_(ctx.others.NonzeroWordRange()) {
+        others_range_(ctx.others.NonzeroWordRange()),
+        slots_(ctx.candidates.size()) {
     query_.assign(ctx.user_query.begin(), ctx.user_query.end());
-    ctx_.universe->RetrieveInto(query_, &*retrieved_);
-    RefreshScanRanges();
-    SweepCandidates();
+    RefreshAdditions(nullptr);
   }
 
   ExpansionResult Run() {
     while (iterations_ < options_.max_iterations) {
       QEC_TRACE_SPAN("iskr/refine_step");
-      auto [term, is_removal, value] = BestMove();
-      if (value <= 1.0) break;
+      const Move move = BestMove();
+      if (move.value <= 1.0) break;
       ++iterations_;
       IskrStep step;
-      step.keyword = term;
-      step.is_removal = is_removal;
-      step.value = value;
-      const Entry& entry =
-          is_removal ? remove_entries_.at(term) : add_entries_.at(term);
-      step.benefit = entry.benefit;
-      step.cost = entry.cost;
-      if (is_removal) {
+      step.keyword = ctx_.candidates[move.slot];
+      step.is_removal = move.is_removal;
+      step.value = move.value;
+      step.benefit = move.entry->benefit;
+      step.cost = move.entry->cost;
+      if (move.is_removal) {
         ++removals_;
-        ApplyRemoval(term);
+        ApplyRemoval(move.slot);
       } else {
         ++additions_;
-        ApplyAddition(term);
+        ApplyAddition(move.slot);
       }
       if (trace_ != nullptr) {
         step.f_measure_after =
-            EvaluateQuery(*ctx_.universe, *retrieved_, ctx_.cluster).f_measure;
+            EvaluateQuery(*ctx_.universe, eval_.retrieved(), ctx_.cluster)
+                .f_measure;
         trace_->push_back(step);
       }
     }
+    size_t recomputations = removal_evals_;
+    for (const Slot& slot : slots_) recomputations += slot.evals;
     ExpansionResult result;
     result.query.assign(query_.begin(), query_.end());
-    result.quality = EvaluateQuery(*ctx_.universe, *retrieved_, ctx_.cluster);
+    result.quality =
+        EvaluateQuery(*ctx_.universe, eval_.retrieved(), ctx_.cluster);
     result.iterations = iterations_;
-    result.value_recomputations = recomputations_;
+    result.value_recomputations = recomputations;
     result.iskr_stats.steps = iterations_;
     result.iskr_stats.additions = additions_;
     result.iskr_stats.removals = removals_;
-    result.iskr_stats.candidates_evaluated = recomputations_;
+    result.iskr_stats.candidates_evaluated = recomputations;
     QEC_COUNTER_INC("iskr/runs");
     QEC_COUNTER_ADD("iskr/steps", iterations_);
     QEC_COUNTER_ADD("iskr/additions", additions_);
     QEC_COUNTER_ADD("iskr/removals", removals_);
-    QEC_COUNTER_ADD("iskr/benefit_cost_evals", recomputations_);
+    QEC_COUNTER_ADD("iskr/benefit_cost_evals", recomputations);
     return result;
   }
 
  private:
-  // Initial benefit/cost evaluation of every candidate. Candidates are
-  // independent, so the sweep fans out over SweepOptions::threads pool
-  // workers; each entry is computed whole by one thread and merged in
-  // candidate-index order, keeping results byte-identical to the serial
-  // sweep.
-  void SweepCandidates() {
-    const size_t n = ctx_.candidates.size();
-    const size_t threads = ResolveThreadCount(sweep_.threads, n);
-    if (threads <= 1) {
-      for (TermId k : ctx_.candidates) {
-        add_entries_.emplace(k, ComputeAddEntry(k));
-      }
-    } else {
-      QEC_TRACE_SPAN("iskr/parallel_sweep");
-      QEC_COUNTER_INC("iskr/parallel_sweeps");
-      entry_scratch_.resize(n);
-      Entry* entries = entry_scratch_.data();
-      std::atomic<size_t> next{0};
-      common::SweepPool::Instance().Run(threads, [&] {
-        for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-          entries[i] = ComputeAddEntry(ctx_.candidates[i]);
-        }
-      });
-      for (size_t i = 0; i < n; ++i) {
-        add_entries_.emplace(ctx_.candidates[i], entries[i]);
-      }
-    }
-    recomputations_ += n;
-  }
-
-  // Kernel scan ranges, refreshed whenever R(q) changes: every benefit/
-  // cost expression positively ANDs R(q) and one of C/U, so scanning only
-  // the intersection of their nonzero-word ranges skips provably all-zero
-  // shards while preserving the exact floating-point addition sequence
-  // (byte-identical to the full scan). On cluster-reordered corpora C and
-  // the refined R(q) are dense runs, so whole shards drop out.
-  void RefreshScanRanges() {
-    const WordRange retrieved_range = retrieved_->NonzeroWordRange();
-    cluster_scan_ = WordRange::Intersect(retrieved_range, cluster_range_);
-    others_scan_ = WordRange::Intersect(retrieved_range, others_range_);
-  }
-
-  // Addition: benefit = S(R(q) ∩ U ∩ E(k)), cost = S(R(q) ∩ C ∩ E(k)).
-  // One fused pass per weight, no intermediate bitsets; the old
-  // loop-invariant |R(q) ∩ C| comparison is subsumed by the early-exit
-  // three-way Intersects (the addition kills the cluster exactly when
-  // R(q) ∩ C ∩ D(k) is empty with positive cost). Thread-safe: reads only.
-  Entry ComputeAddEntry(TermId k) const {
-    const DynamicBitset& docs_k = ctx_.universe->DocsWithTerm(k);
-    Entry e{ctx_.universe->WeightOfAndNotAnd(*retrieved_, docs_k, ctx_.others,
-                                             others_scan_),
-            ctx_.universe->WeightOfAndNotAnd(*retrieved_, docs_k, ctx_.cluster,
-                                             cluster_scan_)};
-    if (e.cost > 0.0) {
-      e.kills_cluster =
-          !retrieved_->Intersects(docs_k, ctx_.cluster, cluster_scan_);
-    }
-    return e;
-  }
+  struct Move {
+    size_t slot = 0;
+    bool is_removal = false;
+    double value = 0.0;
+    const BenefitCost* entry = nullptr;
+  };
 
   // Removal: D(k) = R(q\k) \ R(q); benefit = S(C ∩ D), cost = S(U ∩ D).
   // The delta lies outside R(q), so only the positively-ANDed C/U operand
   // bounds the scan here.
-  Entry ComputeRemoveEntry(TermId k) {
+  BenefitCost ComputeRemoveEntry(TermId k) {
     ctx_.universe->RetrieveWithoutInto(query_, k, &*without_);
-    return Entry{
-        ctx_.universe->WeightOfAndNotAnd(*without_, *retrieved_, ctx_.cluster,
-                                         cluster_range_),
-        ctx_.universe->WeightOfAndNotAnd(*without_, *retrieved_, ctx_.others,
-                                         others_range_)};
+    BenefitCost e;
+    e.benefit = ctx_.universe->WeightOfAndNotAnd(
+        *without_, eval_.retrieved(), ctx_.cluster, cluster_range_);
+    e.cost = ctx_.universe->WeightOfAndNotAnd(
+        *without_, eval_.retrieved(), ctx_.others, others_range_);
+    ++removal_evals_;
+    return e;
   }
 
-  // (term, is_removal, value) of the best refinement step.
-  std::tuple<TermId, bool, double> BestMove() const {
+  // The best refinement step: highest value, ties to the smaller TermId.
+  // The rule is a total order, so the scan order does not matter.
+  Move BestMove() const {
+    Move best;
     TermId best_term = kInvalidTermId;
-    bool best_removal = false;
-    double best_value = 0.0;
-    auto consider = [&](TermId term, bool removal, const Entry& e) {
-      double v = e.value();
-      if (v > best_value ||
-          (v == best_value && best_term != kInvalidTermId &&
+    auto consider = [&](size_t slot, bool removal, const BenefitCost& e) {
+      const TermId term = ctx_.candidates[slot];
+      const double v = RankValue(e);
+      if (v > best.value ||
+          (v == best.value && best_term != kInvalidTermId &&
            term < best_term)) {
-        best_value = v;
+        best = Move{slot, removal, v, &e};
         best_term = term;
-        best_removal = removal;
       }
     };
-    for (const auto& [k, e] : add_entries_) consider(k, false, e);
-    if (options_.allow_removal) {
-      for (const auto& [k, e] : remove_entries_) consider(k, true, e);
+    for (size_t i = 0; i < slots_.size(); ++i) {
+      if (!slots_[i].in_query) consider(i, false, slots_[i].add);
     }
-    return {best_term, best_removal, best_value};
+    if (options_.allow_removal) {
+      for (const auto& [slot, e] : removal_entries_) consider(slot, true, e);
+    }
+    return best;
   }
 
-  void ApplyAddition(TermId k) {
+  void ApplyAddition(size_t slot) {
+    const TermId k = ctx_.candidates[slot];
     // Delta results: eliminated from R(q) by adding k.
-    const DynamicBitset& docs_k = ctx_.universe->DocsWithTerm(k);
-    *delta_ = *retrieved_;
-    delta_->AndNot(docs_k);
-    retrieved_->AndNot(*delta_);
-    RefreshScanRanges();
+    *delta_ = eval_.retrieved();
+    delta_->AndNot(ctx_.universe->DocsWithTerm(k));
+    eval_.Add(k);
     query_.push_back(k);
-    add_entries_.erase(k);
-    RefreshAffected(*delta_);
+    slots_[slot].in_query = true;
+    RefreshAffected();
     // The new member's removal entry is always fresh.
-    remove_entries_[k] = ComputeRemoveEntry(k);
-    ++recomputations_;
+    removal_entries_.emplace_back(slot, ComputeRemoveEntry(k));
   }
 
-  void ApplyRemoval(TermId k) {
+  void ApplyRemoval(size_t slot) {
+    const TermId k = ctx_.candidates[slot];
     ctx_.universe->RetrieveWithoutInto(query_, k, &*without_);
     *delta_ = *without_;
-    delta_->AndNot(*retrieved_);
-    *retrieved_ = *without_;
-    RefreshScanRanges();
+    delta_->AndNot(eval_.retrieved());
+    eval_.Assign(*without_);
     query_.erase(std::find(query_.begin(), query_.end(), k));
-    remove_entries_.erase(k);
-    RefreshAffected(*delta_);
-    add_entries_[k] = ComputeAddEntry(k);
-    ++recomputations_;
+    removal_entries_.erase(std::find_if(
+        removal_entries_.begin(), removal_entries_.end(),
+        [slot](const auto& entry) { return entry.first == slot; }));
+    RefreshAffected();
+    slots_[slot].in_query = false;
+    slots_[slot].add = eval_.Evaluate(k);
+    ++slots_[slot].evals;
+  }
+
+  // Evaluates the addition entry of every keyword outside q that does not
+  // appear in all `delta` results (every keyword when `delta` is null).
+  // Each slot is written by exactly one ParallelFor worker, so any
+  // SweepOptions::threads is byte-identical to the serial loop.
+  void RefreshAdditions(const DynamicBitset* delta) {
+    common::ParallelFor(sweep_.threads, slots_.size(), [&](size_t i) {
+      Slot& slot = slots_[i];
+      if (slot.in_query) return;
+      const TermId k = ctx_.candidates[i];
+      if (delta != nullptr &&
+          delta->IsSubsetOf(ctx_.universe->DocsWithTerm(k))) {
+        return;
+      }
+      slot.add = eval_.Evaluate(k);
+      ++slot.evals;
+    });
   }
 
   // Recomputes exactly the addition keywords that do not appear in all
@@ -232,50 +197,12 @@ class IskrState {
   // D(k) = R(q\k) \ R(q) lie *outside* R(q), so refining q can change them
   // even when k appears in every delta result (e.g. the walkthrough's
   // removal of "job" after adding store and location). Removal entries are
-  // few (|q| keywords), so they are simply recomputed every step.
-  //
-  // The addition refresh fans out over the sweep pool like the initial
-  // sweep: ComputeAddEntry only reads shared state and every affected
-  // entry is overwritten whole, so the refreshed values — and the
-  // recomputation count, a plain sum — are byte-identical to the serial
-  // loop. The removal refresh shares the without_ scratch and therefore
-  // stays serial; it touches at most |q| entries anyway.
-  void RefreshAffected(const DynamicBitset& delta) {
-    if (!delta.None()) {
-      const size_t threads =
-          ResolveThreadCount(sweep_.threads, add_entries_.size());
-      if (threads <= 1) {
-        for (auto& [k, e] : add_entries_) {
-          if (!delta.IsSubsetOf(ctx_.universe->DocsWithTerm(k))) {
-            e = ComputeAddEntry(k);
-            ++recomputations_;
-          }
-        }
-      } else {
-        slot_scratch_.clear();
-        slot_scratch_.reserve(add_entries_.size());
-        for (auto& [k, e] : add_entries_) slot_scratch_.emplace_back(k, &e);
-        auto& slots = slot_scratch_;
-        std::atomic<size_t> next{0};
-        std::atomic<size_t> refreshed{0};
-        common::SweepPool::Instance().Run(threads, [&] {
-          size_t local = 0;
-          for (size_t i = next.fetch_add(1); i < slots.size();
-               i = next.fetch_add(1)) {
-            const TermId k = slots[i].first;
-            if (!delta.IsSubsetOf(ctx_.universe->DocsWithTerm(k))) {
-              *slots[i].second = ComputeAddEntry(k);
-              ++local;
-            }
-          }
-          refreshed.fetch_add(local);
-        });
-        recomputations_ += refreshed.load();
-      }
-    }
-    for (auto& [k, e] : remove_entries_) {
-      e = ComputeRemoveEntry(k);
-      ++recomputations_;
+  // few (|q| keywords) and share the without_ scratch, so they are simply
+  // recomputed serially every step.
+  void RefreshAffected() {
+    if (!delta_->None()) RefreshAdditions(&*delta_);
+    for (auto& [slot, e] : removal_entries_) {
+      e = ComputeRemoveEntry(ctx_.candidates[slot]);
     }
   }
 
@@ -284,27 +211,17 @@ class IskrState {
   const SweepOptions& sweep_;
   std::vector<IskrStep>* trace_;
   common::SmallVector<TermId, 16> query_;
-  /// Current R(q), plus two step-scoped scratches (delta results and
-  /// R(q\k)), all leased from the universe arena.
-  ResultUniverse::ScratchBitset retrieved_;
+  AdditionEvaluator eval_;
   ResultUniverse::ScratchBitset delta_;
   ResultUniverse::ScratchBitset without_;
-  /// Nonzero-word ranges of C and U (fixed per context) and their current
-  /// intersections with R(q)'s range (see RefreshScanRanges).
+  /// Nonzero-word ranges of C and U, bounding the removal scans.
   WordRange cluster_range_;
   WordRange others_range_;
-  WordRange cluster_scan_;
-  WordRange others_scan_;
-  std::unordered_map<TermId, Entry> add_entries_;
-  std::unordered_map<TermId, Entry> remove_entries_;
-  /// Per-sweep merge scratch, reused across sweeps of one expansion: the
-  /// scatter target of the initial sweep and the slot list of the
-  /// incremental refresh. Inline up to 64 entries, so small candidate
-  /// sets never touch the heap.
-  common::SmallVector<Entry, 64> entry_scratch_;
-  common::SmallVector<std::pair<TermId, Entry*>, 64> slot_scratch_;
+  std::vector<Slot> slots_;
+  /// (slot, removal entry) of every added keyword, in query order.
+  common::SmallVector<std::pair<size_t, BenefitCost>, 16> removal_entries_;
   size_t iterations_ = 0;
-  size_t recomputations_ = 0;
+  size_t removal_evals_ = 0;
   size_t additions_ = 0;
   size_t removals_ = 0;
 };

@@ -2,19 +2,23 @@
 
 namespace qec::core {
 
-QueryQuality EvaluateQuery(const ResultUniverse& universe,
-                           const DynamicBitset& retrieved,
-                           const DynamicBitset& cluster) {
+QueryQuality QualityFromWeights(double s_hit, double s_retrieved,
+                                double s_cluster) {
   QueryQuality q;
-  // S(R ∩ C) in one fused pass — no materialized intersection.
-  const double s_hit = universe.WeightOfAnd(retrieved, cluster);
-  const double s_retrieved = universe.TotalWeight(retrieved);
-  const double s_cluster = universe.TotalWeight(cluster);
   q.precision = s_retrieved > 0.0 ? s_hit / s_retrieved : 0.0;
   q.recall = s_cluster > 0.0 ? s_hit / s_cluster : 0.0;
   const double denom = q.precision + q.recall;
   q.f_measure = denom > 0.0 ? 2.0 * q.precision * q.recall / denom : 0.0;
   return q;
+}
+
+QueryQuality EvaluateQuery(const ResultUniverse& universe,
+                           const DynamicBitset& retrieved,
+                           const DynamicBitset& cluster) {
+  // S(R ∩ C) in one fused pass — no materialized intersection.
+  return QualityFromWeights(universe.WeightOfAnd(retrieved, cluster),
+                            universe.TotalWeight(retrieved),
+                            universe.TotalWeight(cluster));
 }
 
 double HarmonicMean(const std::vector<double>& values) {

@@ -20,6 +20,10 @@ struct QueryQuality {
   double f_measure = 0.0;
 };
 
+/// Quality from the weights S(R(q) ∩ C), S(R(q)) and S(C).
+QueryQuality QualityFromWeights(double s_hit, double s_retrieved,
+                                double s_cluster);
+
 /// Evaluates `retrieved` = R(q) against ground truth `cluster` = C, both as
 /// bitsets over `universe`.
 QueryQuality EvaluateQuery(const ResultUniverse& universe,

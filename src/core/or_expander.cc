@@ -1,22 +1,14 @@
 #include "core/or_expander.h"
 
 #include <algorithm>
-#include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "common/logging.h"
+#include "core/benefit_cost.h"
 
 namespace qec::core {
 
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-double ValueOf(double benefit, double cost) {
-  if (cost > 0.0) return benefit / cost;
-  return benefit > 0.0 ? kInf : 0.0;
-}
 
 /// Mutable OR-refinement state. Maintains per-result coverage counts so
 /// the "uniquely covered by k" delta of a removal is O(|docs_with(k)|).

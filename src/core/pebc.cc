@@ -1,9 +1,7 @@
 #include "core/pebc.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <limits>
 #include <unordered_set>
 #include <vector>
 
@@ -11,7 +9,7 @@
 #include "common/random.h"
 #include "common/small_vector.h"
 #include "common/sweep_pool.h"
-#include "common/threading.h"
+#include "core/benefit_cost.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -19,17 +17,10 @@ namespace qec::core {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-double ValueOf(double benefit, double cost) {
-  if (cost > 0.0) return benefit / cost;
-  return benefit > 0.0 ? kInf : 0.0;
-}
-
-/// Builds one sample query for a given elimination target. Every per-
-/// candidate benefit/cost evaluation runs on the fused weighted kernels
-/// (zero allocations, no intermediate bitsets); the handful of long-lived
-/// buffers are leased once from the universe scratch arena and reused
+/// Builds one sample query for a given elimination target. R(q) and the
+/// per-candidate benefit/cost evaluations live in the shared
+/// AdditionEvaluator (fused kernels, zero allocations); the strategy
+/// scratches are leased once from the universe scratch arena and reused
 /// across all Build() calls of the builder.
 class SampleBuilder {
  public:
@@ -39,12 +30,10 @@ class SampleBuilder {
         rng_(rng),
         sweep_(sweep),
         recomputations_(recomputations),
-        retrieved_(ctx.universe->AcquireScratch()),
+        eval_(ctx),
         saved_(ctx.universe->AcquireScratch()),
         selected_(ctx.universe->AcquireScratch()),
-        blocked_(ctx.universe->AcquireScratch()),
-        cluster_range_(ctx.cluster.NonzeroWordRange()),
-        others_range_(ctx.others.NonzeroWordRange()) {
+        blocked_(ctx.universe->AcquireScratch()) {
     total_u_weight_ = ctx_.universe->TotalWeight(ctx_.others);
   }
 
@@ -55,8 +44,8 @@ class SampleBuilder {
     query_.assign(ctx_.user_query.begin(), ctx_.user_query.end());
     in_query_.clear();
     in_query_.insert(query_.begin(), query_.end());
-    ctx_.universe->RetrieveInto(query_, &*retrieved_);
-    SyncRetrievedDerived();
+    eval_.Reset();
+    SyncLiveWeight();
     const double target =
         total_u_weight_ * std::clamp(target_percent, 0.0, 100.0) / 100.0;
     switch (strategy) {
@@ -77,52 +66,25 @@ class SampleBuilder {
             ? 100.0 * EliminatedWeight() / total_u_weight_
             : 0.0;
     sample.f_measure =
-        EvaluateQuery(*ctx_.universe, *retrieved_, ctx_.cluster).f_measure;
+        EvaluateQuery(*ctx_.universe, eval_.retrieved(), ctx_.cluster)
+            .f_measure;
     sample.query.assign(query_.begin(), query_.end());
     return sample;
   }
 
  private:
-  // Quantities derived from retrieved_ that are loop-invariant across a
-  // whole candidate sweep: hoisted here and refreshed only when retrieved_
-  // changes (one fused pass instead of one per EliminatedWeight() /
-  // KillsCluster() call).
-  void SyncRetrievedDerived() {
-    live_u_weight_ = ctx_.universe->WeightOfAnd(*retrieved_, ctx_.others);
-    retrieved_c_any_ = retrieved_->Intersects(ctx_.cluster);
-    // Kernel scan ranges: every per-candidate expression positively ANDs
-    // R and one of C/U, so restricting the scan to the intersection of
-    // their nonzero-word ranges skips provably all-zero shards while
-    // preserving the exact addition sequence (byte-identical results).
-    retrieved_range_ = retrieved_->NonzeroWordRange();
-    cluster_scan_ = WordRange::Intersect(retrieved_range_, cluster_range_);
-    others_scan_ = WordRange::Intersect(retrieved_range_, others_range_);
+  // S(R ∩ U), loop-invariant across a whole candidate sweep: refreshed
+  // only when R changes (one fused pass instead of one per
+  // EliminatedWeight() call).
+  void SyncLiveWeight() {
+    live_u_weight_ = ctx_.universe->WeightOfAnd(eval_.retrieved(), ctx_.others);
   }
 
   double EliminatedWeight() const { return total_u_weight_ - live_u_weight_; }
 
-  // benefit = S(R ∩ U ∩ E(k)), cost = S(R ∩ C ∩ E(k)). Thread-safe: reads
-  // only; callers account the evaluation in their CandidateEntry.
-  std::pair<double, double> BenefitCost(TermId k) const {
-    const DynamicBitset& docs_k = ctx_.universe->DocsWithTerm(k);
-    return {ctx_.universe->WeightOfAndNotAnd(*retrieved_, docs_k, ctx_.others,
-                                             others_scan_),
-            ctx_.universe->WeightOfAndNotAnd(*retrieved_, docs_k, ctx_.cluster,
-                                             cluster_scan_)};
-  }
-
-  // True when adding k would eliminate every cluster result still
-  // retrieved. Sample queries maximize retained C for a given elimination
-  // level, so such keywords are never selected (recall would hit 0).
-  bool KillsCluster(TermId k) const {
-    if (!retrieved_c_any_) return false;
-    return !retrieved_->Intersects(ctx_.universe->DocsWithTerm(k),
-                                   ctx_.cluster, cluster_scan_);
-  }
-
   size_t NumEliminatedBy(TermId k) const {
-    return retrieved_->AndNotCount(ctx_.universe->DocsWithTerm(k),
-                                   retrieved_range_);
+    return eval_.retrieved().AndNotCount(ctx_.universe->DocsWithTerm(k),
+                                         eval_.retrieved_range());
   }
 
   // One candidate's sweep outcome. `eligible` is false for candidates a
@@ -138,43 +100,33 @@ class SampleBuilder {
   /// Scatter target of a sweep; inline up to 64 candidates.
   using EntryBuffer = common::SmallVector<CandidateEntry, 64>;
 
-  // Scatter-gather over the candidate list: evaluates `eval` (a pure
-  // function of one candidate) on work-stealing SweepPool workers and
-  // merges the entries in candidate-index order — the shared SweepOptions
-  // machinery, so any thread count is byte-identical to the serial loop.
+  // Evaluates `eval` (a pure function of one candidate) for every
+  // candidate via ParallelFor; the entries are merged in candidate-index
+  // order, so any SweepOptions::threads is byte-identical to serial.
   template <typename Eval>
   void SweepCandidates(const Eval& eval, EntryBuffer* out) {
     const size_t n = ctx_.candidates.size();
     out->clear();
     out->resize(n, CandidateEntry{});
-    const size_t threads = ResolveThreadCount(sweep_.threads, n);
-    if (threads <= 1) {
-      for (size_t i = 0; i < n; ++i) (*out)[i] = eval(ctx_.candidates[i]);
-    } else {
-      QEC_COUNTER_INC("pebc/parallel_sweeps");
-      CandidateEntry* entries = out->data();
-      std::atomic<size_t> next{0};
-      common::SweepPool::Instance().Run(threads, [&] {
-        for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-          entries[i] = eval(ctx_.candidates[i]);
-        }
-      });
-    }
+    CandidateEntry* entries = out->data();
+    common::ParallelFor(sweep_.threads, n, [&](size_t i) {
+      entries[i] = eval(ctx_.candidates[i]);
+    });
     for (const CandidateEntry& e : *out) *recomputations_ += e.evals;
   }
 
   void ApplyKeyword(TermId k) {
     query_.push_back(k);
-    *retrieved_ &= ctx_.universe->DocsWithTerm(k);
+    eval_.Add(k);
     in_query_.insert(k);
-    SyncRetrievedDerived();
+    SyncLiveWeight();
   }
 
   void UndoLastKeyword() {
     in_query_.erase(query_.back());
     query_.pop_back();
-    *retrieved_ = *saved_;
-    SyncRetrievedDerived();
+    eval_.Assign(*saved_);
+    SyncLiveWeight();
   }
 
   // Stops the elimination loop once the target is crossed, keeping the
@@ -218,11 +170,11 @@ class SampleBuilder {
           [&](TermId k) {
             CandidateEntry e;
             if (in_query_.count(k) != 0) return e;
-            auto [b, c] = BenefitCost(k);
+            const BenefitCost bc = eval_.Evaluate(k);
             e.evals = 1;
-            if (b <= 0.0) return e;  // must eliminate something in U
-            if (KillsCluster(k)) return e;
-            e.value = ValueOf(b, c);
+            // Must eliminate something in U, and keep part of C.
+            if (bc.benefit <= 0.0 || bc.kills_cluster) return e;
+            e.value = ValueOf(bc.benefit, bc.cost);
             e.eliminated = NumEliminatedBy(k);
             e.eligible = true;
             return e;
@@ -231,7 +183,7 @@ class SampleBuilder {
       TermId best = SelectBestByValueThenElim(entries_buf_);
       if (best == kInvalidTermId) return;
       const double before_weight = EliminatedWeight();
-      *saved_ = *retrieved_;
+      *saved_ = eval_.retrieved();
       ApplyKeyword(best);
       if (SettleAroundTarget(target, before_weight)) return;
     }
@@ -263,27 +215,28 @@ class SampleBuilder {
     for (;;) {
       if (EliminatedWeight() >= target) return;
       const WordRange sel_scan =
-          WordRange::Intersect(retrieved_range_, sel_range);
+          WordRange::Intersect(eval_.retrieved_range(), sel_range);
       SweepCandidates(
           [&](TermId k) {
             CandidateEntry e;
             if (in_query_.count(k) != 0) return e;
             e.evals = 1;
             const DynamicBitset& docs_k = ctx_.universe->DocsWithTerm(k);
+            const DynamicBitset& retrieved = eval_.retrieved();
             // Eliminated results E = R ∩ ~docs_k, split three ways in
             // fused passes: selected (benefit), cluster and unselected-U
             // (cost).
-            double b = ctx_.universe->WeightOfAndNotAnd(*retrieved_, docs_k,
+            double b = ctx_.universe->WeightOfAndNotAnd(retrieved, docs_k,
                                                         *selected_, sel_scan);
             if (b <= 0.0) return e;
-            if (KillsCluster(k)) return e;
-            double c = ctx_.universe->WeightOfAndNotAnd(
-                           *retrieved_, docs_k, ctx_.cluster, cluster_scan_) +
+            const BenefitCost bc = eval_.Evaluate(k);
+            if (bc.kills_cluster) return e;
+            double c = bc.cost +
                        ctx_.universe->WeightWhereInRange(
-                           others_scan_,
+                           eval_.others_scan(),
                            [](uint64_t r, uint64_t dk, uint64_t u,
                               uint64_t sel) { return r & ~dk & u & ~sel; },
-                           *retrieved_, docs_k, ctx_.others, *selected_);
+                           retrieved, docs_k, ctx_.others, *selected_);
             e.value = ValueOf(b, c);
             e.eligible = true;
             return e;
@@ -302,7 +255,7 @@ class SampleBuilder {
       }
       if (best == kInvalidTermId) return;
       const double before_weight = EliminatedWeight();
-      *saved_ = *retrieved_;
+      *saved_ = eval_.retrieved();
       ApplyKeyword(best);
       if (SettleAroundTarget(target, before_weight)) return;
     }
@@ -324,7 +277,7 @@ class SampleBuilder {
               word &= word - 1;
             }
           },
-          *retrieved_, ctx_.others, *blocked_);
+          eval_.retrieved(), ctx_.others, *blocked_);
       if (indices_buf_.empty()) return;
       size_t r = indices_buf_[rng_.UniformInt(indices_buf_.size())];
       const doc::Document& rdoc =
@@ -336,10 +289,10 @@ class SampleBuilder {
             CandidateEntry e;
             if (in_query_.count(k) != 0) return e;
             if (rdoc.Contains(k)) return e;  // cannot eliminate r
-            if (KillsCluster(k)) return e;
-            auto [b, c] = BenefitCost(k);
+            const BenefitCost bc = eval_.Evaluate(k);
+            if (bc.kills_cluster) return e;  // not counted as an evaluation
             e.evals = 1;
-            e.value = ValueOf(b, c);
+            e.value = ValueOf(bc.benefit, bc.cost);
             e.eliminated = NumEliminatedBy(k);
             e.eligible = true;
             return e;
@@ -351,7 +304,7 @@ class SampleBuilder {
         continue;
       }
       const double before_weight = EliminatedWeight();
-      *saved_ = *retrieved_;
+      *saved_ = eval_.retrieved();
       ApplyKeyword(best);
       if (SettleAroundTarget(target, before_weight)) return;
     }
@@ -363,23 +316,16 @@ class SampleBuilder {
   size_t* recomputations_;
   double total_u_weight_ = 0.0;
   common::SmallVector<TermId, 16> query_;
-  /// Current R(q) plus strategy scratches, leased from the universe arena:
+  /// Current R(q), plus strategy scratches leased from the universe arena:
   /// saved_ holds the pre-apply set for the closeness-rule undo, selected_
   /// the random-subset targets, blocked_ the dead ends of the single-
   /// result strategy.
-  ResultUniverse::ScratchBitset retrieved_;
+  AdditionEvaluator eval_;
   ResultUniverse::ScratchBitset saved_;
   ResultUniverse::ScratchBitset selected_;
   ResultUniverse::ScratchBitset blocked_;
-  /// Nonzero-word ranges of C and U (fixed per context) plus the hoisted
-  /// derivatives of retrieved_ (see SyncRetrievedDerived).
-  WordRange cluster_range_;
-  WordRange others_range_;
-  WordRange retrieved_range_;
-  WordRange cluster_scan_;
-  WordRange others_scan_;
+  /// S(R ∩ U) (see SyncLiveWeight).
   double live_u_weight_ = 0.0;
-  bool retrieved_c_any_ = false;
   /// Reused index buffer (random-subset shuffle, single-result pool) and
   /// swept-entry buffer (scatter-gather merge target).
   std::vector<size_t> indices_buf_;

@@ -1,12 +1,10 @@
 #include "core/query_expander.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/sweep_pool.h"
-#include "common/threading.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "cluster/hac.h"
@@ -179,34 +177,18 @@ ExpansionOutcome QueryExpander::ExpandClustered(
     return outcome;
   }
 
+  // Clusters are expanded independently (Sec. 2), each into its own slot,
+  // so results are identical to serial for any num_threads. Nested
+  // candidate sweeps inside RunAlgorithm share the same pool.
   const auto members = clustering.Members();
   std::vector<ExpansionResult> results(members.size());
-  auto expand_one = [&](size_t c) {
+  common::ParallelFor(options_.num_threads, members.size(), [&](size_t c) {
     DynamicBitset cluster_bits = universe.EmptySet();
     for (size_t i : members[c]) cluster_bits.Set(i);
     ExpansionContext context =
         MakeContext(universe, user_terms, std::move(cluster_bits), candidates);
     results[c] = RunAlgorithm(context);
-  };
-
-  const size_t threads =
-      ResolveThreadCount(options_.num_threads, members.size());
-  if (threads <= 1) {
-    for (size_t c = 0; c < members.size(); ++c) expand_one(c);
-  } else {
-    // Clusters are expanded independently (Sec. 2), so a simple work-
-    // stealing counter suffices and results are identical to serial. The
-    // workers come from the persistent SweepPool — nested benefit/cost
-    // sweeps inside expand_one reuse the same pool without deadlock (the
-    // pool grows by demand, then parks the workers).
-    std::atomic<size_t> next{0};
-    common::SweepPool::Instance().Run(threads, [&] {
-      for (size_t c = next.fetch_add(1); c < members.size();
-           c = next.fetch_add(1)) {
-        expand_one(c);
-      }
-    });
-  }
+  });
   assemble(clustering, std::move(results));
   return outcome;
 }

@@ -67,8 +67,7 @@ struct QueryExpanderOptions {
   /// (see ResolveThreadCount in common/threading.h for the shared
   /// semantics with the qec_server pool).
   size_t num_threads = 1;
-  /// Memoize DocsWithoutTerm complements and small-arity Retrieve
-  /// conjunctions on the per-request universe
+  /// Memoize small-arity Retrieve conjunctions on the per-request universe
   /// (ResultUniverse::EnableSetAlgebraCache). Identical results; the
   /// serving layer enables it by default.
   bool memoize_set_algebra = false;

@@ -44,7 +44,6 @@ struct TransparentStringHash {
 
 struct ResultUniverse::SetAlgebraCache {
   std::shared_mutex mu;
-  std::unordered_map<TermId, DynamicBitset> complements;
   std::unordered_map<std::string, DynamicBitset, TransparentStringHash,
                      std::equal_to<>>
       conjunctions;
@@ -188,6 +187,17 @@ double ResultUniverse::WeightOfAnd(const DynamicBitset& a,
   return WeightWhere([](uint64_t x, uint64_t y) { return x & y; }, a, b);
 }
 
+double ResultUniverse::WeightOfAndAnd(const DynamicBitset& a,
+                                      const DynamicBitset& b,
+                                      const DynamicBitset& c) const {
+  if (unit_weights_) {
+    QEC_COUNTER_INC("universe/fused_evals");
+    return static_cast<double>(a.AndCount3(b, c));
+  }
+  return WeightWhere(
+      [](uint64_t x, uint64_t y, uint64_t z) { return x & y & z; }, a, b, c);
+}
+
 double ResultUniverse::WeightOfAndNot(const DynamicBitset& a,
                                       const DynamicBitset& b) const {
   if (unit_weights_) {
@@ -221,25 +231,6 @@ double ResultUniverse::WeightOfAndNotAnd(const DynamicBitset& a,
       b, c);
 }
 
-std::vector<WordRange> ResultUniverse::ShardByDocRange(
-    size_t target_shards) const {
-  const size_t words = empty_.NumWords();
-  std::vector<WordRange> shards;
-  if (words == 0) return shards;
-  if (target_shards == 0) target_shards = 1;
-  if (target_shards > words) target_shards = words;
-  shards.reserve(target_shards);
-  const size_t base = words / target_shards;
-  const size_t extra = words % target_shards;
-  size_t begin = 0;
-  for (size_t s = 0; s < target_shards; ++s) {
-    const size_t width = base + (s < extra ? 1 : 0);
-    shards.push_back(WordRange{begin, begin + width});
-    begin += width;
-  }
-  return shards;
-}
-
 const DynamicBitset& ResultUniverse::FindDocs(TermId term) const {
   auto it = term_docs_.find(term);
   if (it == term_docs_.end()) return empty_;
@@ -249,31 +240,6 @@ const DynamicBitset& ResultUniverse::FindDocs(TermId term) const {
 const DynamicBitset& ResultUniverse::DocsWithTerm(TermId term) const {
   QEC_COUNTER_INC("universe/term_lookups");
   return FindDocs(term);
-}
-
-DynamicBitset ResultUniverse::DocsWithoutTerm(TermId term) const {
-  QEC_COUNTER_INC("universe/term_lookups");
-  if (set_cache_ != nullptr) {
-    {
-      std::shared_lock lock(set_cache_->mu);
-      auto it = set_cache_->complements.find(term);
-      if (it != set_cache_->complements.end()) {
-        set_cache_->hits.fetch_add(1, std::memory_order_relaxed);
-        QEC_COUNTER_INC("universe/set_cache_hits");
-        return it->second;
-      }
-    }
-    DynamicBitset out = FullSet();
-    out.AndNot(FindDocs(term));
-    set_cache_->misses.fetch_add(1, std::memory_order_relaxed);
-    QEC_COUNTER_INC("universe/set_cache_misses");
-    std::unique_lock lock(set_cache_->mu);
-    return set_cache_->complements.try_emplace(term, std::move(out))
-        .first->second;
-  }
-  DynamicBitset out = FullSet();
-  out.AndNot(FindDocs(term));
-  return out;
 }
 
 void ResultUniverse::RetrieveInto(std::span<const TermId> query,

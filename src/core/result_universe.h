@@ -69,6 +69,10 @@ class ResultUniverse {
   /// S(a ∩ b).
   double WeightOfAnd(const DynamicBitset& a, const DynamicBitset& b) const;
 
+  /// S(a ∩ b ∩ c).
+  double WeightOfAndAnd(const DynamicBitset& a, const DynamicBitset& b,
+                        const DynamicBitset& c) const;
+
   /// S(a \ b).
   double WeightOfAndNot(const DynamicBitset& a, const DynamicBitset& b) const;
 
@@ -103,24 +107,11 @@ class ResultUniverse {
   double WeightWhereInRange(const WordRange& range, Combine&& combine,
                             const Sets&... sets) const;
 
-  /// Shards the universe's local-id space into up to `target_shards`
-  /// contiguous word-aligned doc-id ranges of near-equal width. Universes
-  /// built over cluster-reordered corpora keep each cluster inside one run
-  /// of ids, so clusters stay shard-local and per-shard pruning (via
-  /// NonzeroWordRange) skips whole shards. Never returns an empty
-  /// partition for a non-empty universe; `target_shards` is clamped to the
-  /// word count.
-  std::vector<WordRange> ShardByDocRange(size_t target_shards) const;
-
   /// S(universe).
   double total_weight() const { return total_weight_; }
 
   /// Bitset of results containing `term` (all-zero for unknown terms).
   const DynamicBitset& DocsWithTerm(TermId term) const;
-
-  /// E(k): results NOT containing `term` — the results any query containing
-  /// `term` can never retrieve (Sec. 3).
-  DynamicBitset DocsWithoutTerm(TermId term) const;
 
   /// R(q) within the universe under AND semantics: results containing every
   /// term of `query`. The empty query retrieves the whole universe. Takes
@@ -207,14 +198,12 @@ class ResultUniverse {
   ScratchBitset AcquireScratch(bool all_set = false) const;
   ScratchArenaStats scratch_arena_stats() const;
 
-  /// Turns on memoization of DocsWithoutTerm complements and small-arity
-  /// Retrieve conjunctions (up to kMaxMemoArity terms). Memoized calls
-  /// return bit-identical results; repeated calls copy the cached bitset
-  /// instead of re-running the AND/AND-NOT loops ISKR's and PEBC's
-  /// benefit/cost inner loops otherwise pay per evaluation. Thread-safe:
-  /// concurrent per-cluster expansion threads share the memo. The memo is
-  /// bounded by the universe's distinct terms / distinct queries evaluated,
-  /// both small for a per-request universe.
+  /// Turns on memoization of small-arity Retrieve conjunctions (up to
+  /// kMaxMemoArity terms). Memoized calls return bit-identical results;
+  /// repeated calls copy the cached bitset instead of re-running the AND
+  /// loop. Thread-safe: concurrent per-cluster expansion threads share the
+  /// memo. The memo is bounded by the distinct queries evaluated, small
+  /// for a per-request universe.
   void EnableSetAlgebraCache();
   bool set_algebra_cache_enabled() const { return set_cache_ != nullptr; }
   SetAlgebraCacheStats set_algebra_cache_stats() const;

@@ -5,16 +5,13 @@
 
 namespace qec::core {
 
-/// Shared configuration of the scatter-gather benefit/cost sweeps. All
-/// three expansion algorithms (ISKR, PEBC, F-measure) fan their
-/// per-candidate sweeps out over the same persistent common::SweepPool
-/// under the same contract: each candidate's value is computed whole by
-/// one work-stealing worker and merged in candidate-index order, so any
-/// thread count is byte-identical to the serial sweep. One struct — set
-/// once by the CLI/server wiring — replaces the formerly triplicated
-/// IskrOptions/PebcOptions/FMeasureOptions::sweep_threads knobs.
+/// Shared configuration of the benefit/cost candidate sweeps. All three
+/// expansion algorithms (ISKR, PEBC, F-measure) run each sweep through
+/// common::ParallelFor: every candidate's value is computed whole by one
+/// worker and merged in candidate-index order, so any thread count is
+/// byte-identical to the serial sweep. Set once by the CLI/server wiring.
 struct SweepOptions {
-  /// Workers per sweep: 1 = serial (never touches the pool), 0 = auto;
+  /// Workers per sweep: 1 = serial (a plain inline loop), 0 = auto;
   /// values are clamped to the candidate count (ResolveThreadCount
   /// semantics, like QueryExpanderOptions::num_threads).
   size_t threads = 1;

@@ -6,10 +6,10 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <utility>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 #include "obs/metrics.h"
 
 namespace qec::server::admin {
@@ -218,10 +218,8 @@ void HttpConnection::DeliverRequests() {
     }
     const std::string_view content_length = request.Header("content-length");
     if (!content_length.empty()) {
-      char* end = nullptr;
-      const unsigned long long length =
-          std::strtoull(std::string(content_length).c_str(), &end, 10);
-      if (end == nullptr || *end != '\0') {
+      uint64_t length = 0;
+      if (!ParseSize(content_length, &length)) {
         RejectAndDrain(400, "malformed Content-Length");
         consumed = rbuf_.size();
         break;

@@ -2,8 +2,6 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdlib>
-#include <limits>
 #include <vector>
 
 #include "common/string_util.h"
@@ -28,22 +26,6 @@ std::vector<std::string> Tokenize(std::string_view line) {
     if (i > start) tokens.emplace_back(line.substr(start, i - start));
   }
   return tokens;
-}
-
-// Strict unsigned decimal: digits only, no leading whitespace/'+'/'-'
-// (strtoull accepts all three — and wraps "-1" to 2^64-1), overflow
-// rejected.
-bool ParseSize(const std::string& text, uint64_t* out) {
-  if (text.empty()) return false;
-  uint64_t v = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    const uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (v > (std::numeric_limits<uint64_t>::max() - digit) / 10) return false;
-    v = v * 10 + digit;
-  }
-  *out = v;
-  return true;
 }
 
 bool ParseBool(const std::string& text, bool* out) {

@@ -326,6 +326,19 @@ TEST_F(AdminHttpFixture, MalformedRequestLineEarns400) {
   EXPECT_TRUE(client.ReadEof());
 }
 
+TEST_F(AdminHttpFixture, MalformedContentLengthEarns400) {
+  QecServer server(index_);
+  auto admin = StartAdmin(&server);
+  HttpClient client(admin->port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.Send(
+      "POST /healthz HTTP/1.1\r\nHost: test\r\nContent-Length: 12x\r\n\r\n"));
+  auto response = client.ReadResponse();
+  ASSERT_TRUE(response.ok);
+  EXPECT_EQ(response.status, 400);
+  EXPECT_TRUE(client.ReadEof());
+}
+
 TEST_F(AdminHttpFixture, ReadyzFlipsDuringDrain) {
   QecServer server(index_);
   net::NetServer net(&server);

@@ -716,5 +716,45 @@ TEST(SweepPoolTest, NestedRunsDoNotDeadlock) {
   EXPECT_EQ(inner_calls.load(), 12);
 }
 
+// ----------------------------------------------------------- ParallelFor --
+
+TEST(ParallelForTest, VisitsEveryIndexExactlyOnce) {
+  for (size_t n : {size_t{0}, size_t{1}, size_t{1000}}) {
+    for (size_t threads : {size_t{0}, size_t{1}, size_t{2}, n + 3}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " threads=" + std::to_string(threads));
+      std::vector<std::atomic<int>> hits(n);
+      common::ParallelFor(threads, n, [&](size_t i) { hits[i].fetch_add(1); });
+      for (size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i].load(), 1) << i;
+    }
+  }
+}
+
+TEST(ParallelForTest, OneWorkerLoopsInlineInIndexOrder) {
+  auto& pool = common::SweepPool::Instance();
+  const auto before = pool.GetStats();
+  std::vector<size_t> order;
+  common::ParallelFor(1, 5, [&](size_t i) { order.push_back(i); });
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+  // n = 1 clamps any requested width to a single inline worker.
+  common::ParallelFor(8, 1, [&](size_t i) { order.push_back(i); });
+  EXPECT_EQ(order.size(), 6u);
+  EXPECT_EQ(pool.GetStats().runs, before.runs);
+}
+
+TEST(ParallelForTest, NestedCallsVisitEveryPairOnce) {
+  // QueryExpander's per-cluster fan-out nests each expander's candidate
+  // sweeps inside its body.
+  constexpr size_t kOuter = 6;
+  constexpr size_t kInner = 50;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  common::ParallelFor(3, kOuter, [&](size_t i) {
+    common::ParallelFor(2, kInner, [&](size_t j) {
+      hits[i * kInner + j].fetch_add(1);
+    });
+  });
+  for (size_t i = 0; i < hits.size(); ++i) ASSERT_EQ(hits[i].load(), 1) << i;
+}
+
 }  // namespace
 }  // namespace qec

@@ -36,7 +36,9 @@ TEST_F(MetricsTest, UniverseBasics) {
   EXPECT_EQ(u.DocsWithTerm(T("red")).Count(), 2u);
   EXPECT_EQ(u.DocsWithTerm(T("q")).Count(), 4u);
   EXPECT_EQ(u.DocsWithTerm(99999).Count(), 0u);
-  EXPECT_EQ(u.DocsWithoutTerm(T("red")).Count(), 2u);
+  DynamicBitset without_red = u.FullSet();
+  without_red.AndNot(u.DocsWithTerm(T("red")));
+  EXPECT_EQ(without_red.Count(), 2u);
 }
 
 TEST_F(MetricsTest, RetrieveIsConjunctive) {

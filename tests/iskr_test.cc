@@ -9,14 +9,40 @@
 #include <algorithm>
 #include <set>
 
+#include "cluster/kmeans.h"
 #include "common/sweep_pool.h"
+#include "core/candidates.h"
 #include "core/expansion_context.h"
 #include "core/iskr.h"
 #include "core/result_universe.h"
+#include "datagen/shopping.h"
 #include "doc/corpus.h"
+#include "index/inverted_index.h"
 
 namespace qec::core {
 namespace {
+
+/// ISKR and ExplainAddedTerms score an addition with the same evaluator,
+/// so without removals the EXPLAIN rows of ISKR's final query are exactly
+/// its refinement steps, doubles included. Returns the step count.
+size_t ExpectExplainEqualsAddOnlySteps(const ExpansionContext& context) {
+  IskrOptions options;
+  options.allow_removal = false;
+  std::vector<IskrStep> steps;
+  const ExpansionResult result =
+      IskrExpander(options).ExpandWithTrace(context, &steps);
+  const std::vector<TermExplain> rows =
+      ExplainAddedTerms(context, result.query);
+  EXPECT_EQ(rows.size(), steps.size());
+  for (size_t i = 0; i < std::min(rows.size(), steps.size()); ++i) {
+    EXPECT_EQ(rows[i].term, steps[i].keyword);
+    EXPECT_FALSE(rows[i].is_removal);
+    EXPECT_EQ(rows[i].benefit, steps[i].benefit);
+    EXPECT_EQ(rows[i].cost, steps[i].cost);
+    EXPECT_EQ(rows[i].value, steps[i].value);
+  }
+  return steps.size();
+}
 
 /// Builds the Example 3.1 corpus. Keyword k "eliminates" result R iff k is
 /// absent from R, so each document contains "apple" plus every keyword NOT
@@ -91,7 +117,8 @@ class PaperExampleFixture : public ::testing::Test {
 TEST_F(PaperExampleFixture, EliminationSetsMatchExampleTable) {
   // Sanity-check the fixture against the Example 3.1 table.
   auto elim_in = [&](const std::string& kw, size_t begin, size_t end) {
-    DynamicBitset e = universe_->DocsWithoutTerm(T(kw));
+    DynamicBitset e = universe_->FullSet();
+    e.AndNot(universe_->DocsWithTerm(T(kw)));
     size_t count = 0;
     for (size_t i = begin; i < end; ++i) {
       if (e.Test(i)) ++count;
@@ -132,6 +159,41 @@ TEST_F(PaperExampleFixture, RemovalDisabledKeepsJob) {
   // Without removal, R6 stays lost: recall 2/8.
   EXPECT_DOUBLE_EQ(result.quality.recall, 2.0 / 8.0);
   EXPECT_DOUBLE_EQ(result.quality.precision, 1.0);
+}
+
+TEST_F(PaperExampleFixture, ExplainAddedTermsEqualsAddOnlySteps) {
+  EXPECT_EQ(ExpectExplainEqualsAddOnlySteps(*context_), 3u);
+}
+
+TEST(IskrShoppingTest, ExplainAddedTermsEqualsAddOnlySteps) {
+  const doc::Corpus corpus = datagen::ShoppingGenerator().Generate();
+  const index::InvertedIndex index(corpus);
+  CandidateOptions candidate_options;
+  candidate_options.fraction = 1.0;
+  size_t steps = 0;
+  for (const char* text : {"canon products", "digital camera", "tv plasma"}) {
+    SCOPED_TRACE(text);
+    const std::vector<TermId> terms = corpus.analyzer().AnalyzeReadOnly(text);
+    const ResultUniverse universe(corpus, index.Search(terms, 0));
+    std::vector<cluster::SparseVector> vectors;
+    for (size_t i = 0; i < universe.size(); ++i) {
+      vectors.push_back(cluster::SparseVector::FromDocument(
+          corpus.Get(universe.doc_at(i))));
+    }
+    const cluster::Clustering clustering =
+        cluster::KMeans({.k = 5, .max_iterations = 50, .seed = 42,
+                         .auto_k = true})
+            .Cluster(vectors);
+    const std::vector<TermId> candidates =
+        SelectCandidates(universe, index, terms, candidate_options);
+    for (const std::vector<size_t>& members : clustering.Members()) {
+      DynamicBitset cluster = universe.EmptySet();
+      for (size_t i : members) cluster.Set(i);
+      steps += ExpectExplainEqualsAddOnlySteps(
+          MakeContext(universe, terms, std::move(cluster), candidates));
+    }
+  }
+  EXPECT_GT(steps, 0u);
 }
 
 TEST_F(PaperExampleFixture, RemovalImprovesFMeasure) {

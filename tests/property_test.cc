@@ -504,29 +504,6 @@ TEST_P(RangedKernelProperty, RangedKernelsMatchFullKernels) {
   }
 }
 
-TEST_P(RangedKernelProperty, ShardByDocRangePartitionsTheUniverse) {
-  Rng rng(GetParam() + 500);
-  const size_t size = 1 + rng.UniformInt(2000);
-  doc::Corpus corpus;
-  std::vector<DocId> ids;
-  for (size_t d = 0; d < size; ++d) {
-    ids.push_back(corpus.AddTextDocument(std::to_string(d), "t"));
-  }
-  core::ResultUniverse universe(corpus, ids);
-  const size_t requested = 1 + rng.UniformInt(12);
-  const std::vector<WordRange> shards = universe.ShardByDocRange(requested);
-  ASSERT_FALSE(shards.empty());
-  ASSERT_LE(shards.size(), requested);
-  // Contiguous, disjoint, and jointly covering every word.
-  size_t expect_begin = 0;
-  for (const WordRange& s : shards) {
-    ASSERT_EQ(s.begin, expect_begin);
-    ASSERT_GT(s.end, s.begin);
-    expect_begin = s.end;
-  }
-  ASSERT_EQ(expect_begin, (size + 63) / 64);
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, RangedKernelProperty,
                          ::testing::Range<uint64_t>(1, 21));
 

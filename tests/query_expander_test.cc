@@ -204,20 +204,49 @@ TEST_F(EngineFixture, TimingFieldsPopulated) {
 // Threaded per-cluster expansion and the opt-in set-algebra memo are pure
 // execution strategies: they must produce byte-identical outcomes to the
 // serial, uncached pipeline for every algorithm.
+// Everything an execution strategy (threads, memo, sweeps, kernel tier)
+// could perturb: queries, qualities, the work counters and EXPLAIN rows,
+// all compared exactly.
 void ExpectIdenticalOutcomes(const ExpansionOutcome& a,
                              const ExpansionOutcome& b) {
   EXPECT_EQ(a.num_clusters, b.num_clusters);
   EXPECT_EQ(a.num_results_used, b.num_results_used);
   EXPECT_EQ(a.set_score, b.set_score);  // exact, not approximate
+  EXPECT_EQ(a.iskr_stats.steps, b.iskr_stats.steps);
+  EXPECT_EQ(a.iskr_stats.additions, b.iskr_stats.additions);
+  EXPECT_EQ(a.iskr_stats.removals, b.iskr_stats.removals);
+  EXPECT_EQ(a.iskr_stats.candidates_evaluated,
+            b.iskr_stats.candidates_evaluated);
+  EXPECT_EQ(a.pebc_stats.samples_drawn, b.pebc_stats.samples_drawn);
+  EXPECT_EQ(a.pebc_stats.rounds, b.pebc_stats.rounds);
+  EXPECT_EQ(a.pebc_stats.intervals_zoomed, b.pebc_stats.intervals_zoomed);
+  EXPECT_EQ(a.pebc_stats.candidates_evaluated,
+            b.pebc_stats.candidates_evaluated);
+  EXPECT_EQ(a.pebc_stats.best_target_percent,
+            b.pebc_stats.best_target_percent);
   ASSERT_EQ(a.queries.size(), b.queries.size());
   for (size_t i = 0; i < a.queries.size(); ++i) {
-    EXPECT_EQ(a.queries[i].terms, b.queries[i].terms);
-    EXPECT_EQ(a.queries[i].keywords, b.queries[i].keywords);
-    EXPECT_EQ(a.queries[i].cluster_index, b.queries[i].cluster_index);
-    EXPECT_EQ(a.queries[i].cluster_size, b.queries[i].cluster_size);
-    EXPECT_EQ(a.queries[i].quality.precision, b.queries[i].quality.precision);
-    EXPECT_EQ(a.queries[i].quality.recall, b.queries[i].quality.recall);
-    EXPECT_EQ(a.queries[i].quality.f_measure, b.queries[i].quality.f_measure);
+    const ExpandedQuery& qa = a.queries[i];
+    const ExpandedQuery& qb = b.queries[i];
+    EXPECT_EQ(qa.terms, qb.terms);
+    EXPECT_EQ(qa.keywords, qb.keywords);
+    EXPECT_EQ(qa.cluster_index, qb.cluster_index);
+    EXPECT_EQ(qa.cluster_size, qb.cluster_size);
+    EXPECT_EQ(qa.quality.precision, qb.quality.precision);
+    EXPECT_EQ(qa.quality.recall, qb.quality.recall);
+    EXPECT_EQ(qa.quality.f_measure, qb.quality.f_measure);
+    EXPECT_EQ(qa.iterations, qb.iterations);
+    EXPECT_EQ(qa.value_recomputations, qb.value_recomputations);
+    ASSERT_EQ(qa.term_details.size(), qb.term_details.size());
+    for (size_t r = 0; r < qa.term_details.size(); ++r) {
+      const TermExplain& ra = qa.term_details[r];
+      const TermExplain& rb = qb.term_details[r];
+      EXPECT_EQ(ra.term, rb.term);
+      EXPECT_EQ(ra.is_removal, rb.is_removal);
+      EXPECT_EQ(ra.benefit, rb.benefit);
+      EXPECT_EQ(ra.cost, rb.cost);
+      EXPECT_EQ(ra.value, rb.value);
+    }
   }
 }
 
@@ -228,13 +257,14 @@ class DeterminismFixture
       : corpus_(datagen::ShoppingGenerator().Generate()), index_(corpus_) {}
 
   ExpansionOutcome Run(size_t num_threads, bool memoize,
-                       size_t sweep_threads = 1) const {
+                       size_t sweep_threads = 1, bool explain = false) const {
     QueryExpanderOptions options;
     options.algorithm = GetParam();
     options.candidates.fraction = 1.0;
     options.num_threads = num_threads;
     options.memoize_set_algebra = memoize;
     options.sweep.threads = sweep_threads;
+    options.explain_terms = explain;
     QueryExpander expander(index_, options);
     auto outcome = expander.ExpandText("canon products");
     EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
@@ -279,9 +309,9 @@ TEST_P(DeterminismFixture, ForcedKernelTiersProduceIdenticalExpansions) {
 }
 
 TEST_P(DeterminismFixture, ParallelCandidateSweepMatchesSerial) {
-  // ISKR's initial candidate sweep can fan out over sweep_threads; the
-  // option is a pure execution strategy and must leave every algorithm's
-  // outcome byte-identical (it is simply ignored by PEBC and F-measure).
+  // Every algorithm fans its candidate sweeps out over sweep_threads
+  // ParallelFor workers; the option is a pure execution strategy and must
+  // leave every outcome byte-identical.
   const ExpansionOutcome serial = Run(1, false, /*sweep_threads=*/1);
   for (size_t sweep : {size_t{2}, size_t{8}, size_t{0}}) {
     SCOPED_TRACE("sweep_threads=" + std::to_string(sweep));
@@ -289,6 +319,14 @@ TEST_P(DeterminismFixture, ParallelCandidateSweepMatchesSerial) {
   }
   // All execution strategies at once: cluster threads + memo + sweep.
   ExpectIdenticalOutcomes(serial, Run(8, true, 8));
+}
+
+TEST_P(DeterminismFixture, ExplainRowsMatchAcrossExecutionStrategies) {
+  const ExpansionOutcome serial = Run(1, false, 1, /*explain=*/true);
+  size_t rows = 0;
+  for (const ExpandedQuery& q : serial.queries) rows += q.term_details.size();
+  EXPECT_GT(rows, 0u);
+  ExpectIdenticalOutcomes(serial, Run(8, true, 8, /*explain=*/true));
 }
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, DeterminismFixture,
