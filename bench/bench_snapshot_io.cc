@@ -1,8 +1,7 @@
 // Snapshot I/O benchmark: how fast the sectioned snapshot format
-// (docs/FORMATS.md) serializes and loads versus rebuilding the inverted
-// index from the corpus, on both demo datasets. The load path is the one
-// `qec_cli serve --snapshot` takes at startup, so the "load" row is the
-// server's cold-start cost.
+// (docs/FORMATS.md) serializes and loads on both demo datasets. The load
+// path is the one `qec_cli serve --snapshot` takes at startup, so the
+// "load" column is the server's cold-start cost.
 
 #include <algorithm>
 #include <cstdio>
@@ -17,7 +16,6 @@
 #include "datagen/shopping.h"
 #include "datagen/wikipedia.h"
 #include "doc/corpus.h"
-#include "doc/corpus_io.h"
 #include "eval/harness.h"
 #include "eval/table_printer.h"
 #include "index/inverted_index.h"
@@ -33,10 +31,7 @@ double MedianSeconds(std::vector<double> samples) {
 }
 
 struct RowResult {
-  /// Bytes → serving index via a corpus blob: deserialize + index rebuild
-  /// (the startup path before snapshots existed).
-  double blob_cold_s = 0.0;
-  /// Bytes → serving index via a snapshot: one DeserializeSnapshot call.
+  /// Bytes → serving index: one DeserializeSnapshot call.
   double snap_cold_s = 0.0;
   double serialize_s = 0.0;
   size_t bytes = 0;
@@ -45,17 +40,10 @@ struct RowResult {
 RowResult MeasureDataset(const qec::doc::Corpus& corpus) {
   RowResult r;
   qec::index::InvertedIndex index(corpus);
-  const std::string corpus_blob = qec::doc::SerializeCorpus(corpus);
-  std::vector<double> blob_cold, snap_cold, serialize;
+  std::vector<double> snap_cold, serialize;
   std::string snap_blob;
   for (int i = 0; i < kReps; ++i) {
     qec::Stopwatch watch;
-    auto loaded_corpus = qec::doc::DeserializeCorpus(corpus_blob);
-    if (!loaded_corpus.ok()) std::exit(1);
-    qec::index::InvertedIndex rebuilt(*loaded_corpus);
-    blob_cold.push_back(watch.ElapsedSeconds());
-
-    watch.Restart();
     snap_blob = qec::storage::SerializeSnapshot(index);
     serialize.push_back(watch.ElapsedSeconds());
 
@@ -68,7 +56,6 @@ RowResult MeasureDataset(const qec::doc::Corpus& corpus) {
       std::exit(1);
     }
   }
-  r.blob_cold_s = MedianSeconds(blob_cold);
   r.snap_cold_s = MedianSeconds(snap_cold);
   r.serialize_s = MedianSeconds(serialize);
   r.bytes = snap_blob.size();
@@ -172,11 +159,9 @@ int main(int argc, char** argv) {
   }
   if (reorder_mode) return RunReorderReport(reorder_out, docs, clusters);
 
-  std::printf("=== Snapshot I/O: serialize/load vs index rebuild ===\n\n");
-  qec::eval::TablePrinter table({"dataset", "docs", "snap KB",
-                                 "blob+rebuild ms", "snap load ms",
-                                 "serialize ms", "write MB/s", "read MB/s",
-                                 "cold-start speedup"});
+  std::printf("=== Snapshot I/O: serialize/load ===\n\n");
+  qec::eval::TablePrinter table({"dataset", "docs", "snap KB", "snap load ms",
+                                 "serialize ms", "write MB/s", "read MB/s"});
   struct Dataset {
     std::string name;
     qec::doc::Corpus corpus;
@@ -196,19 +181,12 @@ int main(int argc, char** argv) {
     const double mb = static_cast<double>(r.bytes) / (1024.0 * 1024.0);
     table.AddRow({dataset.name, std::to_string(dataset.corpus.NumDocs()),
                   qec::FormatDouble(static_cast<double>(r.bytes) / 1024.0, 1),
-                  qec::FormatDouble(r.blob_cold_s * 1e3, 3),
                   qec::FormatDouble(r.snap_cold_s * 1e3, 3),
                   qec::FormatDouble(r.serialize_s * 1e3, 3),
                   qec::FormatDouble(mb / r.serialize_s, 1),
-                  qec::FormatDouble(mb / r.snap_cold_s, 1),
-                  qec::FormatDouble(r.blob_cold_s / r.snap_cold_s, 2)});
+                  qec::FormatDouble(mb / r.snap_cold_s, 1)});
   }
   std::printf("%s", table.ToString().c_str());
   table.WriteCsv(qec::eval::ResultsDir() + "/snapshot_io.csv");
-  std::printf(
-      "\nBoth cold-start columns begin from serialized bytes and end with a "
-      "servable\nindex: the corpus-blob path re-analyzes nothing but must "
-      "rebuild every posting\nlist; the snapshot path decodes prebuilt "
-      "postings instead.\n");
   return 0;
 }

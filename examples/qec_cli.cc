@@ -1,8 +1,7 @@
 // qec_cli — command-line front end for the library, wiring together XML
-// ingestion, corpus persistence, search, and cluster-based query expansion.
+// ingestion, snapshot persistence, search, and cluster-based query
+// expansion.
 //
-//   qec_cli index  <corpus.qec> <file.xml|file.txt>...   build + save corpus
-//   qec_cli gen    <corpus.qec> [shopping|wikipedia]     save a demo corpus
 //   qec_cli index-build   <snap.qsnap> [--reorder=cluster]
 //                  <file...|shopping|wikipedia|clustered:D:C[:SEED]>
 //                  build corpus + inverted index, write one checksummed
@@ -13,17 +12,16 @@
 //   qec_cli index-inspect <snap.qsnap>   print version, section TOC, CRCs,
 //                  permutation presence/identity, and corpus statistics
 //                  (reads only the STAT and PERM sections)
-//   qec_cli stats  <corpus.qec|snap.qsnap>               corpus statistics
-//   qec_cli search <corpus.qec|snap.qsnap> <query words>...  top-10 search
-//   qec_cli expand <corpus.qec|snap.qsnap> [-a iskr|pebc|fmeasure] [-k N]
+//   qec_cli search <data> <query words>...               top-10 search
+//   qec_cli expand <data> [-a iskr|pebc|fmeasure] [-k N]
 //                  [--sweep-threads=N] <query>...
-//   qec_cli explain <corpus.qec|snap.qsnap> [-a algo] [-b algo] [-k N]
+//   qec_cli explain <data> [-a algo] [-b algo] [-k N]
 //                  <query>...   run a query through two arms with per-term
 //                  benefit/cost diagnostics and report the winner
-//   qec_cli abtest <corpus.qec|shopping|wikipedia> [-a algo] [-b algo]
+//   qec_cli abtest <data> [-a algo] [-b algo]
 //                  [-n N] [--queries=FILE]   offline A/B replay: score both
 //                  arms over a query workload and print the tallies
-//   qec_cli serve  <corpus.qec|shopping|wikipedia> [--snapshot=FILE]
+//   qec_cli serve  <data> | --snapshot=FILE
 //                  [--port=N [--host=ADDR] [--max-conns=N]
 //                  [--max-line-bytes=N] [--drain-ms=N]]
 //                  [--threads=N] [--queue=N] [--deadline-ms=N] [--no-cache]
@@ -36,10 +34,10 @@
 //   qec_cli slowlog <dump.jsonl> [-n N]                  print a slowlog dump
 //   qec_cli quickstart [--snapshot=FILE [--query=Q]]     in-memory demo
 //
-// Commands taking <corpus.qec> sniff the file magic, so a snapshot works
-// anywhere a corpus blob does (and skips the index rebuild). `serve
-// --snapshot=FILE` starts from the snapshot alone — no XML parsing, no
-// index build.
+// <data> is "shopping" or "wikipedia" (generate and index a demo catalog)
+// or a snapshot file written by index-build, which loads with its
+// prebuilt index: no XML parsing, no index rebuild. `serve --snapshot=FILE`
+// is another spelling of `serve FILE`.
 //
 // Global flags (any command; `quickstart` is the default when only flags
 // are given): --metrics-out=FILE writes a metrics JSON snapshot on exit,
@@ -83,7 +81,6 @@
 #include "datagen/shopping.h"
 #include "datagen/wikipedia.h"
 #include "datagen/workload.h"
-#include "doc/corpus_io.h"
 #include "eval/obs_report.h"
 #include "index/inverted_index.h"
 #include "snippet/snippet.h"
@@ -96,20 +93,17 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  qec_cli index  <corpus.qec> <file.xml|file.txt>...\n"
-      "  qec_cli gen    <corpus.qec> [shopping|wikipedia]\n"
       "  qec_cli index-build   <snap.qsnap> [--reorder=cluster] "
       "<file...|shopping|wikipedia|clustered:D:C[:SEED]>\n"
       "  qec_cli index-inspect <snap.qsnap>\n"
-      "  qec_cli stats  <corpus.qec|snap.qsnap>\n"
-      "  qec_cli search <corpus.qec|snap.qsnap> <query words>...\n"
-      "  qec_cli expand <corpus.qec|snap.qsnap> [-a iskr|pebc|fmeasure] "
+      "  qec_cli search <data> <query words>...\n"
+      "  qec_cli expand <data> [-a iskr|pebc|fmeasure] "
       "[-k N] [--sweep-threads=N] <query words>...\n"
-      "  qec_cli explain <corpus.qec|snap.qsnap> [-a algo] [-b algo] "
+      "  qec_cli explain <data> [-a algo] [-b algo] "
       "[-k N] <query words>...\n"
-      "  qec_cli abtest <corpus.qec|shopping|wikipedia> [-a algo] [-b algo] "
+      "  qec_cli abtest <data> [-a algo] [-b algo] "
       "[-n N] [--queries=FILE]\n"
-      "  qec_cli serve  <corpus.qec|shopping|wikipedia> [--snapshot=FILE] "
+      "  qec_cli serve  <data> | --snapshot=FILE "
       "[--port=N [--host=ADDR] [--max-conns=N] [--max-line-bytes=N] "
       "[--drain-ms=N]] "
       "[--admin-port=N [--admin-host=ADDR]] "
@@ -123,6 +117,7 @@ int Usage() {
       "  qec_cli profile <folded.txt|-> [-n N] | --self=SECONDS [--hz=H] "
       "[--out=FILE]\n"
       "  qec_cli quickstart [--snapshot=FILE [--query=Q]]\n"
+      "<data> is shopping, wikipedia, or a snapshot file from index-build\n"
       "global flags: --metrics-out=FILE --trace --trace-out=FILE "
       "--log-level=LEVEL\n");
   return 2;
@@ -151,11 +146,6 @@ qec::Result<std::string> ReadFile(const std::string& path) {
   return out;
 }
 
-bool EndsWith(const std::string& s, const char* suffix) {
-  size_t len = std::strlen(suffix);
-  return s.size() >= len && s.compare(s.size() - len, len, suffix) == 0;
-}
-
 /// Parses "clustered:<docs>:<clusters>[:<seed>]" into generator options.
 /// Returns false when `spec` is malformed.
 bool ParseClusteredSpec(const std::string& spec,
@@ -180,7 +170,6 @@ bool ParseClusteredSpec(const std::string& spec,
 
 /// Builds a corpus from XML/text files ("shopping"/"wikipedia" generate the
 /// demo catalogs, "clustered:D:C[:SEED]" the synthetic clustered corpus).
-/// Shared by `index` and `index-build`.
 qec::Result<qec::doc::Corpus> BuildCorpus(const std::vector<std::string>& inputs) {
   if (inputs.size() == 1 && inputs[0] == "shopping") {
     return qec::datagen::ShoppingGenerator().Generate();
@@ -199,7 +188,7 @@ qec::Result<qec::doc::Corpus> BuildCorpus(const std::vector<std::string>& inputs
   for (const std::string& input : inputs) {
     auto content = ReadFile(input);
     if (!content.ok()) return content.status();
-    if (EndsWith(input, ".xml")) {
+    if (qec::EndsWith(input, ".xml")) {
       auto parsed = qec::xml::Parse(*content);
       if (!parsed.ok()) {
         return qec::Status(parsed.status().code(),
@@ -215,58 +204,20 @@ qec::Result<qec::doc::Corpus> BuildCorpus(const std::vector<std::string>& inputs
   return corpus;
 }
 
-/// A corpus + index loaded from a CLI argument: a generator name, a corpus
-/// blob (index rebuilt in one pass), or a snapshot (index loaded as-is —
-/// the zero-rebuild path).
-struct LoadedData {
-  std::unique_ptr<qec::doc::Corpus> corpus;
-  std::unique_ptr<qec::index::InvertedIndex> index;
-  bool from_snapshot = false;
-};
-
-qec::Result<LoadedData> LoadCorpusAndIndex(const std::string& arg) {
-  LoadedData data;
-  if (arg == "shopping" || arg == "wikipedia") {
-    data.corpus = std::make_unique<qec::doc::Corpus>(
-        arg == "shopping" ? qec::datagen::ShoppingGenerator().Generate()
-                          : qec::datagen::WikipediaGenerator().Generate());
-    data.index =
-        std::make_unique<qec::index::InvertedIndex>(*data.corpus);
-    return data;
+/// Loads a <data> argument: "shopping"/"wikipedia" generate and index a
+/// demo catalog; anything else is a snapshot file, loaded with its
+/// prebuilt index (and PERM doc-id permutation, if any).
+qec::Result<qec::storage::Snapshot> LoadCorpusAndIndex(const std::string& arg) {
+  if (arg != "shopping" && arg != "wikipedia") {
+    return qec::storage::ReadSnapshot(arg);
   }
-  auto blob = ReadFile(arg);
-  if (!blob.ok()) return blob.status();
-  if (qec::storage::LooksLikeSnapshot(*blob)) {
-    auto snapshot = qec::storage::DeserializeSnapshot(*blob);
-    if (!snapshot.ok()) return snapshot.status();
-    data.corpus = std::move(snapshot->corpus);
-    data.index = std::move(snapshot->index);
-    data.from_snapshot = true;
-    return data;
-  }
-  auto corpus = qec::doc::DeserializeCorpus(*blob);
-  if (!corpus.ok()) return corpus.status();
-  data.corpus = std::make_unique<qec::doc::Corpus>(std::move(*corpus));
+  qec::storage::Snapshot data;
+  data.corpus = std::make_unique<qec::doc::Corpus>(
+      arg == "shopping" ? qec::datagen::ShoppingGenerator().Generate()
+                        : qec::datagen::WikipediaGenerator().Generate());
   data.index = std::make_unique<qec::index::InvertedIndex>(*data.corpus);
+  data.stats = data.corpus->Stats();
   return data;
-}
-
-int CmdIndex(const std::vector<std::string>& args) {
-  if (args.size() < 2) return Usage();
-  auto corpus =
-      BuildCorpus(std::vector<std::string>(args.begin() + 1, args.end()));
-  if (!corpus.ok()) {
-    std::fprintf(stderr, "%s\n", corpus.status().ToString().c_str());
-    return 1;
-  }
-  qec::Status s = qec::doc::SaveCorpus(*corpus, args[0]);
-  if (!s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
-  }
-  std::printf("indexed %zu documents into %s\n", corpus->NumDocs(),
-              args[0].c_str());
-  return 0;
 }
 
 int CmdIndexBuild(const std::vector<std::string>& args) {
@@ -393,59 +344,6 @@ int CmdIndexInspect(const std::vector<std::string>& args) {
               static_cast<unsigned long long>(pool.spawns),
               static_cast<unsigned long long>(pool.reuses));
   return rc;
-}
-
-int CmdGen(const std::vector<std::string>& args) {
-  if (args.empty()) return Usage();
-  const std::string kind = args.size() > 1 ? args[1] : "wikipedia";
-  qec::doc::Corpus corpus =
-      kind == "shopping" ? qec::datagen::ShoppingGenerator().Generate()
-                         : qec::datagen::WikipediaGenerator().Generate();
-  qec::Status s = qec::doc::SaveCorpus(corpus, args[0]);
-  if (!s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
-  }
-  std::printf("wrote %s corpus (%zu docs) to %s\n", kind.c_str(),
-              corpus.NumDocs(), args[0].c_str());
-  return 0;
-}
-
-int CmdStats(const std::vector<std::string>& args) {
-  if (args.empty()) return Usage();
-  auto blob = ReadFile(args[0]);
-  if (!blob.ok()) {
-    std::fprintf(stderr, "%s\n", blob.status().ToString().c_str());
-    return 1;
-  }
-  qec::doc::CorpusStats stats;
-  if (qec::storage::LooksLikeSnapshot(*blob)) {
-    // Snapshot: statistics live in their own section, so no documents or
-    // postings are decoded.
-    auto reader = qec::storage::SnapshotReader::Open(*blob);
-    if (!reader.ok()) {
-      std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
-      return 1;
-    }
-    auto loaded = reader->ReadStats();
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-      return 1;
-    }
-    stats = *loaded;
-  } else {
-    auto corpus = qec::doc::DeserializeCorpus(*blob);
-    if (!corpus.ok()) {
-      std::fprintf(stderr, "%s\n", corpus.status().ToString().c_str());
-      return 1;
-    }
-    stats = corpus->Stats();
-  }
-  std::printf("documents:        %zu\n", stats.num_docs);
-  std::printf("distinct terms:   %zu\n", stats.num_distinct_terms);
-  std::printf("term occurrences: %zu\n", stats.total_term_occurrences);
-  std::printf("avg doc length:   %.1f\n", stats.avg_doc_length);
-  return 0;
 }
 
 bool ParseAlgoName(const std::string& name,
@@ -706,7 +604,7 @@ int CmdAbtest(const std::vector<std::string>& args) {
     }
   } else {
     std::fprintf(stderr,
-                 "abtest: --queries=FILE is required for corpus files\n");
+                 "abtest: --queries=FILE is required for snapshot files\n");
     return 2;
   }
   if (limit != 0 && queries.size() > limit) queries.resize(limit);
@@ -849,10 +747,8 @@ class OrderedStdout {
 // stdin/stdout — one request line in, one JSON response line out — or, with
 // --port=N, by the epoll network front end serving the same protocol over
 // TCP with pipelining (--port=0 binds an ephemeral port and reports it on
-// stderr). The corpus argument is a .qec file, or the literal
-// "shopping"/"wikipedia" to serve a generated demo corpus;
-// `--snapshot=FILE` starts from a checksummed snapshot instead — no XML
-// parsing, no index rebuild.
+// stderr). The data argument (positional or --snapshot=FILE) is a
+// snapshot file or "shopping"/"wikipedia" for a generated demo corpus.
 int CmdServe(const std::vector<std::string>& args) {
   if (args.empty()) return Usage();
   qec::server::ServerOptions options;
@@ -964,18 +860,10 @@ int CmdServe(const std::vector<std::string>& args) {
   }
   if (corpus_arg.empty() == snapshot_path.empty()) return Usage();
 
-  // LoadCorpusAndIndex sniffs the magic, so both the positional argument
-  // and --snapshot accept either format; the flag spelling documents intent
-  // and rejects non-snapshot files.
   auto data = LoadCorpusAndIndex(snapshot_path.empty() ? corpus_arg
                                                        : snapshot_path);
   if (!data.ok()) {
     std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
-    return 1;
-  }
-  if (!snapshot_path.empty() && !data->from_snapshot) {
-    std::fprintf(stderr, "--snapshot=%s: not a snapshot file\n",
-                 snapshot_path.c_str());
     return 1;
   }
   qec::server::QecServer server(*data->index, options);
@@ -986,12 +874,11 @@ int CmdServe(const std::vector<std::string>& args) {
         std::chrono::milliseconds(metrics_flush_interval_s * 1000));
   }
   std::fprintf(stderr,
-               "serving %zu documents%s with %zu workers (queue %zu, cache "
+               "serving %zu documents with %zu workers (queue %zu, cache "
                "%s, shadow %s); one request per line: EXPAND [k=N] [algo=A] "
                "[--] <query> | EXPLAIN <query> | PING | STATS | METRICS | "
                "SLOWLOG [n] | ABTEST [n]\n",
                data->corpus->NumDocs(),
-               data->from_snapshot ? " from snapshot" : "",
                server.num_workers(), options.queue_capacity,
                options.enable_expansion_cache ? "on" : "off",
                options.shadow_sample_rate > 0.0 ? "on" : "off");
@@ -1393,7 +1280,7 @@ int CmdQuickstart(const std::vector<std::string>& args) {
       return Usage();
     }
   }
-  LoadedData data;
+  qec::storage::Snapshot data;
   if (snapshot_path.empty()) {
     data.corpus = std::make_unique<qec::doc::Corpus>(QuickstartCorpus());
     data.index = std::make_unique<qec::index::InvertedIndex>(*data.corpus);
@@ -1455,16 +1342,10 @@ int main(int argc, char** argv) {
   } else {
     const std::string cmd = args[0];
     const std::vector<std::string> rest(args.begin() + 1, args.end());
-    if (cmd == "index") {
-      rc = CmdIndex(rest);
-    } else if (cmd == "index-build") {
+    if (cmd == "index-build") {
       rc = CmdIndexBuild(rest);
     } else if (cmd == "index-inspect") {
       rc = CmdIndexInspect(rest);
-    } else if (cmd == "gen") {
-      rc = CmdGen(rest);
-    } else if (cmd == "stats") {
-      rc = CmdStats(rest);
     } else if (cmd == "search") {
       rc = CmdSearch(rest);
     } else if (cmd == "expand") {

@@ -278,24 +278,18 @@ constexpr KernelOps kAvx2Ops = {
 
 std::atomic<const KernelOps*> g_ops{nullptr};
 std::atomic<KernelTier> g_tier{KernelTier::kScalar};
-const char* g_override = "auto";
 std::once_flag g_init_once;
 
 void InitDispatch() {
   KernelTier tier =
       Avx2Supported() ? KernelTier::kAvx2 : KernelTier::kScalar;
-  if (const char* env = std::getenv("QEC_KERNEL_DISPATCH")) {
-    if (std::strcmp(env, "scalar") == 0) {
-      g_override = "scalar";
-      tier = KernelTier::kScalar;
-    } else if (std::strcmp(env, "avx2") == 0) {
-      g_override = "avx2";
-      // Fails open to the auto choice when the hardware can't comply:
-      // forcing an unsupported tier would SIGILL on the first kernel.
-      if (Avx2Supported()) tier = KernelTier::kAvx2;
-    } else {
-      g_override = "auto";
-    }
+  // QEC_KERNEL_DISPATCH=scalar pins the scalar tier. "avx2", "auto" and
+  // unrecognized values keep the auto choice, which already is AVX2
+  // whenever the hardware has it: forcing an unsupported tier would SIGILL
+  // on the first kernel.
+  const char* env = std::getenv("QEC_KERNEL_DISPATCH");
+  if (env != nullptr && std::strcmp(env, "scalar") == 0) {
+    tier = KernelTier::kScalar;
   }
   SetTier(tier);
 }
@@ -355,10 +349,5 @@ const char* TierName(KernelTier tier) {
 }
 
 const char* ActiveTierName() { return TierName(ActiveTier()); }
-
-const char* DispatchOverride() {
-  Ops();  // ensure the env var has been consulted
-  return g_override;
-}
 
 }  // namespace qec::simd

@@ -62,10 +62,6 @@ bool Avx2Supported();
 const char* TierName(KernelTier tier);
 const char* ActiveTierName();
 
-/// The QEC_KERNEL_DISPATCH value the startup selection honored: "scalar",
-/// "avx2", or "auto" (unset / unrecognized values fall back to auto).
-const char* DispatchOverride();
-
 }  // namespace qec::simd
 
 #endif  // QEC_COMMON_SIMD_KERNELS_H_

@@ -39,7 +39,7 @@ class Corpus {
 
   /// Deserialization support: appends a document with pre-interned term
   /// ids, bypassing text analysis. Every id must already exist in the
-  /// vocabulary (corpus_io.h validates this before calling).
+  /// vocabulary (the snapshot loader validates this before calling).
   DocId RestoreDocument(DocumentKind kind, std::string title,
                         std::vector<TermId> terms,
                         std::vector<Feature> features);

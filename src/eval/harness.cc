@@ -8,7 +8,6 @@
 #include "common/stopwatch.h"
 #include "core/metrics.h"
 #include "obs/trace.h"
-#include "storage/snapshot.h"
 
 #include <sys/stat.h>
 
@@ -31,33 +30,6 @@ DatasetBundle MakeWikipediaBundle(datagen::WikipediaOptions options) {
       datagen::WikipediaGenerator(options).Generate());
   bundle.index = std::make_unique<index::InvertedIndex>(*bundle.corpus);
   bundle.queries = datagen::WikipediaQueries();
-  return bundle;
-}
-
-Result<DatasetBundle> MakeSnapshotBundle(const std::string& path,
-                                         std::string_view workload) {
-  auto blob = storage::ReadSnapshotBlob(path);
-  if (!blob.ok()) return blob.status();
-  auto reader = storage::SnapshotReader::Open(*blob);
-  if (!reader.ok()) return reader.status();
-  auto corpus = reader->LoadCorpus();
-  if (!corpus.ok()) return corpus.status();
-
-  DatasetBundle bundle;
-  bundle.name = "snapshot:" + path;
-  bundle.corpus = std::make_unique<doc::Corpus>(std::move(*corpus));
-  auto loaded_index = reader->LoadIndex(*bundle.corpus);
-  if (!loaded_index.ok()) return loaded_index.status();
-  bundle.index =
-      std::make_unique<index::InvertedIndex>(std::move(*loaded_index));
-  if (workload == "shopping") {
-    bundle.queries = datagen::ShoppingQueries();
-  } else if (workload == "wikipedia") {
-    bundle.queries = datagen::WikipediaQueries();
-  } else if (!workload.empty()) {
-    return Status::InvalidArgument("unknown workload '" +
-                                   std::string(workload) + "'");
-  }
   return bundle;
 }
 

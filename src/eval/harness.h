@@ -36,12 +36,6 @@ DatasetBundle MakeShoppingBundle(datagen::ShoppingOptions options = {});
 /// Generates + indexes the Wikipedia dataset with its QW1-QW10 workload.
 DatasetBundle MakeWikipediaBundle(datagen::WikipediaOptions options = {});
 
-/// Loads a prebuilt snapshot (storage/snapshot.h) as a bundle — no XML
-/// parsing, no index rebuild. `workload` picks the Table 1 queries:
-/// "shopping", "wikipedia", or "" for none.
-Result<DatasetBundle> MakeSnapshotBundle(const std::string& path,
-                                         std::string_view workload = "");
-
 /// The five compared expansion methods of Sec. 5 plus the F-measure
 /// variant.
 enum class Method { kIskr, kPebc, kFMeasure, kCs, kGoogle, kDataClouds };

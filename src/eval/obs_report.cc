@@ -4,15 +4,11 @@
 #include <string_view>
 
 #include "common/logging.h"
-#include "common/string_util.h"
-#include "eval/table_printer.h"
 #include "obs/trace.h"
 
 namespace qec::eval {
 
 namespace {
-
-std::string FormatMs(double ns) { return FormatDouble(ns / 1e6, 3); }
 
 bool WriteFile(const std::string& path, const std::string& content) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -38,50 +34,6 @@ bool FlagValue(std::string_view arg, std::string_view flag,
 }
 
 }  // namespace
-
-std::string RenderMetricsReport(const obs::MetricsSnapshot& snapshot) {
-  std::string out;
-
-  if (!snapshot.counters.empty() || !snapshot.gauges.empty()) {
-    TablePrinter table({"metric", "value"});
-    for (const auto& [name, value] : snapshot.counters) {
-      table.AddRow({name, std::to_string(value)});
-    }
-    for (const auto& [name, value] : snapshot.gauges) {
-      table.AddRow({name, FormatDouble(value, 3)});
-    }
-    out += table.ToString();
-  }
-
-  if (!snapshot.histograms.empty()) {
-    out += "\n";
-    TablePrinter table({"histogram", "count", "p50_ms", "p95_ms", "p99_ms",
-                        "max_ms"});
-    for (const auto& h : snapshot.histograms) {
-      if (h.count == 0) continue;
-      table.AddRow({h.name, std::to_string(h.count), FormatMs(h.p50),
-                    FormatMs(h.p95), FormatMs(h.p99),
-                    FormatMs(static_cast<double>(h.max))});
-    }
-    out += table.ToString();
-  }
-
-  if (!snapshot.spans.empty()) {
-    out += "\n";
-    TablePrinter table({"span", "count", "total_ms", "self_ms", "avg_ms"});
-    for (const auto& s : snapshot.spans) {
-      table.AddRow({s.name, std::to_string(s.count),
-                    FormatMs(static_cast<double>(s.total_ns)),
-                    FormatMs(static_cast<double>(s.self_ns)),
-                    FormatMs(s.count > 0 ? static_cast<double>(s.total_ns) /
-                                               static_cast<double>(s.count)
-                                         : 0.0)});
-    }
-    out += table.ToString();
-  }
-
-  return out;
-}
 
 ObsFlags ConsumeObsFlags(std::vector<std::string>& args) {
   ObsFlags flags;

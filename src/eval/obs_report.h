@@ -4,14 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"
-
 namespace qec::eval {
-
-/// Renders a metrics snapshot as aligned text tables (TablePrinter style):
-/// one table for counters + gauges, one for span/latency histograms with
-/// p50/p95/p99, one for span aggregates.
-std::string RenderMetricsReport(const obs::MetricsSnapshot& snapshot);
 
 /// Observability flags shared by qec_cli, the examples, and the bench
 /// binaries, so every entry point can emit a machine-readable snapshot:

@@ -34,10 +34,10 @@ class InvertedIndex {
   /// Builds the index over all documents currently in `corpus`.
   explicit InvertedIndex(const doc::Corpus& corpus);
 
-  /// Deserialization support (index_io.h): adopts prebuilt posting lists
-  /// instead of scanning the corpus. `postings` must be indexed by TermId,
-  /// each list sorted by DocId with ids < corpus.NumDocs() — index_io
-  /// validates this before calling.
+  /// Deserialization support (storage/snapshot.h): adopts prebuilt posting
+  /// lists instead of scanning the corpus. `postings` must be indexed by
+  /// TermId, each list sorted by DocId with ids < corpus.NumDocs() — the
+  /// snapshot loader validates this before calling.
   static InvertedIndex FromPostings(const doc::Corpus& corpus,
                                     std::vector<std::vector<Posting>> postings);
 

@@ -61,6 +61,11 @@ Result<std::vector<Posting>> DecodePostings(std::string_view data) {
     if (!gap.ok()) return gap.status();
     auto tf = ReadVarint(data, &pos);
     if (!tf.ok()) return tf.status();
+    // Bounding the gap first keeps prev + gap + 1 from wrapping around to
+    // a doc id at or below prev.
+    if (*gap > std::numeric_limits<DocId>::max()) {
+      return Status::Corruption("doc id overflow");
+    }
     const uint64_t doc = i == 0 ? *gap : prev + *gap + 1;
     if (doc > std::numeric_limits<DocId>::max()) {
       return Status::Corruption("doc id overflow");

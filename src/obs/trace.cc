@@ -181,10 +181,6 @@ void SetTraceEventRecording(bool enabled) {
   g_record_events.store(enabled, std::memory_order_relaxed);
 }
 
-bool TraceEventRecordingEnabled() {
-  return g_record_events.load(std::memory_order_relaxed);
-}
-
 uint32_t CurrentOsThreadId() {
 #if defined(__linux__)
   thread_local const uint32_t tid =

@@ -72,7 +72,6 @@ std::string SpanFlatProfile();
 /// in-memory buffer (default 65536 events; older events are kept, new ones
 /// dropped once full). Off by default — aggregation is always on.
 void SetTraceEventRecording(bool enabled);
-bool TraceEventRecordingEnabled();
 
 /// chrome://tracing / Perfetto-loadable JSON of the recorded events. Span
 /// events carry the real OS thread/process ids (CurrentOsThreadId below),

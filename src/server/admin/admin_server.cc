@@ -5,11 +5,11 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 #include "common/sweep_pool.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -28,15 +28,14 @@ constexpr char kOpenMetrics[] =
     "application/openmetrics-text; version=1.0.0; charset=utf-8";
 
 /// Parses a positive decimal query parameter, clamped to [min, max];
-/// `fallback` when absent or malformed.
+/// `fallback` when absent or malformed (ParseDouble rejects nan and inf,
+/// so the result is always safe to cast to an integer).
 double QueryNumber(const HttpRequest& request, std::string_view key,
                    double fallback, double min, double max) {
-  const std::string_view raw = request.QueryParam(key);
-  if (raw.empty()) return fallback;
-  char* end = nullptr;
-  const std::string text(raw);
-  const double value = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size() || value <= 0) return fallback;
+  double value = 0.0;
+  if (!ParseDouble(request.QueryParam(key), &value) || value <= 0) {
+    return fallback;
+  }
   return value < min ? min : (value > max ? max : value);
 }
 

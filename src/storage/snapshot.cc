@@ -81,8 +81,8 @@ std::string EncodeStatsSection(const doc::CorpusStats& stats) {
 }
 
 std::string EncodeIndexSection(const index::InvertedIndex& index) {
-  // Same body as index::SerializeIndex sans magic: the delta + varbyte
-  // posting codec is the storage format for posting lists.
+  // Term count, then one length-prefixed delta + varbyte posting blob
+  // (index/posting_codec.h) per term, in TermId order.
   std::string out;
   const size_t num_terms = index.corpus().analyzer().vocabulary().size();
   index::AppendVarint(num_terms, out);
@@ -533,11 +533,6 @@ Result<Snapshot> ReadSnapshot(const std::string& path) {
   auto blob = ReadSnapshotBlob(path);
   if (!blob.ok()) return blob.status();
   return DeserializeSnapshot(*blob);
-}
-
-bool LooksLikeSnapshot(std::string_view data) {
-  return data.size() >= kSnapshotMagic.size() &&
-         data.substr(0, kSnapshotMagic.size()) == kSnapshotMagic;
 }
 
 }  // namespace qec::storage

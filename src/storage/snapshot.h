@@ -141,10 +141,6 @@ Result<Snapshot> ReadSnapshot(const std::string& path);
 /// Reads `path` into memory for SnapshotReader::Open (NotFound / Internal).
 Result<std::string> ReadSnapshotBlob(const std::string& path);
 
-/// Cheap sniff: true when `data` starts with the snapshot magic. CLIs use
-/// it to accept either a corpus blob or a snapshot for the same argument.
-bool LooksLikeSnapshot(std::string_view data);
-
 }  // namespace qec::storage
 
 #endif  // QEC_STORAGE_SNAPSHOT_H_

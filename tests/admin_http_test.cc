@@ -465,6 +465,31 @@ TEST_F(AdminHttpFixture, SlowlogAndAbtestRoutes) {
   EXPECT_EQ(abtest.status, 200);
 }
 
+TEST_F(AdminHttpFixture, NanQueryParamFallsBack) {
+  // strtod accepts "nan", and every comparison against NaN is false, so a
+  // lenient parse let it through the clamp into a size_t cast (UB; on
+  // x86-64 the slowlog answered "requested": 2^63). It must earn the
+  // fallback count of 16 instead, exactly as a malformed value does.
+  ServerOptions options;
+  options.shadow_sample_rate = 1.0;
+  QecServer server(index_, options);
+  auto admin = StartAdmin(&server);
+  HttpClient client(admin->port());
+  ASSERT_TRUE(client.connected());
+
+  ASSERT_TRUE(client.Get("/slowlog?n=nan"));
+  auto slowlog = client.ReadResponse();
+  ASSERT_TRUE(slowlog.ok);
+  EXPECT_EQ(slowlog.status, 200);
+  EXPECT_EQ(slowlog.body, server.SlowlogJsonLine(16) + "\n");
+
+  ASSERT_TRUE(client.Get("/abtest?n=nan"));
+  auto abtest = client.ReadResponse();
+  ASSERT_TRUE(abtest.ok);
+  EXPECT_EQ(abtest.status, 200);
+  EXPECT_EQ(abtest.body, server.AbtestJsonLine(16) + "\n");
+}
+
 TEST_F(AdminHttpFixture, ProfileRouteCapturesAndRejectsConcurrent) {
   QecServer server(index_);
   auto admin = StartAdmin(&server);

@@ -148,6 +148,53 @@ TEST(SnapshotRoundTripTest, ShoppingCatalog) {
       EXPECT_DOUBLE_EQ(a[i].score, b[i].score);
     }
   }
+  // VSM relies on the document norms, which the loader recomputes rather
+  // than reads.
+  auto terms = corpus.analyzer().AnalyzeReadOnly("memory");
+  auto va = index.SearchVsm(terms, 5);
+  auto vb = snapshot->index->SearchVsm(terms, 5);
+  ASSERT_EQ(va.size(), vb.size());
+  for (size_t i = 0; i < va.size(); ++i) {
+    EXPECT_EQ(va[i].doc, vb[i].doc);
+    EXPECT_DOUBLE_EQ(va[i].score, vb[i].score);
+  }
+}
+
+TEST(SnapshotRoundTripTest, AnalyzerOptionsSurvive) {
+  text::AnalyzerOptions options;
+  options.stem = true;
+  options.remove_stopwords = false;
+  options.tokenizer.min_token_length = 2;
+  doc::Corpus corpus(options);
+  corpus.AddTextDocument("t", "the running dogs");
+  index::InvertedIndex index(corpus);
+  auto snapshot = DeserializeSnapshot(SerializeSnapshot(index));
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  const text::Analyzer& loaded = snapshot->corpus->analyzer();
+  EXPECT_TRUE(loaded.options().stem);
+  EXPECT_FALSE(loaded.options().remove_stopwords);
+  EXPECT_EQ(loaded.options().tokenizer.min_token_length, 2u);
+  // New text is analyzed the same way: "running" stems to "run".
+  auto ids = loaded.AnalyzeReadOnly("running");
+  ASSERT_EQ(ids.size(), 1u);
+  EXPECT_EQ(loaded.vocabulary().TermString(ids[0]), "run");
+}
+
+TEST(SnapshotRoundTripTest, IndexSectionIsCompressed) {
+  // Raw postings would take 8 bytes each (doc u32 + tf u32); the delta +
+  // varbyte INDX section must take well under half of that.
+  doc::Corpus corpus = datagen::ShoppingGenerator().Generate();
+  index::InvertedIndex index(corpus);
+  std::string blob = SerializeSnapshot(index);
+  auto reader = SnapshotReader::Open(blob);
+  ASSERT_TRUE(reader.ok());
+  auto indx = reader->Section(kSectionIndex);
+  ASSERT_TRUE(indx.ok());
+  size_t raw = 0;
+  for (TermId t = 0; t < corpus.analyzer().vocabulary().size(); ++t) {
+    raw += index.Postings(t).size() * 8;
+  }
+  EXPECT_LT(indx->size(), raw / 2);
 }
 
 TEST(SnapshotRoundTripTest, EmptyCorpus) {
@@ -207,14 +254,6 @@ TEST(SnapshotReaderTest, UnknownSectionIsNotFound) {
   auto missing = reader->Section("ZZZZ");
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
-}
-
-TEST(SnapshotReaderTest, SniffsMagic) {
-  doc::Corpus corpus = TextCorpus();
-  index::InvertedIndex index(corpus);
-  EXPECT_TRUE(LooksLikeSnapshot(SerializeSnapshot(index)));
-  EXPECT_FALSE(LooksLikeSnapshot("QECCORP1 something else"));
-  EXPECT_FALSE(LooksLikeSnapshot(""));
 }
 
 // -------------------------------------------------------------- corruption
@@ -316,26 +355,39 @@ void FixCrcs(std::string& blob, size_t idx, uint64_t offset, uint64_t length) {
                                              footer_pos - toc_offset)));
 }
 
+/// Applies `edit` to the payload of section `id` (keeping its length) and
+/// re-checksums, so the load reaches the section's decoder.
+std::string ForgeSection(const std::string& blob, std::string_view id,
+                         const std::function<void(std::string&)>& edit) {
+  auto reader = SnapshotReader::Open(blob);
+  EXPECT_TRUE(reader.ok());
+  const std::vector<SectionInfo>& sections = reader->sections();
+  size_t idx = 0;
+  while (idx < sections.size() && sections[idx].id != id) ++idx;
+  if (idx == sections.size()) {
+    ADD_FAILURE() << "no section " << id;
+    return blob;
+  }
+  const SectionInfo& info = sections[idx];
+  std::string payload = blob.substr(info.offset, info.length);
+  edit(payload);
+  EXPECT_EQ(payload.size(), info.length);
+  std::string forged = blob;
+  forged.replace(info.offset, info.length, payload);
+  FixCrcs(forged, idx, info.offset, info.length);
+  return forged;
+}
+
 TEST(SnapshotCorruptionTest, StatMismatchWithValidCrcsIsRejected) {
   // Forge a snapshot whose STAT section disagrees with the documents but
   // whose checksums are all valid — the semantic cross-check must catch it.
   doc::Corpus corpus = TextCorpus();
   index::InvertedIndex index(corpus);
-  std::string blob = SerializeSnapshot(index);
-  auto reader = SnapshotReader::Open(blob);
-  ASSERT_TRUE(reader.ok());
-  size_t stat_idx = 0;
-  SectionInfo stat;
-  for (size_t i = 0; i < reader->sections().size(); ++i) {
-    if (reader->sections()[i].id == kSectionStats) {
-      stat_idx = i;
-      stat = reader->sections()[i];
-    }
-  }
-  ASSERT_EQ(stat.length, 32u);  // 3 × u64 + f64
-  std::string forged = blob;
-  PutU64(forged, stat.offset, GetU64(blob, stat.offset) + 1);  // num_docs + 1
-  FixCrcs(forged, stat_idx, stat.offset, stat.length);
+  std::string forged = ForgeSection(
+      SerializeSnapshot(index), kSectionStats, [](std::string& payload) {
+        ASSERT_EQ(payload.size(), 32u);  // 3 × u64 + f64
+        PutU64(payload, 0, GetU64(payload, 0) + 1);  // num_docs + 1
+      });
 
   // All checksums verify...
   auto r = SnapshotReader::Open(forged);
@@ -347,6 +399,44 @@ TEST(SnapshotCorruptionTest, StatMismatchWithValidCrcsIsRejected) {
   auto snapshot = DeserializeSnapshot(forged);
   ASSERT_FALSE(snapshot.ok());
   EXPECT_EQ(snapshot.status().code(), StatusCode::kCorruption);
+}
+
+TEST(SnapshotCorruptionTest, DocsOutOfRangeTermIdIsCorruption) {
+  doc::Corpus corpus = TextCorpus();
+  index::InvertedIndex index(corpus);
+  const uint32_t vocab_size =
+      static_cast<uint32_t>(corpus.analyzer().vocabulary().size());
+  std::string forged =
+      ForgeSection(SerializeSnapshot(index), kSectionDocs,
+                   [&](std::string& payload) {
+                     // count u32, then doc 0: kind u8, title (u32 length +
+                     // bytes), num_terms u32, and its first term id.
+                     const size_t first_term =
+                         4 + 1 + 4 + corpus.Get(0).title().size() + 4;
+                     PutU32(payload, first_term, vocab_size);
+                   });
+  auto snapshot = DeserializeSnapshot(forged);
+  ASSERT_FALSE(snapshot.ok());
+  EXPECT_EQ(snapshot.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(snapshot.status().message().find("out of range"),
+            std::string::npos)
+      << snapshot.status().ToString();
+}
+
+TEST(SnapshotCorruptionTest, IndexTermCountMismatchIsCorruption) {
+  doc::Corpus corpus = TextCorpus();
+  index::InvertedIndex index(corpus);
+  const size_t vocab_size = corpus.analyzer().vocabulary().size();
+  ASSERT_LT(vocab_size + 1, 128u);  // the term count stays a 1-byte varint
+  std::string forged = ForgeSection(
+      SerializeSnapshot(index), kSectionIndex, [&](std::string& payload) {
+        payload[0] = static_cast<char>(vocab_size + 1);
+      });
+  auto snapshot = DeserializeSnapshot(forged);
+  ASSERT_FALSE(snapshot.ok());
+  EXPECT_EQ(snapshot.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(snapshot.status().message().find("vocabulary"), std::string::npos)
+      << snapshot.status().ToString();
 }
 
 TEST(SnapshotCorruptionTest, UnsupportedVersionIsRejected) {
@@ -379,6 +469,33 @@ TEST(SnapshotFuzzTest, RandomMutationsNeverCrash) {
   }
 }
 
+TEST(SnapshotFuzzTest, IndexPayloadMutationsNeverCrash) {
+  // The CRCs are fixed after every mutation, so the mutated bytes reach
+  // the INDX decoder (ReadVarint / DecodePostings and the doc-id checks)
+  // instead of stopping at the checksum.
+  doc::Corpus corpus = TextCorpus();
+  index::InvertedIndex index(corpus);
+  const std::string blob = SerializeSnapshot(index);
+  Rng rng(77);
+  int rejected = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    std::string mutated =
+        ForgeSection(blob, kSectionIndex, [&](std::string& payload) {
+          const size_t flips = 1 + rng.UniformInt(4);
+          for (size_t f = 0; f < flips; ++f) {
+            payload[rng.UniformInt(payload.size())] =
+                static_cast<char>(rng.UniformInt(256));
+          }
+        });
+    auto snapshot = DeserializeSnapshot(mutated);  // must not crash
+    if (!snapshot.ok()) {
+      EXPECT_EQ(snapshot.status().code(), StatusCode::kCorruption);
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 0);
+}
+
 // -------------------------------------------------------------------- file
 
 TEST(SnapshotFileTest, WriteReadRoundTrip) {
@@ -396,6 +513,188 @@ TEST(SnapshotFileTest, MissingFileIsNotFound) {
   auto snapshot = ReadSnapshot("/tmp/qec_missing_snapshot_31415.qsnap");
   ASSERT_FALSE(snapshot.ok());
   EXPECT_EQ(snapshot.status().code(), StatusCode::kNotFound);
+}
+
+// ------------------------------------------------- corpus-only load path
+
+/// Restores only the corpus sections (META + VOCA + DOCS) of `blob`.
+Result<doc::Corpus> LoadCorpusOnly(std::string_view blob) {
+  auto reader = SnapshotReader::Open(blob);
+  if (!reader.ok()) return reader.status();
+  return reader->LoadCorpus();
+}
+
+std::string CorpusSnapshot(const doc::Corpus& corpus) {
+  index::InvertedIndex index(corpus);
+  return SerializeSnapshot(index);
+}
+
+doc::Corpus MixedCorpus() {
+  doc::Corpus corpus;
+  corpus.AddTextDocument("t0", "apple store iphone apple");
+  corpus.AddTextDocument("t1", "apple fruit orchard");
+  corpus.AddStructuredDocument(
+      "p0", {{"Canon products", "category", "camera"},
+             {"camera", "shutter speed", "15 - 1/3200 sec."}});
+  return corpus;
+}
+
+TEST(CorpusIoTest, RoundTripPreservesEverything) {
+  doc::Corpus original = MixedCorpus();
+  auto loaded = LoadCorpusOnly(CorpusSnapshot(original));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectSameCorpus(original, *loaded);
+  // Term strings survive with identical ids.
+  TermId apple = original.analyzer().vocabulary().Lookup("apple");
+  EXPECT_EQ(loaded->analyzer().vocabulary().TermString(apple), "apple");
+}
+
+TEST(CorpusIoTest, LoadedCorpusIndexesIdentically) {
+  doc::Corpus original = MixedCorpus();
+  auto loaded = LoadCorpusOnly(CorpusSnapshot(original));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  // A fresh index over the loaded corpus ranks like one over the original.
+  index::InvertedIndex idx_a(original);
+  index::InvertedIndex idx_b(*loaded);
+  auto ra = idx_a.SearchText("apple");
+  auto rb = idx_b.SearchText("apple");
+  ASSERT_EQ(ra.size(), rb.size());
+  for (size_t i = 0; i < ra.size(); ++i) {
+    EXPECT_EQ(ra[i].doc, rb[i].doc);
+    EXPECT_DOUBLE_EQ(ra[i].score, rb[i].score);
+  }
+}
+
+TEST(CorpusIoTest, BadMagicIsCorruption) {
+  std::string blob = CorpusSnapshot(MixedCorpus());
+  blob[0] = 'X';
+  auto loaded = LoadCorpusOnly(blob);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+}
+
+TEST(CorpusIoTest, TruncationIsCorruption) {
+  std::string blob = CorpusSnapshot(MixedCorpus());
+  for (size_t cut : {blob.size() - 1, blob.size() / 2, size_t{9}}) {
+    auto loaded = LoadCorpusOnly(blob.substr(0, cut));
+    ASSERT_FALSE(loaded.ok()) << "cut at " << cut;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  }
+}
+
+TEST(CorpusIoTest, TrailingBytesAreCorruption) {
+  std::string blob = CorpusSnapshot(MixedCorpus());
+  blob += "junk";
+  auto loaded = LoadCorpusOnly(blob);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+}
+
+TEST(CorpusIoTest, SaveLoadFile) {
+  const std::string path = "/tmp/qec_storage_corpus_test.qsnap";
+  doc::Corpus original = MixedCorpus();
+  index::InvertedIndex index(original);
+  ASSERT_TRUE(WriteSnapshot(index, path).ok());
+  auto blob = ReadSnapshotBlob(path);
+  ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+  auto loaded = LoadCorpusOnly(*blob);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->NumDocs(), original.NumDocs());
+  std::remove(path.c_str());
+}
+
+TEST(CorpusIoTest, LoadMissingFileIsNotFound) {
+  auto blob = ReadSnapshotBlob("/tmp/qec_no_such_file_12345.qsnap");
+  ASSERT_FALSE(blob.ok());
+  EXPECT_EQ(blob.status().code(), StatusCode::kNotFound);
+}
+
+TEST(CorpusIoTest, EmptyCorpusRoundTrips) {
+  auto loaded = LoadCorpusOnly(CorpusSnapshot(doc::Corpus()));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->NumDocs(), 0u);
+}
+
+// -------------------------------------------------- index-only load path
+
+/// Restores the INDX section of a shopping-catalog snapshot over the
+/// caller's in-memory corpus, without reloading the corpus sections.
+class IndexIoFixture : public ::testing::Test {
+ protected:
+  IndexIoFixture()
+      : corpus_(datagen::ShoppingGenerator().Generate()),
+        index_(corpus_),
+        blob_(SerializeSnapshot(index_)) {}
+
+  Result<index::InvertedIndex> LoadIndexOnly(std::string_view blob) const {
+    auto reader = SnapshotReader::Open(blob);
+    if (!reader.ok()) return reader.status();
+    return reader->LoadIndex(corpus_);
+  }
+
+  doc::Corpus corpus_;
+  index::InvertedIndex index_;
+  std::string blob_;
+};
+
+TEST_F(IndexIoFixture, RoundTripMatchesRebuild) {
+  auto loaded = LoadIndexOnly(blob_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectSameIndex(corpus_, index_, *loaded);
+}
+
+TEST_F(IndexIoFixture, LoadedIndexSearchesIdentically) {
+  auto loaded = LoadIndexOnly(blob_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  for (const char* q : {"canon products", "memory 8gb", "tv plasma"}) {
+    auto a = index_.SearchText(q);
+    auto b = loaded->SearchText(q);
+    ASSERT_EQ(a.size(), b.size()) << q;
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].doc, b[i].doc);
+      EXPECT_DOUBLE_EQ(a[i].score, b[i].score);
+    }
+  }
+  // VSM relies on the document norms LoadIndex recomputes.
+  auto terms = corpus_.analyzer().AnalyzeReadOnly("memory");
+  auto va = index_.SearchVsm(terms, 5);
+  auto vb = loaded->SearchVsm(terms, 5);
+  ASSERT_EQ(va.size(), vb.size());
+  for (size_t i = 0; i < va.size(); ++i) {
+    EXPECT_EQ(va[i].doc, vb[i].doc);
+    EXPECT_DOUBLE_EQ(va[i].score, vb[i].score);
+  }
+}
+
+TEST_F(IndexIoFixture, BadMagicAndTruncation) {
+  std::string bad = blob_;
+  bad[0] = 'Z';
+  for (const std::string& input :
+       {bad, blob_.substr(0, 4), blob_.substr(0, blob_.size() / 2),
+        blob_ + "x"}) {
+    auto loaded = LoadIndexOnly(input);
+    ASSERT_FALSE(loaded.ok()) << input.size();
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  }
+}
+
+TEST_F(IndexIoFixture, SaveLoadFile) {
+  const std::string path = "/tmp/qec_storage_index_test.qsnap";
+  ASSERT_TRUE(WriteSnapshot(index_, path).ok());
+  auto blob = ReadSnapshotBlob(path);
+  ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+  auto loaded = LoadIndexOnly(*blob);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  TermId canon = corpus_.analyzer().vocabulary().Lookup("canon");
+  EXPECT_EQ(loaded->DocumentFrequency(canon),
+            index_.DocumentFrequency(canon));
+  std::remove(path.c_str());
+}
+
+TEST_F(IndexIoFixture, MissingFileIsNotFound) {
+  auto blob = ReadSnapshotBlob("/tmp/qec_missing_index_98765.qsnap");
+  ASSERT_FALSE(blob.ok());
+  EXPECT_EQ(blob.status().code(), StatusCode::kNotFound);
 }
 
 // ------------------------------------------------------------- determinism
@@ -492,24 +791,10 @@ TEST(SnapshotPermTest, EveryPermByteFlipIsRejected) {
 /// Forges the PERM payload through `edit`, re-checksums, and expects both
 /// ReadPermutation and the full Load to reject with Corruption — the
 /// semantic validation layer past the CRCs.
-void ExpectForgedPermRejected(
-    const std::function<void(std::string&, const SectionInfo&)>& edit,
-    const std::string& what) {
+void ExpectForgedPermRejected(const std::function<void(std::string&)>& edit,
+                              const std::string& what) {
   ReorderedFixture fx;
-  auto reader = SnapshotReader::Open(fx.blob);
-  ASSERT_TRUE(reader.ok());
-  size_t perm_idx = 0;
-  SectionInfo info;
-  for (size_t i = 0; i < reader->sections().size(); ++i) {
-    if (reader->sections()[i].id == kSectionPerm) {
-      perm_idx = i;
-      info = reader->sections()[i];
-    }
-  }
-  ASSERT_EQ(info.id, kSectionPerm);
-  std::string forged = fx.blob;
-  edit(forged, info);
-  FixCrcs(forged, perm_idx, info.offset, info.length);
+  std::string forged = ForgeSection(fx.blob, kSectionPerm, edit);
   auto forged_reader = SnapshotReader::Open(forged);
   ASSERT_TRUE(forged_reader.ok()) << what;
   auto perm = forged_reader->ReadPermutation();
@@ -523,24 +808,24 @@ TEST(SnapshotPermTest, CountMismatchIsCorruption) {
   // The satellite contract: a PERM section whose length differs from the
   // snapshot's doc count is Corruption, even with valid CRCs.
   ExpectForgedPermRejected(
-      [](std::string& blob, const SectionInfo& info) {
-        PutU32(blob, info.offset, 99);  // count field: != 3 docs
+      [](std::string& payload) {
+        PutU32(payload, 0, 99);  // count field: != 3 docs
       },
       "forged count");
 }
 
 TEST(SnapshotPermTest, OutOfRangeIdIsCorruption) {
   ExpectForgedPermRejected(
-      [](std::string& blob, const SectionInfo& info) {
-        PutU32(blob, info.offset + 4, 7);  // first id: >= doc count
+      [](std::string& payload) {
+        PutU32(payload, 4, 7);  // first id: >= doc count
       },
       "out-of-range id");
 }
 
 TEST(SnapshotPermTest, DuplicateIdIsCorruption) {
   ExpectForgedPermRejected(
-      [](std::string& blob, const SectionInfo& info) {
-        PutU32(blob, info.offset + 8, 2);  // second id repeats the first (2)
+      [](std::string& payload) {
+        PutU32(payload, 8, 2);  // second id repeats the first (2)
       },
       "duplicate id");
 }
