@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the individual components: index
-// build and search, k-means clustering, result-universe construction, the
-// three expansion algorithms, bitset algebra, and XML parsing.
+// build and search, k-means clustering (fixed and auto-k), the silhouette,
+// result-universe construction, the three expansion algorithms, bitset
+// algebra, and XML parsing.
 //
 // Also hosts the fused-kernel CI gate: `--kernel-gate[=metrics.json]` pins
 // the runtime-dispatched kernel tier, times the fused single-pass
@@ -98,6 +99,56 @@ void BM_KMeansCluster(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KMeansCluster)->Arg(10)->Arg(30);
+
+// The first `n` results, in rank order, of the term with the most results
+// in fig6's shopping catalog (products_per_family = 30). shopping_pipeline
+// retrieves 108 results per query on average, with a tail near 300.
+std::vector<qec::cluster::SparseVector> ShoppingVectors(size_t n) {
+  static const auto* vectors = [] {
+    qec::datagen::ShoppingOptions options;
+    options.products_per_family = 30;
+    const auto corpus = qec::datagen::ShoppingGenerator(options).Generate();
+    const qec::index::InvertedIndex index(corpus);
+    qec::TermId best = 0;
+    for (qec::TermId t = 0; t < corpus.analyzer().vocabulary().size(); ++t) {
+      if (index.DocumentFrequency(t) > index.DocumentFrequency(best)) best = t;
+    }
+    auto* out = new std::vector<qec::cluster::SparseVector>();
+    for (const auto& r : index.Search({best})) {
+      out->push_back(
+          qec::cluster::SparseVector::FromDocument(corpus.Get(r.doc)));
+    }
+    return out;
+  }();
+  return {vectors->begin(),
+          vectors->begin() + static_cast<long>(std::min(n, vectors->size()))};
+}
+
+// The engine's default clustering: k-means for every k <= 5, the best mean
+// silhouette kept.
+void BM_KMeansAutoK(benchmark::State& state) {
+  const auto vectors = ShoppingVectors(static_cast<size_t>(state.range(0)));
+  qec::cluster::KMeansOptions options;
+  options.k = 5;
+  options.auto_k = true;
+  for (auto _ : state) {
+    auto clustering = qec::cluster::KMeans(options).Cluster(vectors);
+    benchmark::DoNotOptimize(clustering);
+  }
+}
+BENCHMARK(BM_KMeansAutoK)->Arg(108)->Arg(300);
+
+void BM_MeanSilhouette(benchmark::State& state) {
+  const auto vectors = ShoppingVectors(static_cast<size_t>(state.range(0)));
+  qec::cluster::KMeansOptions options;
+  options.k = 5;
+  const auto clustering = qec::cluster::KMeans(options).Cluster(vectors);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        qec::cluster::MeanSilhouette(vectors, clustering));
+  }
+}
+BENCHMARK(BM_MeanSilhouette)->Arg(108)->Arg(300);
 
 void BM_UniverseBuild(benchmark::State& state) {
   const auto& bundle = WikiBundle();

@@ -1,0 +1,107 @@
+#include "cluster/cosine_space.h"
+
+#include <algorithm>
+#include <bit>
+
+namespace qec::cluster {
+
+namespace {
+
+// 1 - cosine similarity; 1 when either vector is zero.
+double CosineDistance(double dot, double norm_a, double norm_b) {
+  if (norm_a == 0.0 || norm_b == 0.0) return 1.0;
+  return 1.0 - dot / (norm_a * norm_b);
+}
+
+}  // namespace
+
+CosineSpace::CosineSpace(const std::vector<SparseVector>& points) {
+  // Local id of a term = number of distinct terms below it: a presence
+  // bitmap over TermIds (vocabulary ids, so it spans the vocabulary at
+  // most) and its per-word prefix popcounts.
+  std::vector<uint64_t> present;
+  size_t nnz = 0;
+  for (const SparseVector& p : points) {
+    for (const auto& [t, w] : p.entries()) {
+      if (t / 64 >= present.size()) present.resize(t / 64 + 1, 0);
+      present[t / 64] |= uint64_t{1} << (t % 64);
+    }
+    nnz += p.NumNonZero();
+  }
+  std::vector<uint32_t> below(present.size() + 1, 0);
+  for (size_t b = 0; b < present.size(); ++b) {
+    below[b + 1] = below[b] + static_cast<uint32_t>(std::popcount(present[b]));
+  }
+  const size_t dims = below.back();
+
+  point_begin_.reserve(points.size() + 1);
+  point_begin_.push_back(0);
+  point_term_.reserve(nnz);
+  point_weight_.reserve(nnz);
+  norms_.reserve(points.size());
+  term_begin_.assign(dims + 1, 0);
+  for (const SparseVector& p : points) {
+    // Each point's entries are sorted by TermId, so its local ids ascend.
+    for (const auto& [t, w] : p.entries()) {
+      const uint64_t lower = (uint64_t{1} << (t % 64)) - 1;
+      const uint32_t id =
+          below[t / 64] +
+          static_cast<uint32_t>(std::popcount(present[t / 64] & lower));
+      point_term_.push_back(id);
+      point_weight_.push_back(w);
+      ++term_begin_[id + 1];
+    }
+    point_begin_.push_back(static_cast<uint32_t>(point_term_.size()));
+    norms_.push_back(p.Norm());
+  }
+  // Postings, filled in ascending point order.
+  for (size_t t = 0; t < dims; ++t) term_begin_[t + 1] += term_begin_[t];
+  std::vector<uint32_t> fill(term_begin_.begin(), term_begin_.end() - 1);
+  term_point_.resize(nnz);
+  term_weight_.resize(nnz);
+  for (size_t i = 0; i < points.size(); ++i) {
+    for (uint32_t e = point_begin_[i]; e < point_begin_[i + 1]; ++e) {
+      const uint32_t at = fill[point_term_[e]]++;
+      term_point_[at] = static_cast<uint32_t>(i);
+      term_weight_[at] = point_weight_[e];
+    }
+  }
+}
+
+void CosineSpace::DistanceRow(size_t i, double* out) const {
+  const size_t n = size();
+  std::fill(out, out + n, 0.0);
+  const uint32_t* term_point = term_point_.data();
+  const double* term_weight = term_weight_.data();
+  for (uint32_t e = point_begin_[i]; e < point_begin_[i + 1]; ++e) {
+    const double weight = point_weight_[e];
+    const uint32_t end = term_begin_[point_term_[e] + 1];
+    for (uint32_t p = term_begin_[point_term_[e]]; p < end; ++p) {
+      out[term_point[p]] += weight * term_weight[p];
+    }
+  }
+  for (size_t j = 0; j < n; ++j) {
+    out[j] = CosineDistance(out[j], norms_[i], norms_[j]);
+  }
+}
+
+void CosineSpace::CentroidDistances(size_t i, const double* centroids,
+                                    const double* centroid_norms, size_t k,
+                                    double* out) const {
+  for (size_t c = 0; c < k; ++c) {
+    double dot = 0.0;
+    for (uint32_t e = point_begin_[i]; e < point_begin_[i + 1]; ++e) {
+      dot += point_weight_[e] * centroids[size_t{point_term_[e]} * k + c];
+    }
+    out[c] = CosineDistance(dot, norms_[i], centroid_norms[c]);
+  }
+}
+
+void CosineSpace::AddTo(size_t i, double* centroids, size_t k,
+                        size_t c) const {
+  for (uint32_t e = point_begin_[i]; e < point_begin_[i + 1]; ++e) {
+    centroids[size_t{point_term_[e]} * k + c] += point_weight_[e];
+  }
+}
+
+}  // namespace qec::cluster

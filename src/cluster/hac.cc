@@ -4,6 +4,7 @@
 #include <limits>
 #include <vector>
 
+#include "cluster/cosine_space.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -19,19 +20,14 @@ namespace {
 ///   d(A∪B, C) = (|A| d(A,C) + |B| d(B,C)) / (|A| + |B|).
 class Agglomerator {
  public:
-  explicit Agglomerator(const std::vector<SparseVector>& points)
-      : n_(points.size()),
+  explicit Agglomerator(const CosineSpace& space)
+      : n_(space.size()),
         active_(n_, true),
         active_count_(n_),
         size_(n_, 1),
-        dist_(n_ * n_, 0.0) {
-    for (size_t i = 0; i < n_; ++i) {
-      for (size_t j = i + 1; j < n_; ++j) {
-        double d = 1.0 - points[i].Cosine(points[j]);
-        dist_[i * n_ + j] = d;
-        dist_[j * n_ + i] = d;
-      }
-    }
+        dist_(n_ * n_) {
+    // Distances are symmetric bit for bit; the diagonal is never read.
+    for (size_t i = 0; i < n_; ++i) space.DistanceRow(i, &dist_[i * n_]);
     // members_[c] = point indices currently in cluster c.
     members_.resize(n_);
     for (size_t i = 0; i < n_; ++i) members_[i] = {i};
@@ -102,54 +98,36 @@ class Agglomerator {
 
 }  // namespace
 
-Clustering Hac::CutAt(const std::vector<SparseVector>& points,
-                      size_t k) const {
-  Clustering result;
-  const size_t n = points.size();
-  if (n == 0) {
-    return result;
-  }
-  Agglomerator agg(points);
-  while (agg.num_active() > std::max<size_t>(1, k)) {
-    if (!agg.MergeClosest()) break;
-  }
-  return agg.Snapshot();
-}
-
 Clustering Hac::Cluster(const std::vector<SparseVector>& points) const {
   QEC_TRACE_SPAN("cluster/hac");
   QEC_COUNTER_INC("cluster/hac_runs");
   const size_t n = points.size();
   const size_t k_max = std::min(options_.k == 0 ? size_t{1} : options_.k,
                                 std::max<size_t>(n, 1));
-  if (!options_.auto_k || n <= 2 || k_max <= 1) {
-    return CutAt(points, k_max);
+  const CosineSpace space(points);
+  Agglomerator agg(space);
+  while (agg.num_active() > k_max && agg.MergeClosest()) {
   }
-  // One agglomeration pass, evaluating the silhouette at every cut ≤ k_max.
-  Agglomerator agg(points);
-  while (agg.num_active() > k_max) {
-    if (!agg.MergeClosest()) break;
+  if (!options_.auto_k || n <= 2 || k_max <= 1) return agg.Snapshot();
+  // One agglomeration pass collects every cut <= k_max; one silhouette pass
+  // scores them all.
+  std::vector<Clustering> cuts = {agg.Snapshot()};
+  while (agg.num_active() > 2 && agg.MergeClosest()) {
+    cuts.push_back(agg.Snapshot());
   }
-  Clustering best = agg.Snapshot();
-  double best_score = best.num_clusters >= 2 ? MeanSilhouette(points, best)
-                                             : 0.0;
-  while (agg.num_active() > 2) {
-    if (!agg.MergeClosest()) break;
-    Clustering cut = agg.Snapshot();
-    double score = MeanSilhouette(points, cut);
-    if (score > best_score + 1e-12) {
-      best_score = score;
-      best = std::move(cut);
-    }
+  const std::vector<double> scores = MeanSilhouettes(space, cuts);
+  size_t best = 0;
+  for (size_t c = 1; c < cuts.size(); ++c) {
+    if (scores[c] > scores[best] + 1e-12) best = c;
   }
   // The single-cluster cut is the neutral baseline.
-  if (best_score <= 0.0) {
+  if (scores[best] <= 0.0) {
     Clustering one;
     one.assignment.assign(n, 0);
     one.num_clusters = 1;
     return one;
   }
-  return best;
+  return std::move(cuts[best]);
 }
 
 Clustering SelectBestClustering(const std::vector<SparseVector>& points,
@@ -159,23 +137,20 @@ Clustering SelectBestClustering(const std::vector<SparseVector>& points,
   kopts.k = k_max;
   kopts.seed = seed;
   kopts.auto_k = true;
-  Clustering kmeans = KMeans(kopts).Cluster(points);
-
   HacOptions hopts;
   hopts.k = k_max;
   hopts.auto_k = true;
-  Clustering hac = Hac(hopts).Cluster(points);
-
-  const double kmeans_score =
-      kmeans.num_clusters >= 2 ? MeanSilhouette(points, kmeans) : 0.0;
-  const double hac_score =
-      hac.num_clusters >= 2 ? MeanSilhouette(points, hac) : 0.0;
-  if (hac_score > kmeans_score) {
-    if (chosen != nullptr) *chosen = ClusteringMethod::kHac;
-    return hac;
+  // Both winners scored in one silhouette pass.
+  std::vector<Clustering> winners;
+  winners.push_back(KMeans(kopts).Cluster(points));
+  winners.push_back(Hac(hopts).Cluster(points));
+  const std::vector<double> scores =
+      MeanSilhouettes(CosineSpace(points), winners);
+  const bool hac = scores[1] > scores[0];
+  if (chosen != nullptr) {
+    *chosen = hac ? ClusteringMethod::kHac : ClusteringMethod::kKMeans;
   }
-  if (chosen != nullptr) *chosen = ClusteringMethod::kKMeans;
-  return kmeans;
+  return std::move(winners[hac ? 1 : 0]);
 }
 
 }  // namespace qec::cluster

@@ -32,8 +32,6 @@ class Hac {
   const HacOptions& options() const { return options_; }
 
  private:
-  Clustering CutAt(const std::vector<SparseVector>& points, size_t k) const;
-
   HacOptions options_;
 };
 

@@ -1,8 +1,10 @@
 #include "cluster/kmeans.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
+#include "cluster/cosine_space.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "obs/metrics.h"
@@ -24,36 +26,33 @@ KMeans::KMeans(KMeansOptions options) : options_(options) {}
 
 namespace {
 
-double CosineDistance(const SparseVector& a, const SparseVector& b) {
-  return 1.0 - a.Cosine(b);
-}
-
 // k-means++ seeding: first centroid uniform, subsequent proportional to
-// squared distance to the nearest chosen centroid.
-std::vector<size_t> SeedPlusPlus(const std::vector<SparseVector>& points,
-                                 size_t k, Rng& rng) {
+// squared distance to the nearest chosen centroid. Each seed's distance row
+// is computed once.
+std::vector<size_t> SeedPlusPlus(const CosineSpace& space, size_t k,
+                                 Rng& rng) {
+  const size_t n = space.size();
   std::vector<size_t> seeds;
-  seeds.push_back(static_cast<size_t>(rng.UniformInt(points.size())));
-  std::vector<double> best_dist(points.size(),
-                                std::numeric_limits<double>::infinity());
+  seeds.push_back(static_cast<size_t>(rng.UniformInt(n)));
+  std::vector<double> best_dist(n, std::numeric_limits<double>::infinity());
+  std::vector<double> row(n);
   while (seeds.size() < k) {
-    const SparseVector& last = points[seeds.back()];
+    space.DistanceRow(seeds.back(), row.data());
     double total = 0.0;
-    for (size_t i = 0; i < points.size(); ++i) {
-      double d = CosineDistance(points[i], last);
-      best_dist[i] = std::min(best_dist[i], d * d);
+    for (size_t i = 0; i < n; ++i) {
+      best_dist[i] = std::min(best_dist[i], row[i] * row[i]);
       total += best_dist[i];
     }
     if (total <= 0.0) {
       // All points coincide with some centroid; pick any unused point.
-      size_t next = seeds.size() % points.size();
+      size_t next = seeds.size() % n;
       seeds.push_back(next);
       continue;
     }
     double target = rng.UniformDouble() * total;
-    size_t chosen = points.size() - 1;
+    size_t chosen = n - 1;
     double acc = 0.0;
-    for (size_t i = 0; i < points.size(); ++i) {
+    for (size_t i = 0; i < n; ++i) {
       acc += best_dist[i];
       if (acc >= target) {
         chosen = i;
@@ -65,36 +64,36 @@ std::vector<size_t> SeedPlusPlus(const std::vector<SparseVector>& points,
   return seeds;
 }
 
-}  // namespace
-
-Clustering KMeans::Cluster(const std::vector<SparseVector>& points) const {
-  QEC_TRACE_SPAN("cluster/kmeans");
-  QEC_COUNTER_INC("cluster/kmeans_runs");
-  const size_t n = points.size();
-  const size_t k_max = std::min(options_.k == 0 ? size_t{1} : options_.k, n);
-  if (!options_.auto_k || n <= 2 || k_max <= 1) {
-    return ClusterWithK(points, k_max);
-  }
-  // Try every k up to the bound and keep the best mean silhouette. Ties and
-  // the all-neutral case prefer the smaller k.
-  Clustering best = ClusterWithK(points, 1);
-  double best_score = 0.0;  // k = 1 is the neutral baseline
-  for (size_t k = 2; k <= k_max; ++k) {
-    Clustering candidate = ClusterWithK(points, k);
-    if (candidate.num_clusters < 2) continue;
-    double score = MeanSilhouette(points, candidate);
-    if (score > best_score + 1e-12) {
-      best_score = score;
-      best = std::move(candidate);
+// Scales every column c of a term-major dims x k centroid matrix with
+// counts[c] > 0 to unit norm by multiplying with 1 / norm (a zero column
+// stays zero), and writes every column's norm.
+void NormalizeColumns(std::vector<double>& centroids,
+                      const std::vector<size_t>& counts,
+                      std::vector<double>& norms) {
+  const size_t k = norms.size();
+  auto column_norm = [&](size_t c) {
+    double sq = 0.0;
+    for (size_t at = c; at < centroids.size(); at += k) {
+      sq += centroids[at] * centroids[at];
     }
+    return std::sqrt(sq);
+  };
+  for (size_t c = 0; c < k; ++c) {
+    norms[c] = column_norm(c);
+    if (counts[c] == 0 || norms[c] <= 0.0) continue;
+    const double scale = 1.0 / norms[c];
+    for (size_t at = c; at < centroids.size(); at += k) centroids[at] *= scale;
+    norms[c] = column_norm(c);
   }
-  return best;
 }
 
-Clustering KMeans::ClusterWithK(const std::vector<SparseVector>& points,
-                                size_t k_arg) const {
+// Spherical k-means for one k over dense centroids, seeded by the first k
+// of `seeds`.
+Clustering ClusterWithK(const CosineSpace& space,
+                        const std::vector<size_t>& seeds, size_t k_arg,
+                        size_t max_iterations) {
   Clustering result;
-  const size_t n = points.size();
+  const size_t n = space.size();
   result.assignment.assign(n, 0);
   if (n == 0) return result;
 
@@ -109,28 +108,26 @@ Clustering KMeans::ClusterWithK(const std::vector<SparseVector>& points,
     return result;
   }
 
-  Rng rng(options_.seed);
-  std::vector<size_t> seeds = SeedPlusPlus(points, k, rng);
-  std::vector<SparseVector> centroids;
-  centroids.reserve(k);
-  for (size_t s : seeds) {
-    SparseVector c = points[s];
-    c.Normalize();
-    centroids.push_back(std::move(c));
-  }
+  std::vector<double> centroids(space.dims() * k, 0.0);
+  std::vector<double> next(centroids.size());
+  std::vector<size_t> counts(k, 1);
+  std::vector<double> norms(k), dist(k);
+  for (size_t c = 0; c < k; ++c) space.AddTo(seeds[c], centroids.data(), k, c);
+  NormalizeColumns(centroids, counts, norms);
 
   std::vector<int> assignment(n, -1);
-  for (size_t iter = 0; iter < options_.max_iterations; ++iter) {
+  for (size_t iter = 0; iter < max_iterations; ++iter) {
     QEC_COUNTER_INC("cluster/kmeans_iterations");
     bool changed = false;
     // Assignment step.
     for (size_t i = 0; i < n; ++i) {
+      space.CentroidDistances(i, centroids.data(), norms.data(), k,
+                              dist.data());
       int best = 0;
       double best_d = std::numeric_limits<double>::infinity();
-      for (size_t c = 0; c < centroids.size(); ++c) {
-        double d = CosineDistance(points[i], centroids[c]);
-        if (d < best_d) {
-          best_d = d;
+      for (size_t c = 0; c < k; ++c) {
+        if (dist[c] < best_d) {
+          best_d = dist[c];
           best = static_cast<int>(c);
         }
       }
@@ -140,26 +137,25 @@ Clustering KMeans::ClusterWithK(const std::vector<SparseVector>& points,
       }
     }
     if (!changed && iter > 0) break;
-    // Update step: centroid = normalized sum of members.
-    std::vector<SparseVector> next(centroids.size());
-    std::vector<size_t> counts(centroids.size(), 0);
+    // Update step: centroid = normalized sum of members, summed in
+    // ascending member order. An empty centroid is kept; compacted later.
+    std::fill(next.begin(), next.end(), 0.0);
+    std::fill(counts.begin(), counts.end(), 0);
     for (size_t i = 0; i < n; ++i) {
-      size_t c = static_cast<size_t>(assignment[i]);
-      next[c].AddScaled(points[i], 1.0);
+      const size_t c = static_cast<size_t>(assignment[i]);
+      space.AddTo(i, next.data(), k, c);
       counts[c]++;
     }
-    for (size_t c = 0; c < next.size(); ++c) {
-      if (counts[c] == 0) {
-        next[c] = centroids[c];  // keep empty centroid; compacted later
-      } else {
-        next[c].Normalize();
-      }
+    for (size_t c = 0; c < k; ++c) {
+      if (counts[c] > 0) continue;
+      for (size_t at = c; at < next.size(); at += k) next[at] = centroids[at];
     }
-    centroids = std::move(next);
+    NormalizeColumns(next, counts, norms);
+    centroids.swap(next);
   }
 
   // Compact away empty clusters so labels are dense.
-  std::vector<int> remap(centroids.size(), -1);
+  std::vector<int> remap(k, -1);
   int next_label = 0;
   for (size_t i = 0; i < n; ++i) {
     size_t c = static_cast<size_t>(assignment[i]);
@@ -172,40 +168,124 @@ Clustering KMeans::ClusterWithK(const std::vector<SparseVector>& points,
   return result;
 }
 
+}  // namespace
+
+Clustering KMeans::Cluster(const std::vector<SparseVector>& points) const {
+  QEC_TRACE_SPAN("cluster/kmeans");
+  QEC_COUNTER_INC("cluster/kmeans_runs");
+  const size_t n = points.size();
+  const size_t k_max = std::min(options_.k == 0 ? size_t{1} : options_.k, n);
+  const bool auto_k = options_.auto_k && n > 2 && k_max > 1;
+  const CosineSpace space(points);
+  // Every k restarts the same Rng, so the seeds for k are the first k of
+  // one sequence, drawn once for the largest 1 < k < n tried.
+  const size_t seeded = auto_k ? std::min(k_max, n - 1) : k_max < n ? k_max : 0;
+  Rng rng(options_.seed);
+  const std::vector<size_t> seeds = seeded > 1
+                                        ? SeedPlusPlus(space, seeded, rng)
+                                        : std::vector<size_t>{};
+  const size_t iterations = options_.max_iterations;
+  if (!auto_k) return ClusterWithK(space, seeds, k_max, iterations);
+  // Try every k up to the bound and keep the best mean silhouette, all
+  // candidates scored in one pass. Ties and the all-neutral case prefer the
+  // smaller k.
+  std::vector<Clustering> candidates;
+  for (size_t k = 2; k <= k_max; ++k) {
+    Clustering candidate = ClusterWithK(space, seeds, k, iterations);
+    if (candidate.num_clusters >= 2) candidates.push_back(std::move(candidate));
+  }
+  const std::vector<double> scores = MeanSilhouettes(space, candidates);
+  Clustering best = ClusterWithK(space, seeds, 1, iterations);
+  double best_score = 0.0;  // k = 1 is the neutral baseline
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    if (scores[c] > best_score + 1e-12) {
+      best_score = scores[c];
+      best = std::move(candidates[c]);
+    }
+  }
+  return best;
+}
+
+std::vector<double> MeanSilhouettes(const CosineSpace& space,
+                                    std::span<const Clustering> clusterings) {
+  const size_t n = space.size();
+  const size_t m = clusterings.size();
+  // Clustering c owns slots [first[c], first[c + 1]), one per cluster; one
+  // with fewer than two clusters owns none and scores 0 (neutral). Slot s
+  // lists its cluster's points, ascending, in
+  // members[member_begin[s]..member_begin[s + 1]).
+  std::vector<size_t> first(m + 1, 0);
+  for (size_t c = 0; c < m; ++c) {
+    const Clustering& clustering = clusterings[c];
+    QEC_CHECK_EQ(clustering.assignment.size(), n);
+    for (int a : clustering.assignment) {  // a negative label wraps too
+      QEC_CHECK_LT(static_cast<size_t>(a), clustering.num_clusters);
+    }
+    first[c + 1] = first[c] + (clustering.num_clusters >= 2
+                                   ? clustering.num_clusters
+                                   : 0);
+  }
+  auto slot = [&](size_t c, size_t i) {
+    return first[c] + static_cast<size_t>(clusterings[c].assignment[i]);
+  };
+  std::vector<size_t> member_begin(first[m] + 1, 0);
+  for (size_t c = 0; c < m; ++c) {
+    if (first[c + 1] == first[c]) continue;
+    for (size_t i = 0; i < n; ++i) ++member_begin[slot(c, i) + 1];
+  }
+  for (size_t s = 0; s < first[m]; ++s) member_begin[s + 1] += member_begin[s];
+  std::vector<uint32_t> members(member_begin.back());
+  std::vector<size_t> fill(member_begin.begin(), member_begin.end() - 1);
+  for (size_t c = 0; c < m; ++c) {
+    if (first[c + 1] == first[c]) continue;
+    for (uint32_t i = 0; i < n; ++i) members[fill[slot(c, i)]++] = i;
+  }
+  auto cluster_size = [&](size_t s) {
+    return member_begin[s + 1] - member_begin[s];
+  };
+
+  std::vector<double> total(m, 0.0);
+  std::vector<double> dist_sum(first[m]);
+  std::vector<double> row(n);
+  for (size_t i = 0; i < n; ++i) {
+    bool have_row = false;
+    for (size_t c = 0; c < m; ++c) {
+      if (first[c + 1] == first[c]) continue;
+      const size_t own = slot(c, i);
+      if (cluster_size(own) <= 1) continue;  // singleton scores 0
+      if (!have_row) {
+        space.DistanceRow(i, row.data());
+        have_row = true;
+      }
+      // Distance sum to every cluster (own cluster excludes the point
+      // itself), in ascending point order.
+      for (size_t s = first[c]; s < first[c + 1]; ++s) {
+        double sum = 0.0;
+        for (size_t p = member_begin[s]; p < member_begin[s + 1]; ++p) {
+          if (members[p] != i) sum += row[members[p]];
+        }
+        dist_sum[s] = sum;
+      }
+      const double a =
+          dist_sum[own] / static_cast<double>(cluster_size(own) - 1);
+      double b = std::numeric_limits<double>::infinity();
+      for (size_t s = first[c]; s < first[c + 1]; ++s) {
+        if (s == own || cluster_size(s) == 0) continue;
+        b = std::min(b, dist_sum[s] / static_cast<double>(cluster_size(s)));
+      }
+      const double denom = std::max(a, b);
+      total[c] += denom > 0.0 ? (b - a) / denom : 0.0;
+    }
+  }
+  if (n > 0) {
+    for (double& score : total) score /= static_cast<double>(n);
+  }
+  return total;
+}
+
 double MeanSilhouette(const std::vector<SparseVector>& points,
                       const Clustering& clustering) {
-  const size_t n = points.size();
-  if (n == 0 || clustering.num_clusters < 2) return 0.0;
-  const size_t k = clustering.num_clusters;
-
-  std::vector<size_t> cluster_size(k, 0);
-  for (int a : clustering.assignment) {
-    cluster_size[static_cast<size_t>(a)]++;
-  }
-
-  double total = 0.0;
-  // For each point, mean distance to every cluster (own cluster excludes
-  // the point itself).
-  for (size_t i = 0; i < n; ++i) {
-    const size_t own = static_cast<size_t>(clustering.assignment[i]);
-    if (cluster_size[own] <= 1) continue;  // singleton scores 0
-    std::vector<double> dist_sum(k, 0.0);
-    for (size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      dist_sum[static_cast<size_t>(clustering.assignment[j])] +=
-          CosineDistance(points[i], points[j]);
-    }
-    const double a =
-        dist_sum[own] / static_cast<double>(cluster_size[own] - 1);
-    double b = std::numeric_limits<double>::infinity();
-    for (size_t c = 0; c < k; ++c) {
-      if (c == own || cluster_size[c] == 0) continue;
-      b = std::min(b, dist_sum[c] / static_cast<double>(cluster_size[c]));
-    }
-    const double denom = std::max(a, b);
-    total += denom > 0.0 ? (b - a) / denom : 0.0;
-  }
-  return total / static_cast<double>(n);
+  return MeanSilhouettes(CosineSpace(points), {&clustering, 1})[0];
 }
 
 }  // namespace qec::cluster

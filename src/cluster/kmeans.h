@@ -52,15 +52,13 @@ class KMeans {
   const KMeansOptions& options() const { return options_; }
 
  private:
-  Clustering ClusterWithK(const std::vector<SparseVector>& points,
-                          size_t k) const;
-
   KMeansOptions options_;
 };
 
 /// Mean silhouette coefficient of `clustering` over `points` under cosine
 /// distance, in [-1, 1]. Points in singleton clusters score 0; a
-/// single-cluster clustering scores 0 (neutral).
+/// single-cluster clustering scores 0 (neutral). `clustering` must label
+/// every point with a label below its num_clusters (checked).
 double MeanSilhouette(const std::vector<SparseVector>& points,
                       const Clustering& clustering);
 

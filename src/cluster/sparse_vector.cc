@@ -64,43 +64,4 @@ double SparseVector::Norm() const {
   return std::sqrt(sq);
 }
 
-double SparseVector::Cosine(const SparseVector& other) const {
-  double na = Norm();
-  double nb = other.Norm();
-  if (na == 0.0 || nb == 0.0) return 0.0;
-  return Dot(other) / (na * nb);
-}
-
-void SparseVector::AddScaled(const SparseVector& other, double scale) {
-  EntryList merged;
-  merged.reserve(entries_.size() + other.entries_.size());
-  size_t a = 0, b = 0;
-  while (a < entries_.size() || b < other.entries_.size()) {
-    if (b >= other.entries_.size() ||
-        (a < entries_.size() && entries_[a].first < other.entries_[b].first)) {
-      merged.push_back(entries_[a++]);
-    } else if (a >= entries_.size() ||
-               other.entries_[b].first < entries_[a].first) {
-      merged.emplace_back(other.entries_[b].first,
-                          scale * other.entries_[b].second);
-      ++b;
-    } else {
-      double w = entries_[a].second + scale * other.entries_[b].second;
-      if (w != 0.0) merged.emplace_back(entries_[a].first, w);
-      ++a;
-      ++b;
-    }
-  }
-  entries_ = std::move(merged);
-}
-
-void SparseVector::Scale(double scale) {
-  for (auto& [t, w] : entries_) w *= scale;
-}
-
-void SparseVector::Normalize() {
-  double n = Norm();
-  if (n > 0.0) Scale(1.0 / n);
-}
-
 }  // namespace qec::cluster

@@ -45,19 +45,6 @@ class SparseVector {
   /// Euclidean (L2) norm.
   double Norm() const;
 
-  /// Cosine similarity in [0, 1] for non-negative vectors; 0 when either
-  /// vector is zero.
-  double Cosine(const SparseVector& other) const;
-
-  /// this += scale * other.
-  void AddScaled(const SparseVector& other, double scale);
-
-  /// Multiplies every weight by `scale`.
-  void Scale(double scale);
-
-  /// Scales to unit norm (no-op for the zero vector).
-  void Normalize();
-
  private:
   EntryList entries_;  // sorted by TermId
 };

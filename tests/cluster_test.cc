@@ -1,4 +1,4 @@
-// Unit tests for qec_cluster: sparse vectors and k-means.
+// Unit tests for qec_cluster: sparse vectors, k-means and the silhouette.
 
 #include <gtest/gtest.h>
 
@@ -32,39 +32,9 @@ TEST(SparseVectorTest, DotProduct) {
   EXPECT_DOUBLE_EQ(a.Dot(SparseVector()), 0.0);
 }
 
-TEST(SparseVectorTest, NormAndNormalize) {
-  SparseVector v = V({{0, 3.0}, {1, 4.0}});
-  EXPECT_DOUBLE_EQ(v.Norm(), 5.0);
-  v.Normalize();
-  EXPECT_NEAR(v.Norm(), 1.0, 1e-12);
-  SparseVector zero;
-  zero.Normalize();  // must not crash
-  EXPECT_TRUE(zero.IsZero());
-}
-
-TEST(SparseVectorTest, CosineBounds) {
-  SparseVector a = V({{1, 1.0}});
-  SparseVector b = V({{1, 7.0}});
-  SparseVector c = V({{2, 1.0}});
-  EXPECT_NEAR(a.Cosine(b), 1.0, 1e-12);
-  EXPECT_DOUBLE_EQ(a.Cosine(c), 0.0);
-  EXPECT_DOUBLE_EQ(a.Cosine(SparseVector()), 0.0);
-}
-
-TEST(SparseVectorTest, AddScaledMergesDisjointAndOverlap) {
-  SparseVector a = V({{1, 1.0}, {2, 1.0}});
-  SparseVector b = V({{2, 2.0}, {3, 4.0}});
-  a.AddScaled(b, 0.5);
-  EXPECT_DOUBLE_EQ(a.Get(1), 1.0);
-  EXPECT_DOUBLE_EQ(a.Get(2), 2.0);
-  EXPECT_DOUBLE_EQ(a.Get(3), 2.0);
-}
-
-TEST(SparseVectorTest, AddScaledCancellationDropsEntry) {
-  SparseVector a = V({{1, 1.0}});
-  SparseVector b = V({{1, 1.0}});
-  a.AddScaled(b, -1.0);
-  EXPECT_TRUE(a.IsZero());
+TEST(SparseVectorTest, Norm) {
+  EXPECT_DOUBLE_EQ(V({{0, 3.0}, {1, 4.0}}).Norm(), 5.0);
+  EXPECT_DOUBLE_EQ(SparseVector().Norm(), 0.0);
 }
 
 TEST(SparseVectorTest, FromDocumentUsesTermFrequencies) {
@@ -188,6 +158,62 @@ TEST(KMeansTest, MembersPartitionInput) {
   size_t total = 0;
   for (const auto& m : members) total += m.size();
   EXPECT_EQ(total, points.size());
+}
+
+// ------------------------------------------------------------- Silhouette
+
+TEST(MeanSilhouetteTest, SeparatedGroupsScoreHigh) {
+  KMeansOptions options;
+  options.k = 3;
+  auto points = ThreeObviousGroups();
+  Clustering c = KMeans(options).Cluster(points);
+  EXPECT_GT(MeanSilhouette(points, c), 0.9);
+  EXPECT_LE(MeanSilhouette(points, c), 1.0);
+}
+
+TEST(MeanSilhouetteTest, NeutralCases) {
+  auto points = ThreeObviousGroups();
+  Clustering one;
+  one.assignment.assign(points.size(), 0);
+  one.num_clusters = 1;
+  EXPECT_EQ(MeanSilhouette(points, one), 0.0);
+  EXPECT_EQ(MeanSilhouette({}, Clustering{}), 0.0);
+  // Every point a singleton: every point scores 0.
+  Clustering singletons;
+  for (size_t i = 0; i < points.size(); ++i) {
+    singletons.assignment.push_back(static_cast<int>(i));
+  }
+  singletons.num_clusters = points.size();
+  EXPECT_EQ(MeanSilhouette(points, singletons), 0.0);
+}
+
+TEST(MeanSilhouetteTest, ZeroVectorsAreAtDistanceOne) {
+  // Two zero vectors in one cluster, two orthogonal points in the other:
+  // every distance is 1, so a = b and every point scores 0.
+  std::vector<SparseVector> points = {SparseVector(), SparseVector(),
+                                      V({{1, 1.0}}), V({{2, 1.0}})};
+  Clustering c;
+  c.assignment = {0, 0, 1, 1};
+  c.num_clusters = 2;
+  EXPECT_EQ(MeanSilhouette(points, c), 0.0);
+}
+
+TEST(MeanSilhouetteDeathTest, AssignmentSizeMismatchDies) {
+  auto points = ThreeObviousGroups();
+  Clustering short_assignment;
+  short_assignment.assignment = {0, 1};
+  short_assignment.num_clusters = 2;
+  EXPECT_DEATH(MeanSilhouette(points, short_assignment), "Check failed");
+}
+
+TEST(MeanSilhouetteDeathTest, LabelOutOfRangeDies) {
+  auto points = ThreeObviousGroups();
+  Clustering c = KMeans(KMeansOptions{.k = 3}).Cluster(points);
+  ASSERT_EQ(c.num_clusters, 3u);
+  c.assignment.back() = 3;
+  EXPECT_DEATH(MeanSilhouette(points, c), "Check failed");
+  c.assignment.back() = -1;
+  EXPECT_DEATH(MeanSilhouette(points, c), "Check failed");
 }
 
 }  // namespace
