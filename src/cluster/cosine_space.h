@@ -1,8 +1,8 @@
 #ifndef QEC_CLUSTER_COSINE_SPACE_H_
 #define QEC_CLUSTER_COSINE_SPACE_H_
 
-// Private to qec_cluster: the one distance kernel behind k-means, HAC and
-// the silhouette.
+// Internal to qec_cluster (and its kernel tests): the one distance kernel
+// behind k-means, HAC and the silhouette.
 
 #include <cstdint>
 #include <span>
@@ -15,11 +15,13 @@ namespace qec::cluster {
 
 /// The points of one clustering call, re-indexed onto local term ids
 /// 0..dims()-1 assigned in ascending TermId order, with each point's norm
-/// cached and a per-term posting list of (point, weight) pairs. Every dot
-/// product adds the products of the two vectors' common terms in ascending
-/// term order, the order of SparseVector::Dot's merge, and a dense centroid
-/// adds +0.0 for each term it lacks. Distances, norms and centroid sums over
-/// finite weights are therefore bit-identical to the sparse formulation.
+/// cached, a per-term posting list of (point, weight) pairs, and each
+/// entry's position in its term's posting list. Every dot product adds the
+/// products of the two vectors' common terms in ascending term order, the
+/// order of SparseVector::Dot's merge, and a dense centroid adds +0.0 for
+/// each term it lacks. Distances, norms and centroid sums over finite
+/// weights are therefore bit-identical to the sparse formulation, and the
+/// distance between two points is the same double from either side.
 class CosineSpace {
  public:
   explicit CosineSpace(const std::vector<SparseVector>& points);
@@ -31,9 +33,17 @@ class CosineSpace {
   /// (out[i] included): point i's terms' postings scattered into `out`.
   void DistanceRow(size_t i, double* out) const;
 
+  /// The upper half of DistanceRow: out[j] for every j > i, bit-equal to
+  /// DistanceRow(i)[j] and DistanceRow(j)[i]. Only the postings after point
+  /// i's own are scattered, and a term held by at least half the points is
+  /// added along its dense column instead; out[0..i] is left untouched.
+  void DistanceRowAbove(size_t i, double* out) const;
+
   /// Centroids are dense and term-major: centroid c of k is column c of a
   /// dims() x k matrix. out[c] = cosine distance between point i and
-  /// centroid c of norm `centroid_norms[c]`, gathered along point i's terms.
+  /// centroid c of norm `centroid_norms[c]`. One pass over point i's terms
+  /// reads each term's k-long row; every column still adds its products in
+  /// ascending term order.
   void CentroidDistances(size_t i, const double* centroids,
                          const double* centroid_norms, size_t k,
                          double* out) const;
@@ -44,18 +54,28 @@ class CosineSpace {
  private:
   // Compressed rows both ways: point i's local terms and weights in
   // [point_begin_[i], point_begin_[i + 1]), and term t's points and weights
-  // in [term_begin_[t], term_begin_[t + 1]), ascending.
-  std::vector<uint32_t> point_begin_, point_term_;
+  // in [term_begin_[t], term_begin_[t + 1]), ascending. point_pos_[e] is
+  // where point entry e sits in its term's posting list.
+  std::vector<uint32_t> point_begin_, point_term_, point_pos_;
   std::vector<double> point_weight_;
   std::vector<uint32_t> term_begin_, term_point_;
   std::vector<double> term_weight_;
   std::vector<double> norms_;
+  // A term held by at least half the points also has a dense n-long column
+  // of weights (0.0 where a point lacks it) at columns_[term_column_[t]];
+  // other terms have kNoColumn. Adding w * 0.0 = ±0.0 leaves a dot product
+  // unchanged: it starts at +0.0, so it is never -0.0.
+  static constexpr size_t kNoColumn = SIZE_MAX;
+  std::vector<size_t> term_column_;
+  std::vector<double> columns_;
 };
 
 /// Mean silhouette (see MeanSilhouette) of every clustering of the space's
-/// points, in one row-wise pass: each point's distance row is computed once
-/// and feeds the per-cluster sums of every clustering. Extra memory is
-/// O(points + total clusters); no pairwise matrix is held.
+/// points, in one triangular pass: each pair's distance is computed once
+/// and added to both points' per-cluster sums of every clustering. Extra
+/// memory is one sum per (point, cluster), O(points * total clusters);
+/// clusterings whose sums would exceed a fixed budget are scored in
+/// further passes. No pairwise matrix is held.
 std::vector<double> MeanSilhouettes(const CosineSpace& space,
                                     std::span<const Clustering> clusterings);
 

@@ -26,8 +26,12 @@ class Agglomerator {
         active_count_(n_),
         size_(n_, 1),
         dist_(n_ * n_) {
-    // Distances are symmetric bit for bit; the diagonal is never read.
-    for (size_t i = 0; i < n_; ++i) space.DistanceRow(i, &dist_[i * n_]);
+    // Distances are symmetric bit for bit, so the upper triangle is
+    // computed and mirrored; the diagonal is never read.
+    for (size_t i = 0; i < n_; ++i) {
+      space.DistanceRowAbove(i, &dist_[i * n_]);
+      for (size_t j = i + 1; j < n_; ++j) dist_[j * n_ + i] = dist_[i * n_ + j];
+    }
     // members_[c] = point indices currently in cluster c.
     members_.resize(n_);
     for (size_t i = 0; i < n_; ++i) members_[i] = {i};

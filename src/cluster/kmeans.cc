@@ -64,27 +64,38 @@ std::vector<size_t> SeedPlusPlus(const CosineSpace& space, size_t k,
   return seeds;
 }
 
+// norms[c] = Euclidean norm of column c of a term-major dims x k matrix,
+// in one row-major pass; each column adds its squares in ascending term
+// order.
+void ColumnNorms(const std::vector<double>& centroids,
+                 std::vector<double>& norms) {
+  const size_t k = norms.size();
+  std::fill(norms.begin(), norms.end(), 0.0);
+  for (size_t row = 0; row < centroids.size(); row += k) {
+    for (size_t c = 0; c < k; ++c) {
+      norms[c] += centroids[row + c] * centroids[row + c];
+    }
+  }
+  for (double& norm : norms) norm = std::sqrt(norm);
+}
+
 // Scales every column c of a term-major dims x k centroid matrix with
 // counts[c] > 0 to unit norm by multiplying with 1 / norm (a zero column
-// stays zero), and writes every column's norm.
+// stays zero), and writes every column's norm. A column left alone is
+// multiplied by 1.0, which changes no bit.
 void NormalizeColumns(std::vector<double>& centroids,
                       const std::vector<size_t>& counts,
                       std::vector<double>& norms) {
   const size_t k = norms.size();
-  auto column_norm = [&](size_t c) {
-    double sq = 0.0;
-    for (size_t at = c; at < centroids.size(); at += k) {
-      sq += centroids[at] * centroids[at];
-    }
-    return std::sqrt(sq);
-  };
+  ColumnNorms(centroids, norms);
+  std::vector<double> scale(k, 1.0);
   for (size_t c = 0; c < k; ++c) {
-    norms[c] = column_norm(c);
-    if (counts[c] == 0 || norms[c] <= 0.0) continue;
-    const double scale = 1.0 / norms[c];
-    for (size_t at = c; at < centroids.size(); at += k) centroids[at] *= scale;
-    norms[c] = column_norm(c);
+    if (counts[c] > 0 && norms[c] > 0.0) scale[c] = 1.0 / norms[c];
   }
+  for (size_t row = 0; row < centroids.size(); row += k) {
+    for (size_t c = 0; c < k; ++c) centroids[row + c] *= scale[c];
+  }
+  ColumnNorms(centroids, norms);
 }
 
 // Spherical k-means for one k over dense centroids, seeded by the first k
@@ -115,8 +126,10 @@ Clustering ClusterWithK(const CosineSpace& space,
   for (size_t c = 0; c < k; ++c) space.AddTo(seeds[c], centroids.data(), k, c);
   NormalizeColumns(centroids, counts, norms);
 
+  // At least one assignment pass, so every point has a label.
   std::vector<int> assignment(n, -1);
-  for (size_t iter = 0; iter < max_iterations; ++iter) {
+  const size_t passes = std::max(max_iterations, size_t{1});
+  for (size_t iter = 0; iter < passes; ++iter) {
     QEC_COUNTER_INC("cluster/kmeans_iterations");
     bool changed = false;
     // Assignment step.
@@ -208,73 +221,81 @@ Clustering KMeans::Cluster(const std::vector<SparseVector>& points) const {
 
 std::vector<double> MeanSilhouettes(const CosineSpace& space,
                                     std::span<const Clustering> clusterings) {
+  // Per-(point, cluster) sums one pass may hold: 8 MiB of doubles.
+  constexpr size_t kSumBudget = size_t{1} << 20;
   const size_t n = space.size();
-  const size_t m = clusterings.size();
-  // Clustering c owns slots [first[c], first[c + 1]), one per cluster; one
-  // with fewer than two clusters owns none and scores 0 (neutral). Slot s
-  // lists its cluster's points, ascending, in
-  // members[member_begin[s]..member_begin[s + 1]).
-  std::vector<size_t> first(m + 1, 0);
-  for (size_t c = 0; c < m; ++c) {
+  std::vector<double> total(clusterings.size(), 0.0);
+  // A clustering with fewer than two clusters scores 0 (neutral).
+  std::vector<size_t> scored;
+  for (size_t c = 0; c < clusterings.size(); ++c) {
     const Clustering& clustering = clusterings[c];
     QEC_CHECK_EQ(clustering.assignment.size(), n);
     for (int a : clustering.assignment) {  // a negative label wraps too
       QEC_CHECK_LT(static_cast<size_t>(a), clustering.num_clusters);
     }
-    first[c + 1] = first[c] + (clustering.num_clusters >= 2
-                                   ? clustering.num_clusters
-                                   : 0);
+    if (clustering.num_clusters >= 2) scored.push_back(c);
   }
-  auto slot = [&](size_t c, size_t i) {
-    return first[c] + static_cast<size_t>(clusterings[c].assignment[i]);
-  };
-  std::vector<size_t> member_begin(first[m] + 1, 0);
-  for (size_t c = 0; c < m; ++c) {
-    if (first[c + 1] == first[c]) continue;
-    for (size_t i = 0; i < n; ++i) ++member_begin[slot(c, i) + 1];
-  }
-  for (size_t s = 0; s < first[m]; ++s) member_begin[s + 1] += member_begin[s];
-  std::vector<uint32_t> members(member_begin.back());
-  std::vector<size_t> fill(member_begin.begin(), member_begin.end() - 1);
-  for (size_t c = 0; c < m; ++c) {
-    if (first[c + 1] == first[c]) continue;
-    for (uint32_t i = 0; i < n; ++i) members[fill[slot(c, i)]++] = i;
-  }
-  auto cluster_size = [&](size_t s) {
-    return member_begin[s + 1] - member_begin[s];
-  };
 
-  std::vector<double> total(m, 0.0);
-  std::vector<double> dist_sum(first[m]);
-  std::vector<double> row(n);
-  for (size_t i = 0; i < n; ++i) {
-    bool have_row = false;
-    for (size_t c = 0; c < m; ++c) {
-      if (first[c + 1] == first[c]) continue;
-      const size_t own = slot(c, i);
-      if (cluster_size(own) <= 1) continue;  // singleton scores 0
-      if (!have_row) {
-        space.DistanceRow(i, row.data());
-        have_row = true;
+  std::vector<double> row(n), sum;
+  std::vector<uint32_t> slot_of;
+  std::vector<size_t> first, cluster_size;
+  for (size_t begin = 0, end = 0; begin < scored.size(); begin = end) {
+    // One pass scores clusterings scored[begin..end): at least one, more
+    // while their sums fit the budget. Clustering q of the pass owns slots
+    // [first[q], first[q + 1]), one per cluster; slot_of[i * m + q] is
+    // point i's.
+    first.assign(1, 0);
+    do {
+      first.push_back(first.back() + clusterings[scored[end++]].num_clusters);
+    } while (end < scored.size() &&
+             (first.back() + clusterings[scored[end]].num_clusters) * n <=
+                 kSumBudget);
+    const size_t m = end - begin;
+    const size_t slots = first.back();
+    slot_of.resize(n * m);
+    cluster_size.assign(slots, 0);
+    for (size_t q = 0; q < m; ++q) {
+      const auto& labels = clusterings[scored[begin + q]].assignment;
+      for (size_t i = 0; i < n; ++i) {
+        const size_t s = first[q] + static_cast<size_t>(labels[i]);
+        slot_of[i * m + q] = static_cast<uint32_t>(s);
+        ++cluster_size[s];
       }
-      // Distance sum to every cluster (own cluster excludes the point
-      // itself), in ascending point order.
-      for (size_t s = first[c]; s < first[c + 1]; ++s) {
-        double sum = 0.0;
-        for (size_t p = member_begin[s]; p < member_begin[s + 1]; ++p) {
-          if (members[p] != i) sum += row[members[p]];
+    }
+    // sum[i * slots + s] = distance sum from point i to slot s's points
+    // other than i. Row i adds d(i, j), j > i, to i's sums and to j's, so
+    // every sum receives its terms in ascending point order.
+    sum.assign(n * slots, 0.0);
+    for (size_t i = 0; i + 1 < n; ++i) {
+      space.DistanceRowAbove(i, row.data());
+      double* sum_i = &sum[i * slots];
+      const uint32_t* slot_i = &slot_of[i * m];
+      for (size_t j = i + 1; j < n; ++j) {
+        const double d = row[j];
+        double* sum_j = &sum[j * slots];
+        const uint32_t* slot_j = &slot_of[j * m];
+        for (size_t q = 0; q < m; ++q) {
+          sum_i[slot_j[q]] += d;
+          sum_j[slot_i[q]] += d;
         }
-        dist_sum[s] = sum;
       }
-      const double a =
-          dist_sum[own] / static_cast<double>(cluster_size(own) - 1);
-      double b = std::numeric_limits<double>::infinity();
-      for (size_t s = first[c]; s < first[c + 1]; ++s) {
-        if (s == own || cluster_size(s) == 0) continue;
-        b = std::min(b, dist_sum[s] / static_cast<double>(cluster_size(s)));
+    }
+    for (size_t q = 0; q < m; ++q) {
+      double& score = total[scored[begin + q]];
+      for (size_t i = 0; i < n; ++i) {
+        const size_t own = slot_of[i * m + q];
+        if (cluster_size[own] <= 1) continue;  // singleton scores 0
+        const double* sum_i = &sum[i * slots];
+        const double a =
+            sum_i[own] / static_cast<double>(cluster_size[own] - 1);
+        double b = std::numeric_limits<double>::infinity();
+        for (size_t s = first[q]; s < first[q + 1]; ++s) {
+          if (s == own || cluster_size[s] == 0) continue;
+          b = std::min(b, sum_i[s] / static_cast<double>(cluster_size[s]));
+        }
+        const double denom = std::max(a, b);
+        score += denom > 0.0 ? (b - a) / denom : 0.0;
       }
-      const double denom = std::max(a, b);
-      total[c] += denom > 0.0 ? (b - a) / denom : 0.0;
     }
   }
   if (n > 0) {

@@ -1,12 +1,21 @@
-// Unit tests for qec_cluster: sparse vectors, k-means and the silhouette.
+// Unit tests for qec_cluster: sparse vectors, the CosineSpace kernels,
+// k-means and the silhouette.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
+#include "cluster/cosine_space.h"
 #include "cluster/kmeans.h"
 #include "cluster/sparse_vector.h"
+#include "common/random.h"
+#include "datagen/shopping.h"
+#include "datagen/wikipedia.h"
+#include "datagen/workload.h"
 #include "doc/corpus.h"
+#include "index/inverted_index.h"
 
 namespace qec::cluster {
 namespace {
@@ -45,6 +54,172 @@ TEST(SparseVectorTest, FromDocumentUsesTermFrequencies) {
   TermId store = corpus.analyzer().vocabulary().Lookup("store");
   EXPECT_DOUBLE_EQ(v.Get(apple), 2.0);
   EXPECT_DOUBLE_EQ(v.Get(store), 1.0);
+}
+
+// ------------------------------------------------------------ CosineSpace
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+std::vector<SparseVector> Vectorize(
+    const doc::Corpus& corpus,
+    const std::vector<index::RankedResult>& results) {
+  std::vector<SparseVector> points;
+  for (const auto& r : results) {
+    points.push_back(SparseVector::FromDocument(corpus.Get(r.doc)));
+  }
+  return points;
+}
+
+// The first 200 results of the shopping catalog's most frequent term.
+std::vector<SparseVector> ShoppingPoints() {
+  datagen::ShoppingOptions options;
+  options.products_per_family = 30;
+  const doc::Corpus corpus = datagen::ShoppingGenerator(options).Generate();
+  const index::InvertedIndex index(corpus);
+  TermId best = 0;
+  for (TermId t = 0; t < corpus.analyzer().vocabulary().size(); ++t) {
+    if (index.DocumentFrequency(t) > index.DocumentFrequency(best)) best = t;
+  }
+  return Vectorize(corpus, index.Search({best}, 200));
+}
+
+// The top-30 results of the first three Wikipedia queries, concatenated.
+std::vector<SparseVector> WikipediaPoints() {
+  const doc::Corpus corpus = datagen::WikipediaGenerator().Generate();
+  const index::InvertedIndex index(corpus);
+  std::vector<SparseVector> points;
+  const auto queries = datagen::WikipediaQueries();
+  for (size_t q = 0; q < 3 && q < queries.size(); ++q) {
+    auto vectors = Vectorize(
+        corpus,
+        index.Search(corpus.analyzer().AnalyzeReadOnly(queries[q].text), 30));
+    points.insert(points.end(), vectors.begin(), vectors.end());
+  }
+  return points;
+}
+
+// Signed random weights over 30 terms, with zero vectors and duplicates;
+// term 30, held by about 70% of the points with either sign, takes the
+// dense-column path of DistanceRowAbove.
+std::vector<SparseVector> RandomPoints() {
+  Rng rng(16);
+  std::vector<SparseVector> points;
+  while (points.size() < 150) {
+    if (!points.empty() && rng.Bernoulli(0.1)) {
+      points.push_back(points[rng.UniformInt(points.size())]);
+      continue;
+    }
+    std::vector<std::pair<TermId, double>> entries;
+    if (!rng.Bernoulli(0.08)) {
+      for (size_t e = 0, nnz = 1 + rng.UniformInt(8); e < nnz; ++e) {
+        double w = 0.25 + 3.0 * rng.UniformDouble();
+        if (rng.Bernoulli(0.2)) w = -w;
+        entries.emplace_back(static_cast<TermId>(rng.UniformInt(30)), w);
+      }
+      if (rng.Bernoulli(0.75)) {
+        entries.emplace_back(30, rng.Bernoulli(0.5) ? 1.5 : -2.0);
+      }
+    }
+    points.push_back(SparseVector(std::move(entries)));
+  }
+  return points;
+}
+
+std::vector<std::vector<SparseVector>> KernelInputs() {
+  return {ShoppingPoints(), WikipediaPoints(), RandomPoints()};
+}
+
+TEST(CosineSpaceTest, DistanceRowAboveMatchesBothFullRows) {
+  for (const auto& points : KernelInputs()) {
+    const CosineSpace space(points);
+    const size_t n = space.size();
+    ASSERT_GT(n, 1u);
+    std::vector<std::vector<double>> full(n, std::vector<double>(n));
+    for (size_t i = 0; i < n; ++i) space.DistanceRow(i, full[i].data());
+    const double sentinel = -123.25;
+    std::vector<double> above(n);
+    for (size_t i = 0; i < n; ++i) {
+      std::fill(above.begin(), above.end(), sentinel);
+      space.DistanceRowAbove(i, above.data());
+      for (size_t j = 0; j <= i; ++j) {
+        ASSERT_TRUE(SameBits(above[j], sentinel)) << i << " wrote " << j;
+      }
+      for (size_t j = i + 1; j < n; ++j) {
+        ASSERT_TRUE(SameBits(above[j], full[i][j])) << i << "," << j;
+        ASSERT_TRUE(SameBits(above[j], full[j][i])) << i << "," << j;
+      }
+    }
+  }
+}
+
+TEST(CosineSpaceTest, CentroidDistancesMatchColumnByColumnReference) {
+  Rng rng(8);
+  for (const auto& points : KernelInputs()) {
+    const CosineSpace space(points);
+    // Local term ids are the ranks of the points' distinct TermIds.
+    std::vector<TermId> terms;
+    for (const SparseVector& p : points) {
+      for (const auto& [t, w] : p.entries()) terms.push_back(t);
+    }
+    std::sort(terms.begin(), terms.end());
+    terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
+    ASSERT_EQ(terms.size(), space.dims());
+    for (size_t k = 1; k <= 10; ++k) {
+      std::vector<double> centroids(space.dims() * k);
+      for (double& x : centroids) {
+        x = rng.Bernoulli(0.3) ? 0.0 : rng.UniformDouble() - 0.25;
+      }
+      std::vector<double> norms(k);
+      for (double& x : norms) x = 0.5 + rng.UniformDouble();
+      norms[k - 1] = 0.0;  // a zero centroid is at distance 1
+      std::vector<double> out(k);
+      for (size_t i = 0; i < points.size(); ++i) {
+        space.CentroidDistances(i, centroids.data(), norms.data(), k,
+                                out.data());
+        const double norm_i = points[i].Norm();
+        for (size_t c = 0; c < k; ++c) {
+          double dot = 0.0;
+          for (const auto& [t, w] : points[i].entries()) {
+            const size_t local = static_cast<size_t>(
+                std::lower_bound(terms.begin(), terms.end(), t) -
+                terms.begin());
+            dot += w * centroids[local * k + c];
+          }
+          const double want = norm_i == 0.0 || norms[c] == 0.0
+                                  ? 1.0
+                                  : 1.0 - dot / (norm_i * norms[c]);
+          ASSERT_TRUE(SameBits(out[c], want))
+              << "k=" << k << " point " << i << " column " << c;
+        }
+      }
+    }
+  }
+}
+
+TEST(MeanSilhouettesTest, PassesSplitAtTheBudgetMatchSingleScores) {
+  // 40 clusterings of 100 clusters over 300 points hold 1.2M sums, more
+  // than one pass may: the batch is scored in several passes and must
+  // equal each clustering scored alone.
+  std::vector<SparseVector> points = RandomPoints();
+  const std::vector<SparseVector> more = ShoppingPoints();
+  points.insert(points.end(), more.begin(), more.begin() + 150);
+  Rng rng(40);
+  std::vector<Clustering> clusterings(40);
+  for (Clustering& c : clusterings) {
+    c.num_clusters = 100;
+    for (size_t i = 0; i < points.size(); ++i) {
+      c.assignment.push_back(static_cast<int>(rng.UniformInt(100)));
+    }
+  }
+  const std::vector<double> scores =
+      MeanSilhouettes(CosineSpace(points), clusterings);
+  ASSERT_EQ(scores.size(), clusterings.size());
+  for (size_t c = 0; c < clusterings.size(); ++c) {
+    EXPECT_TRUE(SameBits(scores[c], MeanSilhouette(points, clusterings[c])))
+        << c;
+  }
 }
 
 // ----------------------------------------------------------------- KMeans
@@ -147,6 +322,25 @@ TEST(KMeansTest, LabelsAreDense) {
     seen[static_cast<size_t>(a)] = true;
   }
   for (bool s : seen) EXPECT_TRUE(s);
+}
+
+TEST(KMeansTest, ZeroIterationsStillAssignsEveryPoint) {
+  // One assignment pass always runs, so max_iterations = 0 labels every
+  // point, exactly as max_iterations = 1 does.
+  const std::vector<SparseVector> points = {
+      V({{0, 1.0}}), V({{0, 2.0}, {1, 0.1}}), V({{5, 1.0}}),
+      V({{5, 3.0}}), V({{9, 1.0}}),           V({{9, 1.0}, {8, 0.2}})};
+  const Clustering zero =
+      KMeans({.k = 3, .max_iterations = 0}).Cluster(points);
+  const Clustering one = KMeans({.k = 3, .max_iterations = 1}).Cluster(points);
+  ASSERT_EQ(zero.assignment.size(), points.size());
+  ASSERT_GE(zero.num_clusters, 1u);
+  for (int a : zero.assignment) {
+    EXPECT_GE(a, 0);
+    EXPECT_LT(static_cast<size_t>(a), zero.num_clusters);
+  }
+  EXPECT_EQ(zero.assignment, one.assignment);
+  EXPECT_EQ(zero.num_clusters, one.num_clusters);
 }
 
 TEST(KMeansTest, MembersPartitionInput) {
