@@ -3,14 +3,10 @@
 // result-universe construction, the three expansion algorithms, bitset
 // algebra, and XML parsing.
 //
-// Also hosts the fused-kernel CI gate: `--kernel-gate[=metrics.json]` pins
-// the runtime-dispatched kernel tier, times the fused single-pass
-// set-algebra kernels against the naive materialize-then-count/weigh
-// formulation they replaced (1.3x bar, both arms pinned to the scalar
-// tier so the margin is hardware-independent), and on AVX2 hardware times
-// the forced-scalar tier against forced-AVX2 on the unit-weight fused
-// benefit/cost evaluation (1.3x bar), writing the measurements — including
-// the pinned tier — as JSON.
+// Also hosts the fused-kernel CI gate: `--kernel-gate[=metrics.json]` times
+// the fused single-pass set-algebra kernels against the naive
+// materialize-then-count/weigh formulation they replaced (1.3x bar) and
+// writes the measurements as JSON.
 //
 // `--sweep-report[=metrics.json]` measures the scatter-gather benefit/cost
 // sweeps (core::SweepOptions::threads) against the serial sweep on a
@@ -33,7 +29,6 @@
 #include "cluster/kmeans.h"
 #include "common/dynamic_bitset.h"
 #include "common/random.h"
-#include "common/simd_kernels.h"
 #include "core/candidates.h"
 #include "core/expansion_context.h"
 #include "core/fmeasure_expander.h"
@@ -222,17 +217,14 @@ struct KernelSetup {
   /// covers most of the retrieved set, so few bits survive a & ~b.
   qec::DynamicBitset a, b, c, d;
 
-  explicit KernelSetup(size_t bits, bool unit_weights = false)
+  explicit KernelSetup(size_t bits)
       : a(bits), b(bits), c(bits), d(bits) {
     qec::Rng rng(42);
     corpus = std::make_unique<qec::doc::Corpus>();
     std::vector<qec::index::RankedResult> results;
     for (size_t i = 0; i < bits; ++i) {
       qec::DocId id = corpus->AddTextDocument(std::to_string(i), "t");
-      // Unit weights route S(.) through the count kernels (the SIMD-
-      // dispatched path); ranked weights exercise the scalar weighted fold.
-      results.push_back(
-          {id, unit_weights ? 1.0 : 0.05 + rng.UniformDouble() * 4.0});
+      results.push_back({id, 0.05 + rng.UniformDouble() * 4.0});
     }
     universe = std::make_unique<qec::core::ResultUniverse>(*corpus, results);
     for (size_t i = 0; i < bits; ++i) {
@@ -332,34 +324,17 @@ double TimeNsPerOp(Fn&& fn, int iters) {
 }
 
 /// Times fused kernels against their naive materialize-then-count/weigh
-/// counterparts and enforces the 2x CI bar; on AVX2 hardware it also pits
-/// the forced-scalar tier against forced-AVX2 on the unit-weight fused
-/// benefit/cost evaluation (the SIMD-dispatched count path) and enforces
-/// a 1.3x bar. The dispatch tier is pinned at entry and emitted in the
-/// JSON so artifacts are comparable across machines. Writes a JSON
-/// metrics blob to `out_path` (if non-empty) and always prints it to
-/// stdout.
+/// counterparts and enforces the 1.3x CI bar. Writes a JSON metrics blob
+/// to `out_path` (if non-empty) and always prints it to stdout.
 int RunKernelGate(const std::string& out_path) {
-  // Historically 2.0x, set when the naive arm used the pre-dispatch
-  // per-word loops. The runtime kernel layer made the naive baseline
-  // itself ~1.5x faster (unrolled scalar popcount feeding its Count()
-  // calls), so the residual fusion margin — skipping the materialized
-  // temporaries and extra passes — measures ~1.5x; the bar keeps margin
-  // below that.
+  // The naive arm's Count()/TotalWeight calls run the same popcount loops
+  // as the fused arm, so the gate measures only the fusion margin —
+  // skipping the materialized temporaries and extra passes — which is
+  // ~1.45x; the bar keeps margin below that.
   constexpr double kRequiredSpeedup = 1.3;
-  constexpr double kRequiredTierSpeedup = 1.3;
   constexpr size_t kBits = 4096;
   constexpr int kIters = 50000;
-  // Pin the dispatch tier per measurement instead of inheriting whatever
-  // cpuid/QEC_KERNEL_DISPATCH picked: the fusion gate runs both arms on
-  // the scalar tier (isolating the fusion benefit — the naive arm's
-  // materialized Count() would otherwise get AVX2 help the fused weighted
-  // fold deliberately forgoes), and the tier gate then isolates the SIMD
-  // benefit at fixed fusion. The ambient tier is restored afterwards and
-  // emitted in the JSON so artifacts are comparable across machines.
-  const qec::simd::KernelTier pinned_tier = qec::simd::ActiveTier();
   KernelSetup s(kBits);
-  qec::simd::SetTier(qec::simd::KernelTier::kScalar);
 
   // The gated unit is one full ISKR add-entry evaluation — benefit,
   // cost, and the kills-cluster check — fused (two WeightOfAndNotAnd
@@ -408,79 +383,33 @@ int RunKernelGate(const std::string& out_path) {
       kIters);
   benchmark::DoNotOptimize(weight_sink);
   benchmark::DoNotOptimize(count_sink);
-  qec::simd::SetTier(pinned_tier);
-
-  // Scalar vs AVX2 on the unit-weight fused benefit/cost evaluation —
-  // the tiers are exact-equal (property-tested), so only the clock may
-  // move. Skipped (and not gated) on hardware without AVX2.
-  const bool avx2_supported = qec::simd::Avx2Supported();
-  double scalar_tier_ns = 0.0;
-  double avx2_tier_ns = 0.0;
-  double tier_speedup = 0.0;
-  bool tier_pass = true;
-  if (avx2_supported) {
-    KernelSetup unit(kBits, /*unit_weights=*/true);
-    auto entry_eval = [&] {
-      const double benefit =
-          unit.universe->WeightOfAndNotAnd(unit.a, unit.b, unit.c);
-      const double cost =
-          unit.universe->WeightOfAndNotAnd(unit.a, unit.b, unit.d);
-      if (cost > 0.0) {
-        count_sink += !unit.a.Intersects(unit.b, unit.d) ? 1 : 0;
-      }
-      weight_sink += benefit + cost;
-    };
-    qec::simd::SetTier(qec::simd::KernelTier::kScalar);
-    scalar_tier_ns = TimeNsPerOp(entry_eval, kIters);
-    qec::simd::SetTier(qec::simd::KernelTier::kAvx2);
-    avx2_tier_ns = TimeNsPerOp(entry_eval, kIters);
-    qec::simd::SetTier(pinned_tier);
-    benchmark::DoNotOptimize(weight_sink);
-    benchmark::DoNotOptimize(count_sink);
-    tier_speedup = scalar_tier_ns / avx2_tier_ns;
-    tier_pass = tier_speedup >= kRequiredTierSpeedup;
-  }
 
   const double entry_speedup = naive_entry_ns / fused_entry_ns;
   const double count_speedup = naive_count_ns / fused_count_ns;
-  const bool fused_pass = entry_speedup >= kRequiredSpeedup;
-  const bool pass = fused_pass && tier_pass;
+  const bool pass = entry_speedup >= kRequiredSpeedup;
 
-  char json[2048];
+  char json[1024];
   std::snprintf(
       json, sizeof(json),
       "{\n"
       "  \"bits\": %zu,\n"
-      "  \"kernel_tier\": \"%s\",\n"
-      "  \"fusion_tier\": \"scalar\",\n"
       "  \"required_speedup\": %.1f,\n"
       "  \"iskr_add_entry_eval\": {\"fused_ns\": %.1f, \"naive_ns\": %.1f,"
       " \"speedup\": %.2f},\n"
       "  \"and_not_and_count\": {\"fused_ns\": %.1f, \"naive_ns\": %.1f,"
       " \"speedup\": %.2f},\n"
-      "  \"tier_compare\": {\"supported\": %s, \"required_speedup\": %.1f,"
-      " \"scalar_ns\": %.1f, \"avx2_ns\": %.1f, \"speedup\": %.2f},\n"
       "  \"pass\": %s\n"
       "}\n",
-      kBits, qec::simd::TierName(pinned_tier), kRequiredSpeedup,
-      fused_entry_ns, naive_entry_ns, entry_speedup, fused_count_ns,
-      naive_count_ns, count_speedup, avx2_supported ? "true" : "false",
-      kRequiredTierSpeedup, scalar_tier_ns, avx2_tier_ns, tier_speedup,
-      pass ? "true" : "false");
+      kBits, kRequiredSpeedup, fused_entry_ns, naive_entry_ns, entry_speedup,
+      fused_count_ns, naive_count_ns, count_speedup, pass ? "true" : "false");
   std::cout << json;
   if (!out_path.empty()) {
     std::ofstream out(out_path);
     out << json;
   }
-  if (!fused_pass) {
+  if (!pass) {
     std::cerr << "kernel gate FAILED: fused kernels must be >= "
               << kRequiredSpeedup << "x the naive formulation\n";
-    return 1;
-  }
-  if (!tier_pass) {
-    std::cerr << "kernel gate FAILED: AVX2 tier must be >= "
-              << kRequiredTierSpeedup
-              << "x the scalar tier on the unit-weight fused eval\n";
     return 1;
   }
   return 0;

@@ -829,8 +829,17 @@ int CmdServe(const std::vector<std::string>& args) {
         return Usage();
       }
     } else if (qec::StartsWith(arg, "--metrics-flush-interval=")) {
+      // The flusher's timed wait adds the interval to steady_clock::now()
+      // in nanoseconds; past that range the deadline wraps negative and
+      // the wait returns at once, so the flusher would spin. Half the
+      // range leaves ~146 years of clock uptime as headroom.
+      constexpr uint64_t kMaxFlushIntervalS =
+          std::chrono::duration_cast<std::chrono::seconds>(
+              std::chrono::steady_clock::duration::max() / 2)
+              .count();
       if (!ParseUnsigned(arg.substr(strlen("--metrics-flush-interval=")),
-                         &metrics_flush_interval_s)) {
+                         &metrics_flush_interval_s) ||
+          metrics_flush_interval_s > kMaxFlushIntervalS) {
         return Usage();
       }
     } else if (qec::StartsWith(arg, "--metrics-flush-out=")) {
@@ -998,35 +1007,7 @@ int CmdServe(const std::vector<std::string>& args) {
     // Control verbs answer immediately (still in request order via their
     // slot). Submit buffered EXPANDs first so STATS/METRICS observe them.
     flush_batch();
-    std::string out;
-    switch (request->verb) {
-      case qec::server::ServeRequest::Verb::kPing:
-        out = "{\"status\":\"ok\",\"pong\":true}";
-        break;
-      case qec::server::ServeRequest::Verb::kStats:
-        out = server.StatsJsonLine();
-        break;
-      case qec::server::ServeRequest::Verb::kMetrics:
-        // Multi-line Prometheus text; the trailing "# EOF" line marks the
-        // end for pipeline consumers.
-        out = qec::obs::PrometheusSnapshot();
-        if (!out.empty() && out.back() == '\n') out.pop_back();
-        break;
-      case qec::server::ServeRequest::Verb::kSlowlog:
-        out = server.SlowlogJsonLine(request->slowlog_count);
-        break;
-      case qec::server::ServeRequest::Verb::kAbtest:
-        out = server.AbtestJsonLine(request->abtest_count);
-        break;
-      case qec::server::ServeRequest::Verb::kExplain:
-        // Synchronous and cache-bypassing by design: EXPLAIN is a
-        // diagnostic verb, not a serving path.
-        out = server.ExplainJsonLine(*request);
-        break;
-      case qec::server::ServeRequest::Verb::kExpand:
-        break;  // unreachable: handled above
-    }
-    writer.Complete(slot, std::move(out));
+    writer.Complete(slot, server.ControlResponse(*request));
   }
   flush_batch();
   writer.Drain();

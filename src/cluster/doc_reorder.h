@@ -12,9 +12,9 @@ namespace qec::cluster {
 /// Cluster-aware doc-id reordering ("Faster Exact Search using Document
 /// Clustering", Dimond & Sanders): permute doc ids so same-cluster
 /// documents get contiguous ids. Posting lists then compress better under
-/// the delta + varbyte codec (small gaps inside a cluster's id run) and
-/// result bitsets become dense runs that the fused popcount kernels and
-/// the sharded benefit/cost sweeps skip over wholesale.
+/// the delta + varbyte codec (small gaps inside a cluster's id run). It
+/// does not make the expanders' result bitsets dense: a universe's local
+/// ids follow rank order, and score ties break on external doc ids.
 ///
 /// The permutation is purely an internal renumbering: the reordered corpus
 /// holds the same documents with identical TermIds, and snapshots persist

@@ -1,7 +1,6 @@
 #include "common/dynamic_bitset.h"
 
 #include "common/logging.h"
-#include "common/simd_kernels.h"
 
 namespace qec {
 
@@ -53,12 +52,23 @@ void DynamicBitset::ResetAll() {
   for (auto& w : words_) w = 0;
 }
 
+// The count and predicate kernels are plain word loops: one popcount per
+// word for the counts (a single instruction under -mpopcnt), early exit on
+// the first nonzero word for the predicates.
+
 size_t DynamicBitset::Count() const {
-  return simd::Ops().popcount(words_.data(), words_.size());
+  size_t count = 0;
+  for (uint64_t w : words_) {
+    count += static_cast<size_t>(__builtin_popcountll(w));
+  }
+  return count;
 }
 
 bool DynamicBitset::None() const {
-  return !simd::Ops().any(words_.data(), words_.size());
+  for (uint64_t w : words_) {
+    if (w != 0) return false;
+  }
+  return true;
 }
 
 DynamicBitset& DynamicBitset::operator&=(const DynamicBitset& other) {
@@ -87,93 +97,72 @@ DynamicBitset& DynamicBitset::AndNot(const DynamicBitset& other) {
 
 size_t DynamicBitset::AndCount(const DynamicBitset& other) const {
   QEC_CHECK_EQ(size_, other.size_);
-  return simd::Ops().and_count(words_.data(), other.words_.data(),
-                               words_.size());
+  size_t count = 0;
+  for (size_t i = 0; i < words_.size(); ++i) {
+    count +=
+        static_cast<size_t>(__builtin_popcountll(words_[i] & other.words_[i]));
+  }
+  return count;
 }
 
 size_t DynamicBitset::AndNotCount(const DynamicBitset& other) const {
   QEC_CHECK_EQ(size_, other.size_);
-  return simd::Ops().and_not_count(words_.data(), other.words_.data(),
-                                   words_.size());
-}
-
-size_t DynamicBitset::AndNotCount(const DynamicBitset& other,
-                                  const WordRange& range) const {
-  QEC_CHECK_EQ(size_, other.size_);
-  const size_t end = range.end < words_.size() ? range.end : words_.size();
-  if (range.begin >= end) return 0;
-  return simd::Ops().and_not_count(words_.data() + range.begin,
-                                   other.words_.data() + range.begin,
-                                   end - range.begin);
+  size_t count = 0;
+  for (size_t i = 0; i < words_.size(); ++i) {
+    count +=
+        static_cast<size_t>(__builtin_popcountll(words_[i] & ~other.words_[i]));
+  }
+  return count;
 }
 
 size_t DynamicBitset::AndCount3(const DynamicBitset& b,
                                 const DynamicBitset& c) const {
   QEC_CHECK_EQ(size_, b.size_);
   QEC_CHECK_EQ(size_, c.size_);
-  return simd::Ops().and_count3(words_.data(), b.words_.data(),
-                                c.words_.data(), words_.size());
+  size_t count = 0;
+  for (size_t i = 0; i < words_.size(); ++i) {
+    count += static_cast<size_t>(
+        __builtin_popcountll(words_[i] & b.words_[i] & c.words_[i]));
+  }
+  return count;
 }
 
 size_t DynamicBitset::AndNotAndCount(const DynamicBitset& b,
                                      const DynamicBitset& c) const {
   QEC_CHECK_EQ(size_, b.size_);
   QEC_CHECK_EQ(size_, c.size_);
-  return simd::Ops().and_not_and_count(words_.data(), b.words_.data(),
-                                       c.words_.data(), words_.size());
+  size_t count = 0;
+  for (size_t i = 0; i < words_.size(); ++i) {
+    count += static_cast<size_t>(
+        __builtin_popcountll(words_[i] & ~b.words_[i] & c.words_[i]));
+  }
+  return count;
 }
 
-size_t DynamicBitset::AndNotAndCount(const DynamicBitset& b,
-                                     const DynamicBitset& c,
-                                     const WordRange& range) const {
-  QEC_CHECK_EQ(size_, b.size_);
-  QEC_CHECK_EQ(size_, c.size_);
-  const size_t end = range.end < words_.size() ? range.end : words_.size();
-  if (range.begin >= end) return 0;
-  return simd::Ops().and_not_and_count(
-      words_.data() + range.begin, b.words_.data() + range.begin,
-      c.words_.data() + range.begin, end - range.begin);
+bool DynamicBitset::Intersects(const DynamicBitset& other) const {
+  QEC_CHECK_EQ(size_, other.size_);
+  for (size_t i = 0; i < words_.size(); ++i) {
+    if ((words_[i] & other.words_[i]) != 0) return true;
+  }
+  return false;
 }
 
 bool DynamicBitset::Intersects(const DynamicBitset& b,
                                const DynamicBitset& c) const {
   QEC_CHECK_EQ(size_, b.size_);
   QEC_CHECK_EQ(size_, c.size_);
-  return simd::Ops().intersects3(words_.data(), b.words_.data(),
-                                 c.words_.data(), words_.size());
-}
-
-bool DynamicBitset::Intersects(const DynamicBitset& b, const DynamicBitset& c,
-                               const WordRange& range) const {
-  QEC_CHECK_EQ(size_, b.size_);
-  QEC_CHECK_EQ(size_, c.size_);
-  const size_t end = range.end < words_.size() ? range.end : words_.size();
-  if (range.begin >= end) return false;
-  return simd::Ops().intersects3(words_.data() + range.begin,
-                                 b.words_.data() + range.begin,
-                                 c.words_.data() + range.begin,
-                                 end - range.begin);
-}
-
-WordRange DynamicBitset::NonzeroWordRange() const {
-  size_t first = 0;
-  while (first < words_.size() && words_[first] == 0) ++first;
-  if (first == words_.size()) return WordRange{};
-  size_t last = words_.size();
-  while (last > first && words_[last - 1] == 0) --last;
-  return WordRange{first, last};
-}
-
-bool DynamicBitset::Intersects(const DynamicBitset& other) const {
-  QEC_CHECK_EQ(size_, other.size_);
-  return simd::Ops().intersects2(words_.data(), other.words_.data(),
-                                 words_.size());
+  for (size_t i = 0; i < words_.size(); ++i) {
+    if ((words_[i] & b.words_[i] & c.words_[i]) != 0) return true;
+  }
+  return false;
 }
 
 bool DynamicBitset::IsSubsetOf(const DynamicBitset& other) const {
   QEC_CHECK_EQ(size_, other.size_);
-  return !simd::Ops().any_and_not(words_.data(), other.words_.data(),
-                                  words_.size());
+  for (size_t i = 0; i < words_.size(); ++i) {
+    if ((words_[i] & ~other.words_[i]) != 0) return false;
+  }
+  return true;
 }
 
 std::vector<size_t> DynamicBitset::ToIndices() const {

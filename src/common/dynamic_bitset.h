@@ -7,33 +7,6 @@
 
 namespace qec {
 
-/// Half-open range of 64-bit bitset words [begin, end) — the unit of
-/// doc-id-range sharding. Cluster-aware doc-id reordering makes result
-/// bitsets dense runs, so a set expression's support collapses to a few
-/// words; kernels restricted to such a range skip every all-zero word
-/// outside it. Skipped words contribute no terms to a weighted sum, so a
-/// range-restricted kernel is bit-identical to the full scan whenever the
-/// expression is provably zero outside the range.
-struct WordRange {
-  size_t begin = 0;
-  size_t end = 0;
-
-  size_t word_count() const { return end - begin; }
-  bool empty() const { return begin >= end; }
-
-  /// Intersection of two ranges (the canonical empty range when disjoint).
-  static WordRange Intersect(const WordRange& a, const WordRange& b) {
-    WordRange r{a.begin > b.begin ? a.begin : b.begin,
-                a.end < b.end ? a.end : b.end};
-    if (r.begin >= r.end) r = WordRange{};
-    return r;
-  }
-
-  friend bool operator==(const WordRange& a, const WordRange& b) {
-    return a.begin == b.begin && a.end == b.end;
-  }
-};
-
 /// Fixed-capacity bitset sized at runtime. Used for result-set algebra in
 /// the expansion algorithms (R(q), C, U, E(k) intersections) where the
 /// universe is the result list of the original user query.
@@ -96,20 +69,11 @@ class DynamicBitset {
   /// |this & ~other|.
   size_t AndNotCount(const DynamicBitset& other) const;
 
-  /// |this & ~other| scanning only words in `range` (clamped). Equal to
-  /// the full count when this is zero outside `range`.
-  size_t AndNotCount(const DynamicBitset& other, const WordRange& range) const;
-
   /// |this & b & c|.
   size_t AndCount3(const DynamicBitset& b, const DynamicBitset& c) const;
 
   /// |this & ~b & c|.
   size_t AndNotAndCount(const DynamicBitset& b, const DynamicBitset& c) const;
-
-  /// |this & ~b & c| scanning only words in `range` (clamped). Equal to
-  /// the full count when (this & c) is zero outside `range`.
-  size_t AndNotAndCount(const DynamicBitset& b, const DynamicBitset& c,
-                        const WordRange& range) const;
 
   /// True if (this & other) has any bit set.
   bool Intersects(const DynamicBitset& other) const;
@@ -117,24 +81,8 @@ class DynamicBitset {
   /// True if (this & b & c) has any bit set (early-exit three-way AND).
   bool Intersects(const DynamicBitset& b, const DynamicBitset& c) const;
 
-  /// Ranged three-way Intersects: scans only words in `range` (clamped to
-  /// the word count). Equal to the full scan when (this & b & c) is zero
-  /// outside `range` — e.g. when `range` covers the nonzero words of any
-  /// operand.
-  bool Intersects(const DynamicBitset& b, const DynamicBitset& c,
-                  const WordRange& range) const;
-
   /// Number of 64-bit words backing the bitset.
   size_t NumWords() const { return words_.size(); }
-
-  /// The whole word space as a range.
-  WordRange FullWordRange() const { return WordRange{0, words_.size()}; }
-
-  /// Tight range covering every nonzero word (empty range when no bit is
-  /// set). After cluster-aware doc-id reordering, cluster bitsets over a
-  /// doc-ordered universe are contiguous runs, so this range is small —
-  /// the pruning handle for the sharded benefit/cost sweeps.
-  WordRange NonzeroWordRange() const;
 
   /// True if every set bit of this is also set in `other`.
   bool IsSubsetOf(const DynamicBitset& other) const;
@@ -170,21 +118,6 @@ class DynamicBitset {
                           const Rest&... rest) {
     (CheckSameSize(first, rest), ...);
     for (size_t w = 0; w < first.words_.size(); ++w) {
-      fn(w, first.words_[w], rest.words_[w]...);
-    }
-  }
-
-  /// ForEachWord restricted to `range` (clamped to the word count). Word
-  /// indices passed to `fn` are absolute, so kernels indexing auxiliary
-  /// arrays by word position work unchanged.
-  template <typename Fn, typename... Rest>
-  static void ForEachWordInRange(const WordRange& range, Fn&& fn,
-                                 const DynamicBitset& first,
-                                 const Rest&... rest) {
-    (CheckSameSize(first, rest), ...);
-    const size_t end =
-        range.end < first.words_.size() ? range.end : first.words_.size();
-    for (size_t w = range.begin; w < end; ++w) {
       fn(w, first.words_[w], rest.words_[w]...);
     }
   }

@@ -11,9 +11,7 @@ double ValueOf(double benefit, double cost) {
 
 AdditionEvaluator::AdditionEvaluator(const ExpansionContext& context)
     : ctx_(context),
-      retrieved_(context.universe->AcquireScratch()),
-      cluster_range_(context.cluster.NonzeroWordRange()),
-      others_range_(context.others.NonzeroWordRange()) {
+      retrieved_(context.universe->AcquireScratch()) {
   Reset();
 }
 
@@ -24,37 +22,32 @@ BenefitCost AdditionEvaluator::Evaluate(TermId k) const {
   const DynamicBitset& docs_k = universe.DocsWithTerm(k);
   BenefitCost bc;
   if (retrieves_cluster_ &&
-      !retrieved_->Intersects(docs_k, ctx_.cluster, cluster_scan_)) {
+      !retrieved_->Intersects(docs_k, ctx_.cluster)) {
     bc.kills_cluster = true;
     return bc;
   }
-  bc.benefit = universe.WeightOfAndNotAnd(*retrieved_, docs_k, ctx_.others,
-                                          others_scan_);
-  bc.cost = universe.WeightOfAndNotAnd(*retrieved_, docs_k, ctx_.cluster,
-                                       cluster_scan_);
+  bc.benefit = universe.WeightOfAndNotAnd(*retrieved_, docs_k, ctx_.others);
+  bc.cost = universe.WeightOfAndNotAnd(*retrieved_, docs_k, ctx_.cluster);
   return bc;
 }
 
 void AdditionEvaluator::Reset() {
   ctx_.universe->RetrieveInto(ctx_.user_query, &*retrieved_);
-  RefreshRanges();
+  Refresh();
 }
 
 void AdditionEvaluator::Add(TermId k) {
   *retrieved_ &= ctx_.universe->DocsWithTerm(k);
-  RefreshRanges();
+  Refresh();
 }
 
 void AdditionEvaluator::Assign(const DynamicBitset& retrieved) {
   *retrieved_ = retrieved;
-  RefreshRanges();
+  Refresh();
 }
 
-void AdditionEvaluator::RefreshRanges() {
+void AdditionEvaluator::Refresh() {
   retrieves_cluster_ = retrieved_->Intersects(ctx_.cluster);
-  retrieved_range_ = retrieved_->NonzeroWordRange();
-  cluster_scan_ = WordRange::Intersect(retrieved_range_, cluster_range_);
-  others_scan_ = WordRange::Intersect(retrieved_range_, others_range_);
 }
 
 }  // namespace qec::core

@@ -30,13 +30,8 @@ struct BenefitCost {
 /// against it: the single home of the addition benefit/cost formula,
 /// shared by ISKR, PEBC and ExplainAddedTerms.
 ///
-/// Every evaluation runs on the fused weighted kernels restricted to scan
-/// ranges: each expression positively ANDs R(q) and one of C/U, so
-/// scanning only the intersection of their nonzero-word ranges skips
-/// provably all-zero shards while keeping the exact floating-point
-/// addition sequence (byte-identical to the full scan). The ranges are
-/// refreshed whenever R(q) changes. R(q) is leased from the universe's
-/// scratch arena.
+/// Every evaluation runs on the fused weighted kernels over the whole
+/// universe. R(q) is leased from the universe's scratch arena.
 class AdditionEvaluator {
  public:
   /// Starts at R(context.user_query).
@@ -54,23 +49,14 @@ class AdditionEvaluator {
   void Assign(const DynamicBitset& retrieved);
 
   const DynamicBitset& retrieved() const { return *retrieved_; }
-  /// R(q)'s nonzero-word range, and its intersection with U's.
-  const WordRange& retrieved_range() const { return retrieved_range_; }
-  const WordRange& others_scan() const { return others_scan_; }
 
  private:
-  void RefreshRanges();
+  void Refresh();
 
   const ExpansionContext& ctx_;
   ResultUniverse::ScratchBitset retrieved_;
-  /// R(q) ∩ C ≠ ∅, refreshed with the ranges.
+  /// R(q) ∩ C ≠ ∅, refreshed whenever R(q) changes.
   bool retrieves_cluster_ = false;
-  /// Nonzero-word ranges of C and U, fixed per context.
-  WordRange cluster_range_;
-  WordRange others_range_;
-  WordRange retrieved_range_;
-  WordRange cluster_scan_;
-  WordRange others_scan_;
 };
 
 }  // namespace qec::core

@@ -44,8 +44,6 @@ class IskrState {
         eval_(ctx),
         delta_(ctx.universe->AcquireScratch()),
         without_(ctx.universe->AcquireScratch()),
-        cluster_range_(ctx.cluster.NonzeroWordRange()),
-        others_range_(ctx.others.NonzeroWordRange()),
         slots_(ctx.candidates.size()) {
     query_.assign(ctx.user_query.begin(), ctx.user_query.end());
     RefreshAdditions(nullptr);
@@ -106,15 +104,13 @@ class IskrState {
   };
 
   // Removal: D(k) = R(q\k) \ R(q); benefit = S(C ∩ D), cost = S(U ∩ D).
-  // The delta lies outside R(q), so only the positively-ANDed C/U operand
-  // bounds the scan here.
   BenefitCost ComputeRemoveEntry(TermId k) {
     ctx_.universe->RetrieveWithoutInto(query_, k, &*without_);
     BenefitCost e;
-    e.benefit = ctx_.universe->WeightOfAndNotAnd(
-        *without_, eval_.retrieved(), ctx_.cluster, cluster_range_);
-    e.cost = ctx_.universe->WeightOfAndNotAnd(
-        *without_, eval_.retrieved(), ctx_.others, others_range_);
+    e.benefit = ctx_.universe->WeightOfAndNotAnd(*without_, eval_.retrieved(),
+                                                 ctx_.cluster);
+    e.cost = ctx_.universe->WeightOfAndNotAnd(*without_, eval_.retrieved(),
+                                              ctx_.others);
     ++removal_evals_;
     return e;
   }
@@ -214,9 +210,6 @@ class IskrState {
   AdditionEvaluator eval_;
   ResultUniverse::ScratchBitset delta_;
   ResultUniverse::ScratchBitset without_;
-  /// Nonzero-word ranges of C and U, bounding the removal scans.
-  WordRange cluster_range_;
-  WordRange others_range_;
   std::vector<Slot> slots_;
   /// (slot, removal entry) of every added keyword, in query order.
   common::SmallVector<std::pair<size_t, BenefitCost>, 16> removal_entries_;

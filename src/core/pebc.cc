@@ -83,8 +83,7 @@ class SampleBuilder {
   double EliminatedWeight() const { return total_u_weight_ - live_u_weight_; }
 
   size_t NumEliminatedBy(TermId k) const {
-    return eval_.retrieved().AndNotCount(ctx_.universe->DocsWithTerm(k),
-                                         eval_.retrieved_range());
+    return eval_.retrieved().AndNotCount(ctx_.universe->DocsWithTerm(k));
   }
 
   // One candidate's sweep outcome. `eligible` is false for candidates a
@@ -211,11 +210,8 @@ class SampleBuilder {
     // Greedy weighted cover of the selected subset: maximize weight of
     // selected results eliminated per unit cost, where eliminating
     // non-selected results of U counts as cost (Example 4.3).
-    const WordRange sel_range = selected_->NonzeroWordRange();
     for (;;) {
       if (EliminatedWeight() >= target) return;
-      const WordRange sel_scan =
-          WordRange::Intersect(eval_.retrieved_range(), sel_range);
       SweepCandidates(
           [&](TermId k) {
             CandidateEntry e;
@@ -227,13 +223,12 @@ class SampleBuilder {
             // fused passes: selected (benefit), cluster and unselected-U
             // (cost).
             double b = ctx_.universe->WeightOfAndNotAnd(retrieved, docs_k,
-                                                        *selected_, sel_scan);
+                                                        *selected_);
             if (b <= 0.0) return e;
             const BenefitCost bc = eval_.Evaluate(k);
             if (bc.kills_cluster) return e;
             double c = bc.cost +
-                       ctx_.universe->WeightWhereInRange(
-                           eval_.others_scan(),
+                       ctx_.universe->WeightWhere(
                            [](uint64_t r, uint64_t dk, uint64_t u,
                               uint64_t sel) { return r & ~dk & u & ~sel; },
                            retrieved, docs_k, ctx_.others, *selected_);

@@ -171,12 +171,10 @@ double ResultUniverse::TotalWeight(const DynamicBitset& set) const {
   return sum;
 }
 
-// The unit-weight branches below route S(.) through the SIMD count
-// kernels (simd::Ops() via DynamicBitset): with every weight exactly 1.0
-// the weighted fold sums k in-order ones, which is exactly k, so the
-// count is bit-identical to the scalar double accumulation. The ranked
-// path keeps the scalar fold — vectorizing it would reorder the
-// floating-point additions.
+// The unit-weight branches below route S(.) through DynamicBitset's
+// popcount kernels: with every weight exactly 1.0 the weighted fold sums k
+// in-order ones, which is exactly k, so the count is bit-identical to the
+// double accumulation. The ranked path keeps the in-order fold.
 
 double ResultUniverse::WeightOfAnd(const DynamicBitset& a,
                                    const DynamicBitset& b) const {
@@ -216,19 +214,6 @@ double ResultUniverse::WeightOfAndNotAnd(const DynamicBitset& a,
   }
   return WeightWhere(
       [](uint64_t x, uint64_t y, uint64_t z) { return x & ~y & z; }, a, b, c);
-}
-
-double ResultUniverse::WeightOfAndNotAnd(const DynamicBitset& a,
-                                         const DynamicBitset& b,
-                                         const DynamicBitset& c,
-                                         const WordRange& range) const {
-  if (unit_weights_) {
-    QEC_COUNTER_INC("universe/fused_evals");
-    return static_cast<double>(a.AndNotAndCount(b, c, range));
-  }
-  return WeightWhereInRange(
-      range, [](uint64_t x, uint64_t y, uint64_t z) { return x & ~y & z; }, a,
-      b, c);
 }
 
 const DynamicBitset& ResultUniverse::FindDocs(TermId term) const {

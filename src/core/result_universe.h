@@ -80,17 +80,6 @@ class ResultUniverse {
   double WeightOfAndNotAnd(const DynamicBitset& a, const DynamicBitset& b,
                            const DynamicBitset& c) const;
 
-  /// S((a \ b) ∩ c) scanning only words in `range`. Bit-identical to the
-  /// full kernel when (a ∩ c) is zero outside `range` — the caller passes
-  /// the intersection of the nonzero-word ranges of `a` and `c`, and the
-  /// skipped all-zero words contribute no terms to the sum, so the exact
-  /// floating-point addition sequence is preserved. With cluster-reordered
-  /// doc ids the positively-ANDed operands are dense runs, so the scan
-  /// collapses to the few shards the clusters live in.
-  double WeightOfAndNotAnd(const DynamicBitset& a, const DynamicBitset& b,
-                           const DynamicBitset& c, const WordRange& range)
-      const;
-
   /// Generic fused weighted fold: `combine(words...)` receives one 64-bit
   /// word per operand and returns the word of the combined set; the
   /// weights of its set bits are summed. The combined word must be 0 for
@@ -98,14 +87,6 @@ class ResultUniverse {
   /// positively is safe).
   template <typename Combine, typename... Sets>
   double WeightWhere(Combine&& combine, const Sets&... sets) const;
-
-  /// WeightWhere restricted to `range`: bit-identical to the full fold
-  /// whenever `combine` yields 0 for every word outside the range (any
-  /// expression that positively ANDs an operand whose nonzero words lie
-  /// inside `range` qualifies).
-  template <typename Combine, typename... Sets>
-  double WeightWhereInRange(const WordRange& range, Combine&& combine,
-                            const Sets&... sets) const;
 
   /// S(universe).
   double total_weight() const { return total_weight_; }
@@ -224,7 +205,7 @@ class ResultUniverse {
   std::vector<double> weights_;
   /// True when every result weighs exactly 1.0 (the unranked setting).
   /// S(.) of a set expression is then its cardinality, so the weighted
-  /// kernels shortcut to the SIMD count kernels — bit-identical, because
+  /// kernels shortcut to the popcount kernels — bit-identical, because
   /// summing k in-order 1.0s yields exactly k.
   bool unit_weights_ = false;
   double total_weight_ = 0.0;
@@ -252,31 +233,6 @@ double ResultUniverse::WeightWhere(Combine&& combine,
   double sum = 0.0;
   const double* weights = weights_.data();
   DynamicBitset::ForEachWord(
-      [&](size_t w, auto... words) {
-        uint64_t word = combine(words...);
-        while (word != 0) {
-          int bit = __builtin_ctzll(word);
-          sum += weights[w * 64 + static_cast<size_t>(bit)];
-          word &= word - 1;
-        }
-      },
-      sets...);
-  return sum;
-}
-
-template <typename Combine, typename... Sets>
-double ResultUniverse::WeightWhereInRange(const WordRange& range,
-                                          Combine&& combine,
-                                          const Sets&... sets) const {
-  QEC_COUNTER_INC("universe/fused_evals");
-  auto check_size = [this](const DynamicBitset& s) {
-    QEC_CHECK_EQ(s.size(), docs_.size());
-  };
-  (check_size(sets), ...);
-  double sum = 0.0;
-  const double* weights = weights_.data();
-  DynamicBitset::ForEachWordInRange(
-      range,
       [&](size_t w, auto... words) {
         uint64_t word = combine(words...);
         while (word != 0) {

@@ -110,9 +110,8 @@ BuildInfo GetBuildInfo() {
 #ifndef QEC_DISABLE_TRACING
   info.tracing = true;
 #endif
-  // The bitset-kernel tier the runtime dispatcher selected (cpuid +
-  // QEC_KERNEL_DISPATCH override) — scalar and avx2 are exact-equal, so
-  // this is for performance triage, not correctness.
+  // The bitset-kernel implementation, kept as a label so dashboards and
+  // scrapers that read it keep working.
   info.kernel_tier = simd::ActiveTierName();
   return info;
 }

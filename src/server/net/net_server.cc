@@ -9,7 +9,6 @@
 
 #include "common/logging.h"
 #include "obs/metrics.h"
-#include "obs/prometheus.h"
 #include "server/protocol.h"
 
 namespace qec::server::net {
@@ -141,7 +140,7 @@ void NetServer::OnLine(Connection& connection, std::string_view line) {
     immediate_requests_.fetch_add(1, std::memory_order_relaxed);
     QEC_COUNTER_INC("net/immediate_requests");
     const uint64_t slot = connection.OpenSlot();
-    connection.CompleteSlot(slot, ImmediateResponse(request));
+    connection.CompleteSlot(slot, server_->ControlResponse(request));
     return;
   }
 
@@ -181,38 +180,6 @@ void NetServer::OnClosed(Connection& connection) {
   active_connections_.store(connections_.size(), std::memory_order_relaxed);
   QEC_GAUGE_SET("net/active_connections",
                 static_cast<int64_t>(connections_.size()));
-}
-
-std::string NetServer::ImmediateResponse(const ServeRequest& request) {
-  // Mirrors the stdin driver in qec_cli verb for verb, so the two
-  // transports answer byte-identically.
-  switch (request.verb) {
-    case ServeRequest::Verb::kPing:
-      return "{\"status\":\"ok\",\"pong\":true}";
-    case ServeRequest::Verb::kStats:
-      return server_->StatsJsonLine();
-    case ServeRequest::Verb::kMetrics: {
-      // Multi-line Prometheus text; the trailing "# EOF" line marks the
-      // end for pipeline consumers. The final newline is re-added by the
-      // connection's line writer.
-      std::string out = qec::obs::PrometheusSnapshot();
-      if (!out.empty() && out.back() == '\n') out.pop_back();
-      return out;
-    }
-    case ServeRequest::Verb::kSlowlog:
-      return server_->SlowlogJsonLine(request.slowlog_count);
-    case ServeRequest::Verb::kAbtest:
-      return server_->AbtestJsonLine(request.abtest_count);
-    case ServeRequest::Verb::kExplain:
-      // Synchronous on the loop thread by design: a diagnostic verb, and a
-      // pipelined EXPLAIN stalls only its own connection.
-      return server_->ExplainJsonLine(request);
-    case ServeRequest::Verb::kExpand:
-      break;  // unreachable: handled via the worker pool
-  }
-  ServeResponse bad;
-  bad.status = Status::Internal("unhandled verb");
-  return ResponseToJsonLine(bad);
 }
 
 void NetServer::Drain() {

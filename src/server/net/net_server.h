@@ -115,9 +115,6 @@ class NetServer {
   void OnLine(Connection& connection, std::string_view line);
   void OnBatchEnd(Connection& connection);
   void OnClosed(Connection& connection);
-  /// Serves the verbs answered without the worker pool; returns the
-  /// response line.
-  std::string ImmediateResponse(const ServeRequest& request);
   void Drain();
 
   QecServer* server_;

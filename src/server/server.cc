@@ -8,6 +8,7 @@
 #include "common/threading.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/prometheus.h"
 #include "obs/trace.h"
 
 namespace qec::server {
@@ -737,6 +738,33 @@ std::string QecServer::AbtestJsonLine(size_t max) const {
            "\"primary_wins\":0,\"shadow_wins\":0,\"ties\":0,\"recent\":[]}";
   }
   return shadow_->AbtestJsonLine(max);
+}
+
+std::string QecServer::ControlResponse(const ServeRequest& request) const {
+  switch (request.verb) {
+    case ServeRequest::Verb::kPing:
+      return "{\"status\":\"ok\",\"pong\":true}";
+    case ServeRequest::Verb::kStats:
+      return StatsJsonLine();
+    case ServeRequest::Verb::kMetrics: {
+      std::string out = obs::PrometheusSnapshot();
+      if (!out.empty() && out.back() == '\n') out.pop_back();
+      return out;
+    }
+    case ServeRequest::Verb::kSlowlog:
+      return SlowlogJsonLine(request.slowlog_count);
+    case ServeRequest::Verb::kAbtest:
+      return AbtestJsonLine(request.abtest_count);
+    case ServeRequest::Verb::kExplain:
+      // Synchronous and cache-bypassing by design: a diagnostic verb, and
+      // a pipelined EXPLAIN stalls only its own connection.
+      return ExplainJsonLine(request);
+    case ServeRequest::Verb::kExpand:
+      break;  // served through the worker pool, never here
+  }
+  ServeResponse bad;
+  bad.status = Status::Internal("unhandled verb");
+  return ResponseToJsonLine(bad);
 }
 
 std::string QecServer::ExplainJsonLine(const ServeRequest& request) const {

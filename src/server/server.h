@@ -194,6 +194,13 @@ class QecServer {
   /// tallies zero).
   std::string AbtestJsonLine(size_t max) const;
 
+  /// The response to a control verb — any verb but EXPAND — computed
+  /// synchronously on the calling thread. Both transports (NetServer and
+  /// qec_cli's stdin loop) answer through it, so they agree byte for
+  /// byte. METRICS is multi-line Prometheus text ending in "# EOF",
+  /// without the final newline: the transport's line writer adds it.
+  std::string ControlResponse(const ServeRequest& request) const;
+
   /// Pending shadow runs (the low-priority queue).
   size_t shadow_queue_depth() const;
   /// Zero-value tallies when shadowing is disabled.

@@ -13,7 +13,6 @@
 #include "common/dynamic_bitset.h"
 #include "common/interned_strings.h"
 #include "common/random.h"
-#include "common/simd_kernels.h"
 #include "common/small_vector.h"
 #include "common/status.h"
 #include "common/string_util.h"
@@ -447,6 +446,51 @@ TEST(DynamicBitsetTest, ForEachWordVisitsAllOperands) {
   EXPECT_EQ(fused_count, 3u);
 }
 
+/// The count and predicate kernels against a per-bit Test() loop. Sizes
+/// 0..300 cover every tail length and sets of up to five words; operands
+/// mix empty, full and random words so the early-exit predicates take both
+/// paths.
+TEST(DynamicBitsetTest, WordKernelsMatchPerBitReference) {
+  Rng rng(17);
+  for (int iter = 0; iter < 400; ++iter) {
+    const size_t size = rng.UniformInt(301);
+    auto random_bits = [&] {
+      const double p = rng.Bernoulli(0.2)   ? 0.0
+                       : rng.Bernoulli(0.2) ? 1.0
+                                            : rng.UniformDouble();
+      DynamicBitset bits(size);
+      for (size_t i = 0; i < size; ++i) {
+        if (rng.Bernoulli(p)) bits.Set(i);
+      }
+      return bits;
+    };
+    const DynamicBitset a = random_bits();
+    const DynamicBitset b = random_bits();
+    const DynamicBitset c = random_bits();
+    size_t count = 0, and_count = 0, and_not = 0, and3 = 0, and_not_and = 0;
+    bool subset = true;
+    for (size_t i = 0; i < size; ++i) {
+      const bool x = a.Test(i), y = b.Test(i), z = c.Test(i);
+      count += x;
+      and_count += x && y;
+      and_not += x && !y;
+      and3 += x && y && z;
+      and_not_and += x && !y && z;
+      subset = subset && (!x || y);
+    }
+    SCOPED_TRACE("size=" + std::to_string(size));
+    ASSERT_EQ(a.Count(), count);
+    ASSERT_EQ(a.AndCount(b), and_count);
+    ASSERT_EQ(a.AndNotCount(b), and_not);
+    ASSERT_EQ(a.AndCount3(b, c), and3);
+    ASSERT_EQ(a.AndNotAndCount(b, c), and_not_and);
+    ASSERT_EQ(a.None(), count == 0);
+    ASSERT_EQ(a.Intersects(b), and_count != 0);
+    ASSERT_EQ(a.Intersects(b, c), and3 != 0);
+    ASSERT_EQ(a.IsSubsetOf(b), subset);
+  }
+}
+
 
 // ------------------------------------------------------------ SmallVector --
 
@@ -580,70 +624,6 @@ TEST(StringInternerTest, OversizedStringsGetTheirOwnChunk) {
   EXPECT_EQ(stored, huge);
   EXPECT_EQ(interner.Intern("small").data(), small.data());
   EXPECT_EQ(interner.Intern(huge).data(), stored.data());
-}
-
-// ---------------------------------------------------------- SIMD kernels --
-
-/// Every dispatch tier must return bit-identical results: the kernels
-/// compute integer counts and booleans, so there is no tolerance — a
-/// mismatch in any single word pattern is a bug.
-TEST(SimdKernelsTest, TiersAgreeOnRandomWordArrays) {
-  const simd::KernelTier original = simd::ActiveTier();
-  if (!simd::Avx2Supported()) GTEST_SKIP() << "no AVX2 on this host";
-  Rng rng(7);
-  for (int iter = 0; iter < 200; ++iter) {
-    // Cover the AVX2 block boundary (4 words) and scalar tails.
-    const size_t n = 1 + rng.UniformInt(12);
-    std::vector<uint64_t> a(n), b(n), c(n);
-    for (size_t i = 0; i < n; ++i) {
-      // Mix dense, sparse, and zero words so the early-exit predicates
-      // take both paths.
-      a[i] = rng.Bernoulli(0.2) ? 0 : rng.Next();
-      b[i] = rng.Bernoulli(0.2) ? ~0ULL : rng.Next();
-      c[i] = rng.Bernoulli(0.3) ? 0 : rng.Next();
-    }
-    ASSERT_TRUE(simd::SetTier(simd::KernelTier::kScalar));
-    const simd::KernelOps& scalar = simd::Ops();
-    const size_t pc = scalar.popcount(a.data(), n);
-    const size_t ac = scalar.and_count(a.data(), b.data(), n);
-    const size_t anc = scalar.and_not_count(a.data(), b.data(), n);
-    const size_t ac3 = scalar.and_count3(a.data(), b.data(), c.data(), n);
-    const size_t anac =
-        scalar.and_not_and_count(a.data(), b.data(), c.data(), n);
-    const bool any = scalar.any(a.data(), n);
-    const bool i2 = scalar.intersects2(a.data(), b.data(), n);
-    const bool i3 = scalar.intersects3(a.data(), b.data(), c.data(), n);
-    const bool aan = scalar.any_and_not(a.data(), b.data(), n);
-    ASSERT_TRUE(simd::SetTier(simd::KernelTier::kAvx2));
-    const simd::KernelOps& avx2 = simd::Ops();
-    ASSERT_EQ(avx2.popcount(a.data(), n), pc);
-    ASSERT_EQ(avx2.and_count(a.data(), b.data(), n), ac);
-    ASSERT_EQ(avx2.and_not_count(a.data(), b.data(), n), anc);
-    ASSERT_EQ(avx2.and_count3(a.data(), b.data(), c.data(), n), ac3);
-    ASSERT_EQ(avx2.and_not_and_count(a.data(), b.data(), c.data(), n), anac);
-    ASSERT_EQ(avx2.any(a.data(), n), any);
-    ASSERT_EQ(avx2.intersects2(a.data(), b.data(), n), i2);
-    ASSERT_EQ(avx2.intersects3(a.data(), b.data(), c.data(), n), i3);
-    ASSERT_EQ(avx2.any_and_not(a.data(), b.data(), n), aan);
-  }
-  simd::SetTier(original);
-}
-
-TEST(SimdKernelsTest, SetTierRejectsUnsupportedAndReportsNames) {
-  const simd::KernelTier original = simd::ActiveTier();
-  EXPECT_TRUE(simd::SetTier(simd::KernelTier::kScalar));
-  EXPECT_EQ(simd::ActiveTier(), simd::KernelTier::kScalar);
-  EXPECT_STREQ(simd::ActiveTierName(), "scalar");
-  if (simd::Avx2Supported()) {
-    EXPECT_TRUE(simd::SetTier(simd::KernelTier::kAvx2));
-    EXPECT_STREQ(simd::ActiveTierName(), "avx2");
-  } else {
-    EXPECT_FALSE(simd::SetTier(simd::KernelTier::kAvx2));
-    EXPECT_EQ(simd::ActiveTier(), simd::KernelTier::kScalar);
-  }
-  EXPECT_STREQ(simd::TierName(simd::KernelTier::kScalar), "scalar");
-  EXPECT_STREQ(simd::TierName(simd::KernelTier::kAvx2), "avx2");
-  simd::SetTier(original);
 }
 
 // ------------------------------------------------------------- SweepPool --

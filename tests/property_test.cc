@@ -11,7 +11,6 @@
 #include "cluster/doc_reorder.h"
 #include "common/dynamic_bitset.h"
 #include "common/random.h"
-#include "common/simd_kernels.h"
 #include "core/metrics.h"
 #include "core/query_expander.h"
 #include "core/result_universe.h"
@@ -444,151 +443,6 @@ TEST_P(FusedKernelProperty, RetrieveIntoMatchesRetrieve) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FusedKernelProperty,
                          ::testing::Range<uint64_t>(1, 41));
-
-// ---------------------------------------------------------- ranged kernels
-
-/// The WordRange-restricted kernels must be EXACTLY the full kernels
-/// whenever the skipped words are provably zero in the positively-ANDed
-/// operands: skipping an all-zero word removes no term from the popcount
-/// or weighted sum, so even the doubles match bit for bit. This is what
-/// lets the sharded benefit/cost sweeps stay byte-identical to the serial
-/// single-universe path.
-class RangedKernelProperty : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(RangedKernelProperty, RangedKernelsMatchFullKernels) {
-  Rng rng(GetParam());
-  for (int iter = 0; iter < 25; ++iter) {
-    const size_t size = 1 + rng.UniformInt(500);
-    doc::Corpus corpus;
-    std::vector<index::RankedResult> results;
-    for (size_t d = 0; d < size; ++d) {
-      DocId id = corpus.AddTextDocument(std::to_string(d), "t");
-      results.push_back({id, 0.05 + rng.UniformDouble() * 4.0});
-    }
-    core::ResultUniverse universe(corpus, results);
-    // Sparse operands concentrated in a sub-span, mimicking a shard-local
-    // cluster; b stays dense (it plays the ~docs_k complement role, which
-    // must never restrict the scan range).
-    auto span_bits = [&] {
-      DynamicBitset bits(size);
-      const size_t lo = rng.UniformInt(size);
-      const size_t hi = lo + rng.UniformInt(size - lo);
-      for (size_t i = lo; i <= hi && i < size; ++i) {
-        if (rng.Bernoulli(0.3)) bits.Set(i);
-      }
-      return bits;
-    };
-    const DynamicBitset a = span_bits();
-    DynamicBitset b(size);
-    for (size_t i = 0; i < size; ++i) {
-      if (rng.Bernoulli(0.5)) b.Set(i);
-    }
-    const DynamicBitset c = span_bits();
-
-    const WordRange scan =
-        WordRange::Intersect(a.NonzeroWordRange(), c.NonzeroWordRange());
-    ASSERT_EQ(universe.WeightOfAndNotAnd(a, b, c, scan),
-              universe.WeightOfAndNotAnd(a, b, c));
-    ASSERT_EQ(a.Intersects(b, c, scan), a.Intersects(b, c));
-    ASSERT_EQ(a.AndNotCount(b, a.NonzeroWordRange()), a.AndNotCount(b));
-
-    // NonzeroWordRange brackets every set bit.
-    const WordRange nz = a.NonzeroWordRange();
-    ASSERT_EQ(nz.empty(), a.None());
-    for (size_t i = 0; i < size; ++i) {
-      if (a.Test(i)) {
-        ASSERT_GE(i / 64, nz.begin);
-        ASSERT_LT(i / 64, nz.end);
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, RangedKernelProperty,
-                         ::testing::Range<uint64_t>(1, 21));
-
-// ----------------------------------------------------------- kernel tiers
-
-/// Mirror of FusedKernelProperty across dispatch tiers: every count,
-/// predicate, and weighted kernel must return EXACTLY the same value under
-/// the scalar and AVX2 tables. The kernels are integer/boolean (the
-/// weighted folds stay scalar; the unit-weight shortcut routes through the
-/// count kernels, where an in-order sum of k ones is exactly k), so this
-/// is == equality, not a tolerance.
-class KernelTierProperty : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(KernelTierProperty, TiersAgreeExactly) {
-  if (!simd::Avx2Supported()) GTEST_SKIP() << "no AVX2 on this host";
-  const simd::KernelTier original = simd::ActiveTier();
-  Rng rng(GetParam());
-  for (int iter = 0; iter < 25; ++iter) {
-    const size_t size = 1 + rng.UniformInt(700);
-    doc::Corpus corpus;
-    std::vector<index::RankedResult> results;
-    const bool unit_weights = rng.Bernoulli(0.5);
-    for (size_t d = 0; d < size; ++d) {
-      DocId id = corpus.AddTextDocument(std::to_string(d), "t");
-      results.push_back(
-          {id, unit_weights ? 1.0 : 0.05 + rng.UniformDouble() * 4.0});
-    }
-    core::ResultUniverse universe(corpus, results);
-    auto random_bits = [&] {
-      DynamicBitset bits(size);
-      for (size_t i = 0; i < size; ++i) {
-        if (rng.Bernoulli(0.4)) bits.Set(i);
-      }
-      return bits;
-    };
-    const DynamicBitset a = random_bits();
-    const DynamicBitset b = random_bits();
-    const DynamicBitset c = random_bits();
-    const WordRange nz = a.NonzeroWordRange();
-
-    struct Probe {
-      size_t count, and3, andnot, andnotand, ranged;
-      bool any, i2, i3, none;
-      double w_and, w_andnot, w_andnotand, w_ranged;
-    };
-    auto probe = [&](simd::KernelTier tier) {
-      EXPECT_TRUE(simd::SetTier(tier));
-      Probe p;
-      p.count = a.Count();
-      p.and3 = a.AndCount3(b, c);
-      p.andnot = a.AndNotCount(b);
-      p.andnotand = a.AndNotAndCount(b, c);
-      p.ranged = a.AndNotCount(b, nz);
-      p.any = a.Any();
-      p.i2 = a.Intersects(b);
-      p.i3 = a.Intersects(b, c);
-      p.none = a.None();
-      p.w_and = universe.WeightOfAnd(a, b);
-      p.w_andnot = universe.WeightOfAndNot(a, b);
-      p.w_andnotand = universe.WeightOfAndNotAnd(a, b, c);
-      p.w_ranged = universe.WeightOfAndNotAnd(
-          a, b, c, WordRange::Intersect(nz, c.NonzeroWordRange()));
-      return p;
-    };
-    const Probe scalar = probe(simd::KernelTier::kScalar);
-    const Probe avx2 = probe(simd::KernelTier::kAvx2);
-    ASSERT_EQ(scalar.count, avx2.count);
-    ASSERT_EQ(scalar.and3, avx2.and3);
-    ASSERT_EQ(scalar.andnot, avx2.andnot);
-    ASSERT_EQ(scalar.andnotand, avx2.andnotand);
-    ASSERT_EQ(scalar.ranged, avx2.ranged);
-    ASSERT_EQ(scalar.any, avx2.any);
-    ASSERT_EQ(scalar.i2, avx2.i2);
-    ASSERT_EQ(scalar.i3, avx2.i3);
-    ASSERT_EQ(scalar.none, avx2.none);
-    ASSERT_EQ(scalar.w_and, avx2.w_and);
-    ASSERT_EQ(scalar.w_andnot, avx2.w_andnot);
-    ASSERT_EQ(scalar.w_andnotand, avx2.w_andnotand);
-    ASSERT_EQ(scalar.w_ranged, avx2.w_ranged);
-  }
-  simd::SetTier(original);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, KernelTierProperty,
-                         ::testing::Range<uint64_t>(1, 21));
 
 // ------------------------------------------------------------ doc reorder
 

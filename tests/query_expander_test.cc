@@ -4,7 +4,6 @@
 
 #include <set>
 
-#include "common/simd_kernels.h"
 #include "core/candidates.h"
 #include "core/query_expander.h"
 #include "datagen/shopping.h"
@@ -289,23 +288,6 @@ TEST_P(DeterminismFixture, MemoizedSetAlgebraMatchesUncached) {
   ExpectIdenticalOutcomes(plain, Run(1, true));
   // Memo + threads together (the server's configuration).
   ExpectIdenticalOutcomes(plain, Run(8, true));
-}
-
-TEST_P(DeterminismFixture, ForcedKernelTiersProduceIdenticalExpansions) {
-  // QEC_KERNEL_DISPATCH=scalar|avx2 must be invisible in the output: the
-  // dispatch tier only changes how the set-algebra kernels are computed,
-  // never what they compute, so the full pipeline is byte-identical for
-  // every algorithm under either tier (CI runs the whole suite once per
-  // tier on top of this targeted check).
-  if (!simd::Avx2Supported()) GTEST_SKIP() << "no AVX2 on this host";
-  const simd::KernelTier original = simd::ActiveTier();
-  ASSERT_TRUE(simd::SetTier(simd::KernelTier::kScalar));
-  const ExpansionOutcome scalar = Run(1, false);
-  ASSERT_TRUE(simd::SetTier(simd::KernelTier::kAvx2));
-  ExpectIdenticalOutcomes(scalar, Run(1, false));
-  // Tier + every execution strategy at once (threads, memo, sweeps).
-  ExpectIdenticalOutcomes(scalar, Run(8, true, 8));
-  simd::SetTier(original);
 }
 
 TEST_P(DeterminismFixture, ParallelCandidateSweepMatchesSerial) {
