@@ -55,7 +55,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -73,6 +72,7 @@
 #include "obs/profiler.h"
 #include "obs/prometheus.h"
 #include "server/admin/admin_server.h"
+#include "server/net/connection.h"
 #include "server/net/net_server.h"
 #include "server/protocol.h"
 #include "server/server.h"
@@ -685,12 +685,12 @@ void HandleStopSignal(int) {
   if (net != nullptr) net->RequestStop();
 }
 
-// Ordered stdout writer for the pipelined stdin serve loop. The reader
-// thread opens one slot per request line and keeps reading ahead;
-// responses complete out of order on worker threads but print strictly in
-// request order. Open() applies backpressure once `window` responses are
-// outstanding, so a piped-in workload cannot trip the server's admission
-// shedding.
+// Ordered stdout writer for the pipelined stdin serve loop: the TCP
+// connections' slot queue behind a mutex. The reader thread opens one slot
+// per request line and keeps reading ahead; responses complete out of order
+// on worker threads but print strictly in request order. Open() applies
+// backpressure once `window` responses are outstanding, so a piped-in
+// workload cannot trip the server's admission shedding.
 class OrderedStdout {
  public:
   explicit OrderedStdout(size_t window) : window_(window) {}
@@ -703,24 +703,21 @@ class OrderedStdout {
   uint64_t Open() {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [this] { return slots_.size() < window_; });
-    slots_.emplace_back();
-    return next_++;
+    return slots_.Open();
   }
 
   void Complete(uint64_t slot, std::string line) {
-    std::lock_guard<std::mutex> lock(mu_);
-    slots_[static_cast<size_t>(slot - base_)] = {true, std::move(line)};
-    bool flushed = false;
-    while (!slots_.empty() && slots_.front().done) {
-      std::printf("%s\n", slots_.front().line.c_str());
-      slots_.pop_front();
-      ++base_;
-      flushed = true;
-    }
-    if (flushed) {
+    line += '\n';
+    std::string ready;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      slots_.Complete(slot, std::move(line));
+      slots_.TakeReady(&ready);
+      if (ready.empty()) return;
+      std::fwrite(ready.data(), 1, ready.size(), stdout);
       std::fflush(stdout);
-      cv_.notify_all();
     }
+    cv_.notify_all();
   }
 
   /// Blocks until every opened slot has completed and printed.
@@ -730,17 +727,10 @@ class OrderedStdout {
   }
 
  private:
-  struct Slot {
-    bool done = false;
-    std::string line;
-  };
-
   const size_t window_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<Slot> slots_;
-  uint64_t next_ = 0;
-  uint64_t base_ = 0;
+  qec::server::net::SlotQueue slots_;
 };
 
 // serve: the line-protocol serving layer (docs/SERVING.md) driven by

@@ -1,12 +1,9 @@
 #include "server/admin/admin_server.h"
 
-#include <sys/epoll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
+#include <memory>
 #include <utility>
-#include <vector>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -45,105 +42,51 @@ AdminServer::AdminServer(QecServer* server, net::NetServer* net_server,
                          AdminServerOptions options)
     : server_(server),
       net_server_(net_server),
-      options_(std::move(options)) {}
+      options_(std::move(options)),
+      front_end_(AdminPlane()) {}
+
+net::PlaneConfig AdminServer::AdminPlane() {
+  net::PlaneConfig plane;
+  plane.name = "admin";
+  plane.host = options_.host;
+  plane.port = options_.port;
+  plane.backlog = options_.backlog;
+  plane.max_connections = options_.max_connections;
+  plane.drain_timeout_ms = options_.drain_timeout_ms;
+  plane.busy_response =
+      RenderResponse(503, kTextPlain, "admin connection limit reached\n",
+                     /*keep_alive=*/false);
+  plane.framer = HttpFramer(
+      options_.max_header_bytes, options_.max_body_bytes,
+      [this](net::Connection& connection, const HttpRequest& request,
+             uint64_t slot) { OnRequest(connection, request, slot); });
+  plane.accepted_metric = "admin/http_connections_accepted";
+  plane.rejected_metric = "admin/http_rejected_over_capacity";
+  plane.active_metric = "admin/http_active_connections";
+  return plane;
+}
 
 AdminServer::~AdminServer() { Shutdown(); }
 
-Status AdminServer::Bind() {
-  if (listener_) return Status::Ok();
-  loop_ = std::make_shared<net::EventLoop>();
-  if (!loop_->status().ok()) return loop_->status();
-  auto listener =
-      net::Listener::Bind(options_.host, options_.port, options_.backlog);
-  if (!listener.ok()) return listener.status();
-  listener_ = std::move(listener).value();
-  bound_port_.store(listener_->port(), std::memory_order_release);
-  const Status added = loop_->Add(listener_->fd(), EPOLLIN, [this](uint32_t) {
-    listener_->AcceptReady(
-        [this](int fd, std::string peer) { OnAccept(fd, std::move(peer)); });
-  });
-  if (!added.ok()) return added;
-  QEC_LOG(Info) << "admin: listening on " << options_.host << ":"
-                << listener_->port();
-  return Status::Ok();
-}
-
-uint16_t AdminServer::port() const {
-  return bound_port_.load(std::memory_order_acquire);
-}
-
-Status AdminServer::Start() {
-  const Status bound = Bind();
-  if (!bound.ok()) return bound;
-  run_thread_ = std::thread([this] { RunLoop(); });
-  return Status::Ok();
-}
-
-void AdminServer::RunLoop() {
-  while (!stop_requested_.load(std::memory_order_acquire)) {
-    if (loop_->RunOnce(/*timeout_ms=*/1000) < 0) {
-      QEC_LOG(Error) << "admin: event loop failed";
-      return;
-    }
-  }
-  Drain();
-}
-
 void AdminServer::RequestStop() {
-  stop_requested_.store(true, std::memory_order_release);
   profile_abort_.store(true, std::memory_order_release);
-  if (loop_) loop_->Wakeup();
+  front_end_.RequestStop();
 }
 
 void AdminServer::Shutdown() {
   RequestStop();
-  if (run_thread_.joinable()) run_thread_.join();
+  front_end_.Shutdown();
   if (profile_thread_.joinable()) profile_thread_.join();
 }
 
-void AdminServer::OnAccept(int fd, std::string peer) {
-  if (connections_.size() >= options_.max_connections) {
-    QEC_COUNTER_INC("admin/http_rejected_over_capacity");
-    const std::string busy = HttpConnection::RenderResponse(
-        503, kTextPlain, "admin connection limit reached\n",
-        /*keep_alive=*/false);
-    (void)::send(fd, busy.data(), busy.size(), MSG_NOSIGNAL);
-    ::close(fd);
-    return;
-  }
-  HttpConnection::Callbacks callbacks;
-  callbacks.on_request = [this](HttpConnection& c, const HttpRequest& r,
-                                uint64_t slot) { OnRequest(c, r, slot); };
-  callbacks.on_closed = [this](HttpConnection& c) { OnClosed(c); };
-  auto connection = std::make_shared<HttpConnection>(
-      loop_.get(), fd, std::move(peer), options_.max_header_bytes,
-      options_.max_body_bytes, std::move(callbacks));
-  const Status registered = connection->Register();
-  if (!registered.ok()) {
-    QEC_LOG(Warning) << "admin: register " << connection->peer()
-                     << " failed: " << registered.message();
-    return;
-  }
-  QEC_COUNTER_INC("admin/http_connections_accepted");
-  connections_.emplace(fd, std::move(connection));
-  QEC_GAUGE_SET("admin/http_active_connections",
-                static_cast<int64_t>(connections_.size()));
-}
-
-void AdminServer::OnClosed(HttpConnection& connection) {
-  connections_.erase(connection.fd());
-  QEC_GAUGE_SET("admin/http_active_connections",
-                static_cast<int64_t>(connections_.size()));
-}
-
-void AdminServer::OnRequest(HttpConnection& connection,
+void AdminServer::OnRequest(net::Connection& connection,
                             const HttpRequest& request, uint64_t slot) {
   const std::string response = Route(connection, request, slot);
   if (response.empty()) return;  // completes asynchronously
   connection.CompleteSlot(slot, response, /*close_after=*/!request.keep_alive);
 }
 
-std::string AdminServer::Route(HttpConnection& connection,
+std::string AdminServer::Route(net::Connection& connection,
                                const HttpRequest& request, uint64_t slot) {
   const bool keep = request.keep_alive;
   const std::string& path = request.path;
@@ -153,48 +96,43 @@ std::string AdminServer::Route(HttpConnection& connection,
       path == "/statusz" || path == "/slowlog" || path == "/abtest" ||
       path == "/pprof/profile";
   if (!known_path) {
-    return HttpConnection::RenderResponse(404, kTextPlain,
-                                          "unknown route " + path + "\n",
-                                          keep);
+    return RenderResponse(404, kTextPlain, "unknown route " + path + "\n",
+                          keep);
   }
   // Admin routes are all read-only views; HEAD/POST/PUT/... earn a 405 so
   // a misconfigured pusher fails loudly instead of silently succeeding.
   if (request.method != "GET") {
-    return HttpConnection::RenderResponse(
-        405, kTextPlain, "method " + request.method + " not allowed\n", keep);
+    return RenderResponse(405, kTextPlain,
+                          "method " + request.method + " not allowed\n", keep);
   }
 
   if (path == "/metrics") {
     QEC_COUNTER_INC("admin/scrapes");
-    return HttpConnection::RenderResponse(200, kOpenMetrics,
-                                          obs::PrometheusSnapshot(), keep);
+    return RenderResponse(200, kOpenMetrics, obs::PrometheusSnapshot(), keep);
   }
   if (path == "/healthz") {
-    return HttpConnection::RenderResponse(200, kTextPlain, "ok\n", keep);
+    return RenderResponse(200, kTextPlain, "ok\n", keep);
   }
   if (path == "/readyz") {
     const bool ready =
         !draining() &&
         (net_server_ == nullptr || !net_server_->stop_requested());
-    return ready ? HttpConnection::RenderResponse(200, kTextPlain, "ready\n",
-                                                  keep)
-                 : HttpConnection::RenderResponse(503, kTextPlain,
-                                                  "draining\n", keep);
+    return ready ? RenderResponse(200, kTextPlain, "ready\n", keep)
+                 : RenderResponse(503, kTextPlain, "draining\n", keep);
   }
   if (path == "/statusz") {
-    return HttpConnection::RenderResponse(200, kJson, StatuszJson(), keep);
+    return RenderResponse(200, kJson, StatuszJson(), keep);
   }
   if (path == "/slowlog") {
     const size_t n = static_cast<size_t>(
         QueryNumber(request, "n", 16.0, 1.0, 1024.0));
-    return HttpConnection::RenderResponse(
-        200, kJson, server_->SlowlogJsonLine(n) + "\n", keep);
+    return RenderResponse(200, kJson, server_->SlowlogJsonLine(n) + "\n",
+                          keep);
   }
   if (path == "/abtest") {
     const size_t n = static_cast<size_t>(
         QueryNumber(request, "n", 16.0, 1.0, 1024.0));
-    return HttpConnection::RenderResponse(
-        200, kJson, server_->AbtestJsonLine(n) + "\n", keep);
+    return RenderResponse(200, kJson, server_->AbtestJsonLine(n) + "\n", keep);
   }
   // /pprof/profile
   StartProfile(connection, request, slot);
@@ -256,7 +194,7 @@ std::string AdminServer::StatuszJson() const {
   return out;
 }
 
-void AdminServer::StartProfile(HttpConnection& connection,
+void AdminServer::StartProfile(net::Connection& connection,
                                const HttpRequest& request, uint64_t slot) {
   const bool keep = request.keep_alive;
   const double seconds = QueryNumber(request, "seconds", 2.0, 0.1,
@@ -269,8 +207,8 @@ void AdminServer::StartProfile(HttpConnection& connection,
   if (!profile_busy_.compare_exchange_strong(expected, true)) {
     connection.CompleteSlot(
         slot,
-        HttpConnection::RenderResponse(
-            409, kTextPlain, "a cpu profile is already running\n", keep),
+        RenderResponse(409, kTextPlain, "a cpu profile is already running\n",
+                       keep),
         !keep);
     return;
   }
@@ -279,15 +217,15 @@ void AdminServer::StartProfile(HttpConnection& connection,
   if (profile_thread_.joinable()) profile_thread_.join();
 
   QEC_COUNTER_INC("admin/profiles");
-  std::weak_ptr<HttpConnection> weak = connection.weak_from_this();
-  auto loop = loop_;
+  std::weak_ptr<net::Connection> weak = connection.weak_from_this();
+  auto loop = front_end_.loop();
   profile_thread_ = std::thread([this, loop, weak, slot, keep, hz, seconds] {
     obs::CpuProfiler& profiler = obs::CpuProfiler::Global();
     std::string response;
     const Status started = profiler.Start(hz);
     if (!started.ok()) {
-      response = HttpConnection::RenderResponse(
-          409, kTextPlain, started.message() + "\n", keep);
+      response =
+          RenderResponse(409, kTextPlain, started.message() + "\n", keep);
     } else {
       // Sleep in slices so shutdown aborts a long capture promptly.
       const auto deadline =
@@ -297,8 +235,7 @@ void AdminServer::StartProfile(HttpConnection& connection,
              !profile_abort_.load(std::memory_order_acquire)) {
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
       }
-      response = HttpConnection::RenderResponse(
-          200, kTextPlain, profiler.StopFolded(), keep);
+      response = RenderResponse(200, kTextPlain, profiler.StopFolded(), keep);
     }
     loop->Post([weak, slot, response = std::move(response), keep]() mutable {
       if (auto conn = weak.lock()) {
@@ -307,36 +244,6 @@ void AdminServer::StartProfile(HttpConnection& connection,
     });
     profile_busy_.store(false, std::memory_order_release);
   });
-}
-
-void AdminServer::Drain() {
-  if (listener_) {
-    loop_->Remove(listener_->fd());
-    listener_->Close();
-  }
-  std::vector<std::shared_ptr<HttpConnection>> open;
-  open.reserve(connections_.size());
-  for (auto& [fd, conn] : connections_) open.push_back(conn);
-  for (auto& conn : open) conn->StartDrain();
-
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(options_.drain_timeout_ms);
-  while (!connections_.empty()) {
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) break;
-    const auto left =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
-    loop_->RunOnce(static_cast<int>(
-        std::min<std::chrono::milliseconds::rep>(left.count(), 50)));
-  }
-  if (!connections_.empty()) {
-    QEC_LOG(Warning) << "admin: drain timeout, force-closing "
-                     << connections_.size() << " connection(s)";
-    open.clear();
-    for (auto& [fd, conn] : connections_) open.push_back(conn);
-    for (auto& conn : open) conn->Close();
-  }
-  QEC_GAUGE_SET("admin/http_active_connections", 0);
 }
 
 }  // namespace qec::server::admin

@@ -4,15 +4,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
 
 #include "common/status.h"
-#include "server/admin/http_connection.h"
-#include "server/net/event_loop.h"
-#include "server/net/listener.h"
+#include "server/admin/http.h"
+#include "server/net/connection.h"
+#include "server/net/front_end.h"
 #include "server/net/net_server.h"
 #include "server/server.h"
 
@@ -35,9 +33,9 @@ struct AdminServerOptions {
   int default_profile_hz = 99;
 };
 
-/// The HTTP admin plane: a second listener on its own EventLoop and thread
-/// (admin traffic never competes with query pipelining), speaking just
-/// enough HTTP/1.1 for fleet tooling. Routes:
+/// The HTTP admin plane: a second net::FrontEnd on its own EventLoop and
+/// thread (admin traffic never competes with query pipelining), framed by
+/// HttpFramer and speaking just enough HTTP/1.1 for fleet tooling. Routes:
 ///
 ///   GET /metrics        Prometheus/OpenMetrics text with exemplars and
 ///                       the qec_process_* families
@@ -68,11 +66,11 @@ class AdminServer {
 
   /// Creates the loop and binds the listener; port() is valid after an OK
   /// return. Start() calls it implicitly if needed.
-  Status Bind();
-  uint16_t port() const;
+  Status Bind() { return front_end_.Bind(); }
+  uint16_t port() const { return front_end_.port(); }
 
   /// Bind() + a background thread running the loop until RequestStop().
-  Status Start();
+  Status Start() { return front_end_.Start(); }
 
   /// RequestStop() + join. Idempotent; the destructor calls it.
   void Shutdown();
@@ -87,34 +85,25 @@ class AdminServer {
   bool draining() const { return draining_.load(std::memory_order_acquire); }
 
  private:
-  void RunLoop();
-  void OnAccept(int fd, std::string peer);
-  void OnRequest(HttpConnection& connection, const HttpRequest& request,
+  net::PlaneConfig AdminPlane();
+  void OnRequest(net::Connection& connection, const HttpRequest& request,
                  uint64_t slot);
-  void OnClosed(HttpConnection& connection);
   /// Routes a GET. Returns the serialized response, or "" when the route
   /// completes asynchronously (the profiler).
-  std::string Route(HttpConnection& connection, const HttpRequest& request,
+  std::string Route(net::Connection& connection, const HttpRequest& request,
                     uint64_t slot);
   std::string StatuszJson() const;
-  void StartProfile(HttpConnection& connection, const HttpRequest& request,
+  void StartProfile(net::Connection& connection, const HttpRequest& request,
                     uint64_t slot);
-  void Drain();
 
   QecServer* server_;
   net::NetServer* net_server_;
   AdminServerOptions options_;
-  std::shared_ptr<net::EventLoop> loop_;
-  std::unique_ptr<net::Listener> listener_;
-  std::unordered_map<int, std::shared_ptr<HttpConnection>> connections_;
 
   const std::chrono::steady_clock::time_point start_time_ =
       std::chrono::steady_clock::now();
 
-  std::thread run_thread_;
-  std::atomic<bool> stop_requested_{false};
   std::atomic<bool> draining_{false};
-  std::atomic<uint16_t> bound_port_{0};
 
   /// One profile at a time; the flag clears when the capture thread hands
   /// its response to the loop.
@@ -122,6 +111,8 @@ class AdminServer {
   /// Tells an in-flight capture to cut its sleep short on shutdown.
   std::atomic<bool> profile_abort_{false};
   std::thread profile_thread_;
+
+  net::FrontEnd front_end_;
 };
 
 }  // namespace qec::server::admin

@@ -5,11 +5,9 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 #include <utility>
 
 #include "common/logging.h"
-#include "obs/metrics.h"
 
 namespace qec::server::net {
 
@@ -22,13 +20,48 @@ constexpr size_t kMaxBytesPerReadEvent = 256 * 1024;
 
 }  // namespace
 
+uint64_t SlotQueue::Open() {
+  slots_.emplace_back();
+  return next_++;
+}
+
+void SlotQueue::Complete(uint64_t slot, std::string bytes, bool close_after) {
+  if (slot < base_) return;
+  const size_t index = static_cast<size_t>(slot - base_);
+  QEC_CHECK_LT(index, slots_.size());
+  slots_[index].done = true;
+  slots_[index].close_after = close_after;
+  slots_[index].bytes = std::move(bytes);
+}
+
+bool SlotQueue::TakeReady(std::string* out) {
+  while (!slots_.empty() && slots_.front().done) {
+    *out += slots_.front().bytes;
+    const bool close_after = slots_.front().close_after;
+    slots_.pop_front();
+    ++base_;
+    if (close_after) {
+      // Responses past a close are undeliverable by contract.
+      Clear();
+      return true;
+    }
+  }
+  return false;
+}
+
+void SlotQueue::Clear() {
+  base_ = next_;
+  slots_.clear();
+}
+
 Connection::Connection(EventLoop* loop, int fd, std::string peer,
-                       size_t max_line_bytes, Callbacks callbacks)
+                       Framer framer,
+                       std::function<void(Connection&)> on_closed)
     : loop_(loop),
       fd_(fd),
       peer_(std::move(peer)),
-      max_line_bytes_(max_line_bytes),
-      callbacks_(std::move(callbacks)) {}
+      framer_(std::move(framer)),
+      on_closed_(std::move(on_closed)) {}
 
 Connection::~Connection() {
   if (fd_ >= 0 && !closed_) ::close(fd_);
@@ -60,11 +93,11 @@ void Connection::OnReadable() {
   if (draining_) return;  // interest already narrowed; spurious level event
   char buf[16 * 1024];
   size_t read_this_event = 0;
+  bool peer_eof = false;
   for (;;) {
     const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
     if (n > 0) {
       rbuf_.append(buf, static_cast<size_t>(n));
-      bytes_read_ += static_cast<uint64_t>(n);
       read_this_event += static_cast<size_t>(n);
       if (read_this_event >= kMaxBytesPerReadEvent) break;
       continue;
@@ -73,7 +106,7 @@ void Connection::OnReadable() {
       // Orderly shutdown from the peer. Responses for everything already
       // received still go out (the client may have half-closed with
       // shutdown(SHUT_WR) and be reading).
-      peer_eof_ = true;
+      peer_eof = true;
       break;
     }
     if (errno == EINTR) continue;
@@ -82,89 +115,20 @@ void Connection::OnReadable() {
     return;
   }
 
-  DeliverFrames();
+  framer_(*this, rbuf_);
+  // Nothing more will arrive. StartDrain also drops EPOLLIN: a socket at
+  // EOF stays readable, so leaving it armed would spin the loop until the
+  // owed responses flush.
+  if (peer_eof) StartDrain();
+}
+
+void Connection::CompleteSlot(uint64_t slot, std::string bytes,
+                              bool close_after) {
   if (closed_) return;
-  if (callbacks_.on_batch_end) callbacks_.on_batch_end(*this);
-  if (closed_) return;
-  if (peer_eof_) {
-    // Nothing more will arrive: close now if nothing is owed, otherwise
-    // once the open slots flush.
-    draining_ = true;
-    MaybeFinish();
-  }
-}
-
-void Connection::DeliverFrames() {
-  size_t consumed = 0;
-  for (;;) {
-    const size_t nl = rbuf_.find('\n', scan_pos_);
-    if (nl == std::string::npos) {
-      scan_pos_ = rbuf_.size();
-      break;
-    }
-    size_t end = nl;
-    if (end > consumed && rbuf_[end - 1] == '\r') --end;
-    const std::string_view line(rbuf_.data() + consumed, end - consumed);
-    consumed = nl + 1;
-    scan_pos_ = consumed;
-    if (line.size() > max_line_bytes_) {
-      QEC_COUNTER_INC("net/oversized_lines");
-      const uint64_t slot = OpenSlot();
-      CompleteSlot(slot,
-                   "{\"status\":\"error\",\"code\":\"InvalidArgument\","
-                   "\"message\":\"request line exceeds " +
-                       std::to_string(max_line_bytes_) + " bytes\"}");
-      StartDrain();
-      rbuf_.clear();
-      scan_pos_ = 0;
-      return;
-    }
-    if (!line.empty() && callbacks_.on_line) callbacks_.on_line(*this, line);
-    if (closed_ || draining_) break;
-  }
-  if (consumed > 0) {
-    rbuf_.erase(0, consumed);
-    scan_pos_ -= consumed;
-  }
-  // Unterminated frame growing past the limit: the terminator can be
-  // arbitrarily far away, so reject now instead of buffering unboundedly.
-  if (!closed_ && !draining_ && rbuf_.size() > max_line_bytes_) {
-    QEC_COUNTER_INC("net/oversized_lines");
-    const uint64_t slot = OpenSlot();
-    CompleteSlot(slot,
-                 "{\"status\":\"error\",\"code\":\"InvalidArgument\","
-                 "\"message\":\"request line exceeds " +
-                     std::to_string(max_line_bytes_) + " bytes\"}");
-    StartDrain();
-    rbuf_.clear();
-    scan_pos_ = 0;
-  }
-}
-
-uint64_t Connection::OpenSlot() {
-  slots_.emplace_back();
-  return next_slot_++;
-}
-
-void Connection::CompleteSlot(uint64_t slot, std::string line) {
-  if (closed_) return;
-  if (slot < base_slot_) return;  // flushed already (cannot normally happen)
-  const size_t index = static_cast<size_t>(slot - base_slot_);
-  QEC_CHECK_LT(index, slots_.size());
-  slots_[index].done = true;
-  slots_[index].line = std::move(line);
-  FlushCompleted();
-}
-
-void Connection::FlushCompleted() {
+  slots_.Complete(slot, std::move(bytes), close_after);
   // Coalesce: every completed head-of-line response joins one buffer, so a
   // pipelined burst answers with one send() instead of one per response.
-  while (!slots_.empty() && slots_.front().done) {
-    wbuf_ += slots_.front().line;
-    wbuf_ += '\n';
-    slots_.pop_front();
-    ++base_slot_;
-  }
+  if (slots_.TakeReady(&wbuf_)) StartDrain();
   if (write_pos_ < wbuf_.size()) ScheduleFlush();
 }
 
@@ -187,7 +151,6 @@ void Connection::TryWrite() {
                              wbuf_.size() - write_pos_, MSG_NOSIGNAL);
     if (n > 0) {
       write_pos_ += static_cast<size_t>(n);
-      bytes_written_ += static_cast<uint64_t>(n);
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
@@ -222,12 +185,8 @@ void Connection::StartDrain() {
   MaybeFinish();
 }
 
-bool Connection::MaybeFinish() {
-  if (closed_) return true;
-  if (!draining_) return false;
-  if (!idle()) return false;
-  Close();
-  return true;
+void Connection::MaybeFinish() {
+  if (draining_ && !closed_ && idle()) Close();
 }
 
 void Connection::Close() {
@@ -235,10 +194,10 @@ void Connection::Close() {
   closed_ = true;
   loop_->Remove(fd_);
   ::close(fd_);
-  slots_.clear();
+  slots_.Clear();
   wbuf_.clear();
   write_pos_ = 0;
-  if (callbacks_.on_closed) callbacks_.on_closed(*this);
+  if (on_closed_) on_closed_(*this);
 }
 
 }  // namespace qec::server::net

@@ -12,42 +12,74 @@
 
 namespace qec::server::net {
 
-/// One accepted TCP connection speaking the line protocol, owned by the
-/// event-loop thread. Handles:
+/// Response slots that complete in any order and are released in the
+/// order they were opened: the reorder buffer behind pipelining. Not
+/// thread-safe; the owner serializes access.
+class SlotQueue {
+ public:
+  /// Reserves the next slot.
+  uint64_t Open();
+
+  /// Stores the bytes for `slot`. `close_after` ends the stream once they
+  /// are released. Completions of released or dropped slots are ignored.
+  void Complete(uint64_t slot, std::string bytes, bool close_after = false);
+
+  /// Appends every completed head-of-line slot's bytes to `out`, in slot
+  /// order. Returns true when a released slot carried close_after: it is
+  /// the last one released, and every later slot is dropped.
+  bool TakeReady(std::string* out);
+
+  /// Drops every open slot; their later completions are ignored.
+  void Clear();
+
+  /// Slots opened but not yet released.
+  size_t size() const { return slots_.size(); }
+  bool empty() const { return slots_.empty(); }
+
+ private:
+  struct Slot {
+    bool done = false;
+    bool close_after = false;
+    std::string bytes;
+  };
+
+  std::deque<Slot> slots_;
+  uint64_t next_ = 0;
+  /// Slot id of slots_.front().
+  uint64_t base_ = 0;
+};
+
+/// One accepted TCP connection, owned by the event-loop thread. Both
+/// serving planes use it; each supplies only a framer. Handles:
 ///
-///  - nonblocking reads with EINTR/EAGAIN/partial-frame handling: bytes
-///    accumulate in a receive buffer until '\n' completes a frame (CRLF
-///    tolerated), so a request split across arbitrarily many TCP segments
-///    parses identically to one arriving whole;
-///  - a max-line guard: a frame that exceeds the limit without a
-///    terminator gets one error response and the connection drains closed
-///    (the stream cannot resync past an unterminated frame);
-///  - pipelining with in-order writeback: every parsed line opens a
-///    response slot; slots complete out of order (worker pool) but are
-///    written strictly in request order;
+///  - nonblocking reads with EINTR/EAGAIN handling into a receive buffer
+///    that the framer consumes, so a request split across arbitrarily many
+///    TCP segments parses identically to one arriving whole;
+///  - pipelining with in-order writeback: the framer opens one response
+///    slot per request; slots complete out of order (worker pool,
+///    profiler thread) but are written strictly in request order;
 ///  - write coalescing: all completed head-of-line responses are appended
 ///    to one output buffer and flushed with as few send() calls as the
-///    socket accepts, falling back to EPOLLOUT on short writes.
+///    socket accepts, falling back to EPOLLOUT on short writes;
+///  - drain: on peer EOF, StartDrain, or a response marked close_after,
+///    reading stops and the connection closes once nothing is owed.
 ///
-/// Thread model: every method must be called on the loop thread. Worker
+/// Thread model: every method must be called on the loop thread. Other
 /// threads deliver responses by posting a CompleteSlot call through the
 /// EventLoop. Callers keep Connections alive via shared_ptr; event
 /// handlers self-hold, so a handler that closes its own connection is
 /// safe.
 class Connection : public std::enable_shared_from_this<Connection> {
  public:
-  struct Callbacks {
-    /// One complete, non-empty request line (terminator stripped).
-    std::function<void(Connection&, std::string_view line)> on_line;
-    /// End of one readable burst: every line the kernel had buffered has
-    /// been delivered — the moment to submit the accumulated batch.
-    std::function<void(Connection&)> on_batch_end;
-    /// The fd is closed and deregistered; drop the owning shared_ptr.
-    std::function<void(Connection&)> on_closed;
-  };
+  /// Called after every read event with the receive buffer. Consumes every
+  /// complete frame at its front (erasing it), opening one slot per
+  /// request; a partial frame stays for the next event.
+  using Framer = std::function<void(Connection&, std::string& rbuf)>;
 
-  Connection(EventLoop* loop, int fd, std::string peer, size_t max_line_bytes,
-             Callbacks callbacks);
+  /// `on_closed` runs once the fd is closed and deregistered; the owner
+  /// drops its shared_ptr there.
+  Connection(EventLoop* loop, int fd, std::string peer, Framer framer,
+             std::function<void(Connection&)> on_closed);
   ~Connection();
 
   Connection(const Connection&) = delete;
@@ -59,16 +91,17 @@ class Connection : public std::enable_shared_from_this<Connection> {
 
   /// Reserves the next in-order response slot. Responses are written back
   /// in OpenSlot order regardless of completion order.
-  uint64_t OpenSlot();
+  uint64_t OpenSlot() { return slots_.Open(); }
 
-  /// Delivers the response line for a slot (without trailing newline; it
-  /// is appended on the wire). Flushes every completed head-of-line slot.
-  /// No-op after Close.
-  void CompleteSlot(uint64_t slot, std::string line);
+  /// Delivers a slot's response bytes, written verbatim. `close_after`
+  /// closes the connection once they flush; later slots are dropped.
+  /// Flushes every completed head-of-line slot. No-op after Close.
+  void CompleteSlot(uint64_t slot, std::string bytes,
+                    bool close_after = false);
 
   /// Stops reading; the connection closes once every open slot has
-  /// completed and flushed. Used for server drain and after protocol
-  /// errors that poison the stream.
+  /// completed and flushed. Used on peer EOF, for server drain, and after
+  /// protocol errors that poison the stream.
   void StartDrain();
 
   /// Immediate teardown: deregisters, closes the fd, invokes on_closed.
@@ -78,27 +111,14 @@ class Connection : public std::enable_shared_from_this<Connection> {
   int fd() const { return fd_; }
   const std::string& peer() const { return peer_; }
   bool closed() const { return closed_; }
-  /// Slots opened but not yet flushed to the socket.
-  size_t open_slots() const { return slots_.size(); }
+  bool draining() const { return draining_; }
+
+ private:
   /// True when nothing is owed to the client: no open slots, no buffered
   /// output.
   bool idle() const { return slots_.empty() && write_pos_ >= wbuf_.size(); }
-  uint64_t bytes_read() const { return bytes_read_; }
-  uint64_t bytes_written() const { return bytes_written_; }
-
- private:
-  struct Slot {
-    bool done = false;
-    std::string line;
-  };
-
   void HandleEvents(uint32_t events);
   void OnReadable();
-  /// Extracts every complete frame from rbuf_, enforcing the max-line
-  /// guard on both terminated and still-unterminated frames.
-  void DeliverFrames();
-  /// Appends completed head-of-line slots to wbuf_ and schedules a flush.
-  void FlushCompleted();
   /// Defers TryWrite to the end of the current loop iteration, so a burst
   /// of completions (one batch of worker responses, or several immediate
   /// verbs in one read event) leaves the socket with one send() instead of
@@ -106,24 +126,17 @@ class Connection : public std::enable_shared_from_this<Connection> {
   void ScheduleFlush();
   void TryWrite();
   void UpdateWriteInterest(bool want_write);
-  /// Closes once drained/EOF and nothing is owed. Returns true if closed.
-  bool MaybeFinish();
+  /// Closes once draining and nothing is owed.
+  void MaybeFinish();
 
   EventLoop* loop_;
   int fd_;
   std::string peer_;
-  const size_t max_line_bytes_;
-  Callbacks callbacks_;
+  Framer framer_;
+  std::function<void(Connection&)> on_closed_;
 
   std::string rbuf_;
-  /// Prefix of rbuf_ already scanned for '\n' (avoids rescans on partial
-  /// frames).
-  size_t scan_pos_ = 0;
-
-  std::deque<Slot> slots_;
-  uint64_t next_slot_ = 0;
-  /// Slot id of slots_.front().
-  uint64_t base_slot_ = 0;
+  SlotQueue slots_;
 
   std::string wbuf_;
   size_t write_pos_ = 0;
@@ -131,12 +144,8 @@ class Connection : public std::enable_shared_from_this<Connection> {
   /// A posted flush task is in flight; further completions just append.
   bool flush_scheduled_ = false;
 
-  bool peer_eof_ = false;
   bool draining_ = false;
   bool closed_ = false;
-
-  uint64_t bytes_read_ = 0;
-  uint64_t bytes_written_ = 0;
 };
 
 }  // namespace qec::server::net

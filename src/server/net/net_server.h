@@ -3,16 +3,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
 #include "server/net/connection.h"
-#include "server/net/event_loop.h"
-#include "server/net/listener.h"
+#include "server/net/front_end.h"
 #include "server/server.h"
 
 namespace qec::server::net {
@@ -53,9 +49,10 @@ struct NetServerStats {
   uint64_t drain_duration_ms = 0;
 };
 
-/// Epoll front end serving the qec line protocol over TCP, in front of an
-/// existing QecServer (which must outlive it and whose worker pool does
-/// every expansion — the loop thread only parses, dispatches, and writes).
+/// The qec line protocol over TCP: a FrontEnd whose connections are framed
+/// by '\n', in front of an existing QecServer (which must outlive it and
+/// whose worker pool does every expansion — the loop thread only parses,
+/// dispatches, and writes).
 ///
 /// Pipelining: a connection may send any number of request lines without
 /// waiting; responses come back in request order. All EXPAND lines decoded
@@ -73,77 +70,67 @@ struct NetServerStats {
 class NetServer {
  public:
   NetServer(QecServer* server, NetServerOptions options = {});
-  ~NetServer();
 
   NetServer(const NetServer&) = delete;
   NetServer& operator=(const NetServer&) = delete;
 
   /// Creates the event loop and binds the listener; port() is valid after
   /// an OK return. Run()/Start() call it implicitly if needed.
-  Status Bind();
+  Status Bind() { return front_end_.Bind(); }
 
   /// The bound port (resolves an ephemeral request to the real port).
-  uint16_t port() const;
+  uint16_t port() const { return front_end_.port(); }
 
   /// Runs the event loop on the calling thread until RequestStop(), then
   /// drains and returns. This is what `qec_cli serve --port` blocks in.
-  Status Run();
+  Status Run() { return front_end_.Run(); }
 
   /// Bind() + a background thread running Run(). For tests and the
   /// in-process benchmark.
-  Status Start();
+  Status Start() { return front_end_.Start(); }
 
-  /// RequestStop() + join the background thread (or wait for a foreground
-  /// Run() to drain). Idempotent; the destructor calls it.
-  void Shutdown();
+  /// RequestStop() + join the background thread. Idempotent; the
+  /// destructor calls it.
+  void Shutdown() { front_end_.Shutdown(); }
 
   /// Signals the loop to stop and drain. Async-signal-safe: callable
   /// straight from a SIGINT/SIGTERM handler.
-  void RequestStop();
+  void RequestStop() { front_end_.RequestStop(); }
 
   /// True once RequestStop() was called — the admin plane's /readyz flips
   /// to 503 on this, before the listener actually closes.
-  bool stop_requested() const {
-    return stop_requested_.load(std::memory_order_acquire);
-  }
+  bool stop_requested() const { return front_end_.stop_requested(); }
 
   NetServerStats stats() const;
   const NetServerOptions& options() const { return options_; }
 
  private:
-  void OnAccept(int fd, std::string peer);
+  PlaneConfig LinePlane();
+  /// The line framer: every '\n'-terminated frame (CRLF tolerated) at the
+  /// front of `rbuf` becomes one request; `scan_pos` is the prefix already
+  /// searched, so a partial frame is not rescanned on the next read.
+  /// Enforces the max-line guard on terminated and unterminated frames,
+  /// then admits the burst's EXPANDs as one batch.
+  void ReadLines(Connection& connection, std::string& rbuf, size_t& scan_pos);
   void OnLine(Connection& connection, std::string_view line);
-  void OnBatchEnd(Connection& connection);
-  void OnClosed(Connection& connection);
-  void Drain();
+  /// Admits the EXPANDs buffered from the current readable burst.
+  void SubmitBatch();
 
   QecServer* server_;
   NetServerOptions options_;
-  /// shared_ptr so worker-pool completion callbacks can keep the loop
-  /// alive (and post into it harmlessly) even if the NetServer is torn
-  /// down on a drain timeout with expansions still in flight.
-  std::shared_ptr<EventLoop> loop_;
-  std::unique_ptr<Listener> listener_;
-  std::unordered_map<int, std::shared_ptr<Connection>> connections_;
   /// EXPANDs decoded from the current readable burst, admitted together
-  /// at on_batch_end.
+  /// once the burst is framed.
   std::vector<QecServer::AsyncRequest> batch_;
 
-  std::thread run_thread_;
-  std::atomic<bool> stop_requested_{false};
-  std::atomic<bool> running_{false};
-  std::atomic<uint16_t> bound_port_{0};
-
-  std::atomic<uint64_t> accepted_{0};
-  std::atomic<uint64_t> rejected_over_capacity_{0};
-  std::atomic<uint64_t> closed_{0};
   std::atomic<uint64_t> lines_{0};
   std::atomic<uint64_t> expand_requests_{0};
   std::atomic<uint64_t> immediate_requests_{0};
   std::atomic<uint64_t> parse_errors_{0};
   std::atomic<uint64_t> batches_{0};
-  std::atomic<size_t> active_connections_{0};
-  std::atomic<uint64_t> drain_duration_ms_{0};
+
+  /// Last member: destroyed (and its loop thread joined) first, while the
+  /// state its framers use is still alive.
+  FrontEnd front_end_;
 };
 
 }  // namespace qec::server::net

@@ -12,8 +12,10 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -127,6 +129,9 @@ class HttpClient {
     return response;
   }
 
+  /// shutdown(SHUT_WR): the server reads EOF, the client can still read.
+  bool HalfClose() { return ::shutdown(fd_, SHUT_WR) == 0; }
+
   /// True when the peer closed: recv returns 0 with no buffered data.
   bool ReadEof() {
     if (!buf_.empty()) return false;
@@ -162,6 +167,25 @@ class HttpClient {
   int fd_ = -1;
   std::string buf_;
 };
+
+/// Share of one CPU the whole process burns while the calling thread
+/// sleeps `window_ms`: a loop thread spinning on a level-triggered event
+/// reads as ~1.0, an idle loop as ~0.
+double CpuShareWhileSleeping(int window_ms) {
+  const auto cpu_ms = [] {
+    struct timespec ts = {};
+    ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e3 +
+           static_cast<double>(ts.tv_nsec) / 1e6;
+  };
+  const double cpu_start = cpu_ms();
+  const auto wall_start = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(window_ms));
+  const double wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - wall_start)
+                             .count();
+  return (cpu_ms() - cpu_start) / wall_ms;
+}
 
 // -------------------------------------------------------------- fixture --
 
@@ -524,6 +548,30 @@ TEST_F(AdminHttpFixture, ProfileRouteCapturesAndRejectsConcurrent) {
   // Folded stacks: "frame;frame;... count" lines.
   EXPECT_FALSE(profile.body.empty());
   EXPECT_NE(profile.body.find(';'), std::string::npos) << profile.body;
+}
+
+TEST_F(AdminHttpFixture, HalfClosedPeerWithOwedProfileDoesNotSpin) {
+  QecServer server(index_);
+  auto admin = StartAdmin(&server);
+  HttpClient client(admin->port());
+  ASSERT_TRUE(client.connected());
+
+  // The profile response stays owed for a second after the client
+  // half-closes. The socket at EOF stays readable; the loop must stop
+  // watching it instead of spinning on it. A spin fills both windows; the
+  // quieter one keeps a one-off burst (sampling, sanitizer bookkeeping)
+  // from reading as one.
+  ASSERT_TRUE(client.Get("/pprof/profile?seconds=1"));
+  ASSERT_TRUE(client.HalfClose());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const double first = CpuShareWhileSleeping(300);
+  const double second = CpuShareWhileSleeping(300);
+  EXPECT_LT(std::min(first, second), 0.25) << first << ", " << second;
+
+  auto profile = client.ReadResponse();
+  ASSERT_TRUE(profile.ok);
+  EXPECT_EQ(profile.status, 200);
+  EXPECT_TRUE(client.ReadEof());
 }
 
 TEST_F(AdminHttpFixture, ProfilerSummarizesFoldedStacks) {

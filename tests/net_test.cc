@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -123,6 +126,25 @@ class TestClient {
   int fd_ = -1;
   std::string buf_;
 };
+
+/// Share of one CPU the whole process burns while the calling thread
+/// sleeps `window_ms`: a loop thread spinning on a level-triggered event
+/// reads as ~1.0, an idle loop as ~0.
+double CpuShareWhileSleeping(int window_ms) {
+  const auto cpu_ms = [] {
+    struct timespec ts = {};
+    ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e3 +
+           static_cast<double>(ts.tv_nsec) / 1e6;
+  };
+  const double cpu_start = cpu_ms();
+  const auto wall_start = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(window_ms));
+  const double wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - wall_start)
+                             .count();
+  return (cpu_ms() - cpu_start) / wall_ms;
+}
 
 // -------------------------------------------------------------- fixture --
 
@@ -362,6 +384,117 @@ TEST_F(NetServerFixture, StatsAndMetricsOverTcp) {
     if (line == "# EOF") break;
   }
   EXPECT_TRUE(saw_counter);
+}
+
+TEST_F(NetServerFixture, HalfClosedPeerWithOwedResponseDoesNotSpin) {
+  ServerOptions server_options;
+  server_options.start_workers = false;  // the EXPAND stays owed until Start()
+  QecServer server(index_, server_options);
+  auto net = StartNet(&server);
+  TestClient client(net->port());
+  ASSERT_TRUE(client.connected());
+
+  ASSERT_TRUE(client.Send("EXPAND " + query(0) + "\n"));
+  ASSERT_EQ(::shutdown(client.fd(), SHUT_WR), 0);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (net->stats().expand_requests < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(net->stats().expand_requests, 1u);
+
+  // The socket at EOF stays readable; the loop must stop watching it
+  // while the response is owed instead of spinning on it.
+  EXPECT_LT(CpuShareWhileSleeping(300), 0.25);
+
+  server.Start();
+  const std::string line = client.ReadLine();
+  EXPECT_NE(line.find("\"status\":\"ok\""), std::string::npos) << line;
+  EXPECT_TRUE(client.ReadEof());
+}
+
+TEST_F(NetServerFixture, FdExhaustionTurnsConnectionAwayWithoutSpinning) {
+  QecServer server(index_);
+  auto net = StartNet(&server);
+  {
+    // Serve once first: sanitizer runtimes open descriptors the first time
+    // they check a type, which they cannot do once the limit drops.
+    TestClient warm(net->port());
+    ASSERT_TRUE(warm.connected());
+    ASSERT_TRUE(warm.Send("PING\n"));
+    ASSERT_EQ(warm.ReadLine(), "{\"status\":\"ok\",\"pong\":true}");
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (net->stats().closed < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(net->stats().closed, 1u);  // its descriptor is free again
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  struct timeval tv = {};
+  tv.tv_sec = 2;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  struct sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(net->port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+
+  // Fill every free descriptor below the highest open one, then cap the
+  // soft limit at the next free number: the server's accept() now fails
+  // with EMFILE.
+  int top = 0;
+  for (int f = 0; f < 4096; ++f) {
+    if (::fcntl(f, F_GETFD) != -1) top = f;
+  }
+  std::vector<int> fillers;
+  int next = ::dup(0);
+  while (next >= 0 && next < top) {
+    fillers.push_back(next);
+    next = ::dup(0);
+  }
+  ASSERT_GT(next, top);
+  ::close(next);
+  struct rlimit saved = {};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  struct rlimit lowered = saved;
+  lowered.rlim_cur = static_cast<rlim_t>(next);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+
+  // Only EXPECTs until the limit is restored.
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  std::string received;
+  char chunk[256];
+  ssize_t n = 0;
+  while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+    received.append(chunk, static_cast<size_t>(n));
+  }
+  const bool eof = n == 0;
+  const auto took = std::chrono::steady_clock::now() - start;
+  const double cpu_share = CpuShareWhileSleeping(300);
+
+  ::setrlimit(RLIMIT_NOFILE, &saved);
+  for (const int filler : fillers) ::close(filler);
+  ::close(fd);
+
+  EXPECT_NE(received.find("\"code\":\"Unavailable\""), std::string::npos)
+      << received;
+  EXPECT_TRUE(eof);
+  EXPECT_LT(took, std::chrono::seconds(2));
+  EXPECT_LT(cpu_share, 0.25);
+  EXPECT_EQ(net->stats().rejected_over_capacity, 1u);
+
+  // The server serves normally once descriptors are back.
+  TestClient client(net->port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.Send("PING\n"));
+  EXPECT_EQ(client.ReadLine(), "{\"status\":\"ok\",\"pong\":true}");
 }
 
 }  // namespace
