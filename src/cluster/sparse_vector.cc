@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace qec::cluster {
 
-SparseVector::SparseVector(std::vector<std::pair<TermId, double>> entries) {
-  entries_.assign(entries.begin(), entries.end());
+SparseVector::SparseVector(EntryList entries) : entries_(std::move(entries)) {
   std::sort(entries_.begin(), entries_.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   // Merge duplicates and drop explicit zeros.

@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/small_vector.h"
 #include "common/types.h"
 #include "doc/document.h"
 
@@ -17,16 +16,13 @@ namespace qec::cluster {
 /// similarity.
 class SparseVector {
  public:
-  /// Sparse TF entries, sorted by term. Small-size-optimized: short
-  /// documents and centroid deltas (the common case in per-request
-  /// clustering) keep their entries inline instead of heap-allocating a
-  /// vector per result.
-  using EntryList = common::SmallVector<std::pair<TermId, double>, 8>;
+  /// Sparse TF entries, sorted by term.
+  using EntryList = std::vector<std::pair<TermId, double>>;
 
   SparseVector() = default;
 
   /// Builds from unsorted (term, weight) pairs; duplicate terms are summed.
-  explicit SparseVector(std::vector<std::pair<TermId, double>> entries);
+  explicit SparseVector(EntryList entries);
 
   /// TF vector of a document (weight = term frequency).
   static SparseVector FromDocument(const doc::Document& document);

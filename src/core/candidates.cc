@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 namespace qec::core {
 
@@ -10,7 +9,6 @@ std::vector<TermId> SelectCandidates(const ResultUniverse& universe,
                                      const index::InvertedIndex& index,
                                      const std::vector<TermId>& user_query,
                                      const CandidateOptions& options) {
-  std::unordered_set<TermId> excluded(user_query.begin(), user_query.end());
   struct Scored {
     TermId term;
     double score;
@@ -18,7 +16,7 @@ std::vector<TermId> SelectCandidates(const ResultUniverse& universe,
   std::vector<Scored> scored;
   const size_t n = universe.size();
   for (TermId t : universe.DistinctTerms()) {
-    if (excluded.count(t) != 0) continue;
+    if (std::ranges::find(user_query, t) != user_query.end()) continue;
     if (options.drop_universal_terms && universe.DocsWithTerm(t).Count() == n) {
       continue;
     }

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
-#include "common/small_vector.h"
 #include "common/sweep_pool.h"
 
 namespace qec::core {
@@ -19,10 +18,9 @@ ExpansionResult FMeasureExpander::Expand(
   QEC_CHECK(context.universe != nullptr);
   const ResultUniverse& universe = *context.universe;
 
-  common::SmallVector<TermId, 16> query;
+  std::vector<TermId> query;
+  query.reserve(16);
   query.assign(context.user_query.begin(), context.user_query.end());
-  std::unordered_set<TermId> user_terms(context.user_query.begin(),
-                                        context.user_query.end());
   // All working sets are arena leases: repeated expansions over one
   // universe run allocation-free once the arena is warm.
   auto retrieved = universe.AcquireScratch();
@@ -60,13 +58,14 @@ ExpansionResult FMeasureExpander::Expand(
     // slot, merged below in candidate-index order, so any
     // SweepOptions::threads is byte-identical to serial.
     universe.RetrieveInto(query, &*base);
-    std::unordered_set<TermId> in_query(query.begin(), query.end());
     const size_t n = context.candidates.size();
     candidate_f.assign(n, -1.0);
     evaluated.assign(n, 0);
     common::ParallelFor(sweep_.threads, n, [&](size_t i) {
       const TermId k = context.candidates[i];
-      if (in_query.count(k) != 0) return;
+      // A linear scan: the query holds a handful of terms, and the sweep
+      // workers only read it.
+      if (std::ranges::find(query, k) != query.end()) return;
       evaluated[i] = 1;
       const DynamicBitset& docs_k = universe.DocsWithTerm(k);
       candidate_f[i] =
@@ -94,7 +93,10 @@ ExpansionResult FMeasureExpander::Expand(
     if (options_.allow_removal) {
       // Removals: every previously added keyword.
       for (TermId k : query) {
-        if (user_terms.count(k) != 0) continue;
+        if (std::ranges::find(context.user_query, k) !=
+            context.user_query.end()) {
+          continue;
+        }
         ++recomputations;
         universe.RetrieveWithoutInto(query, k, &*r);
         double f = EvaluateQuery(universe, *r, context.cluster).f_measure;
@@ -119,7 +121,7 @@ ExpansionResult FMeasureExpander::Expand(
   }
 
   ExpansionResult result;
-  result.query.assign(query.begin(), query.end());
+  result.query = std::move(query);
   result.quality = EvaluateQuery(universe, *retrieved, context.cluster);
   result.iterations = iterations;
   result.value_recomputations = recomputations;

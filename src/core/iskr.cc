@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "common/small_vector.h"
 #include "common/sweep_pool.h"
 #include "core/benefit_cost.h"
 #include "obs/metrics.h"
@@ -45,7 +44,9 @@ class IskrState {
         delta_(ctx.universe->AcquireScratch()),
         without_(ctx.universe->AcquireScratch()),
         slots_(ctx.candidates.size()) {
+    query_.reserve(16);
     query_.assign(ctx.user_query.begin(), ctx.user_query.end());
+    removal_entries_.reserve(16);
     RefreshAdditions(nullptr);
   }
 
@@ -78,7 +79,7 @@ class IskrState {
     size_t recomputations = removal_evals_;
     for (const Slot& slot : slots_) recomputations += slot.evals;
     ExpansionResult result;
-    result.query.assign(query_.begin(), query_.end());
+    result.query = query_;
     result.quality =
         EvaluateQuery(*ctx_.universe, eval_.retrieved(), ctx_.cluster);
     result.iterations = iterations_;
@@ -206,13 +207,13 @@ class IskrState {
   const IskrOptions& options_;
   const SweepOptions& sweep_;
   std::vector<IskrStep>* trace_;
-  common::SmallVector<TermId, 16> query_;
+  std::vector<TermId> query_;
   AdditionEvaluator eval_;
   ResultUniverse::ScratchBitset delta_;
   ResultUniverse::ScratchBitset without_;
   std::vector<Slot> slots_;
   /// (slot, removal entry) of every added keyword, in query order.
-  common::SmallVector<std::pair<size_t, BenefitCost>, 16> removal_entries_;
+  std::vector<std::pair<size_t, BenefitCost>> removal_entries_;
   size_t iterations_ = 0;
   size_t removal_evals_ = 0;
   size_t additions_ = 0;

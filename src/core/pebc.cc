@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/random.h"
-#include "common/small_vector.h"
 #include "common/sweep_pool.h"
 #include "core/benefit_cost.h"
 #include "obs/metrics.h"
@@ -35,6 +33,7 @@ class SampleBuilder {
         selected_(ctx.universe->AcquireScratch()),
         blocked_(ctx.universe->AcquireScratch()) {
     total_u_weight_ = ctx_.universe->TotalWeight(ctx_.others);
+    query_.reserve(16);
   }
 
   /// Generates a query eliminating roughly `target_percent`% of U's weight
@@ -42,8 +41,6 @@ class SampleBuilder {
   PebcSample Build(double target_percent, PebcStrategy strategy) {
     QEC_TRACE_SPAN("pebc/build_sample");
     query_.assign(ctx_.user_query.begin(), ctx_.user_query.end());
-    in_query_.clear();
-    in_query_.insert(query_.begin(), query_.end());
     eval_.Reset();
     SyncLiveWeight();
     const double target =
@@ -68,7 +65,7 @@ class SampleBuilder {
     sample.f_measure =
         EvaluateQuery(*ctx_.universe, eval_.retrieved(), ctx_.cluster)
             .f_measure;
-    sample.query.assign(query_.begin(), query_.end());
+    sample.query = query_;
     return sample;
   }
 
@@ -81,6 +78,12 @@ class SampleBuilder {
   }
 
   double EliminatedWeight() const { return total_u_weight_ - live_u_weight_; }
+
+  // A linear scan: the query holds a handful of keywords. Sweep workers
+  // call it concurrently; they only read query_.
+  bool InQuery(TermId k) const {
+    return std::ranges::find(query_, k) != query_.end();
+  }
 
   size_t NumEliminatedBy(TermId k) const {
     return eval_.retrieved().AndNotCount(ctx_.universe->DocsWithTerm(k));
@@ -96,8 +99,8 @@ class SampleBuilder {
     uint32_t evals = 0;
     bool eligible = false;
   };
-  /// Scatter target of a sweep; inline up to 64 candidates.
-  using EntryBuffer = common::SmallVector<CandidateEntry, 64>;
+  /// Scatter target of a sweep.
+  using EntryBuffer = std::vector<CandidateEntry>;
 
   // Evaluates `eval` (a pure function of one candidate) for every
   // candidate via ParallelFor; the entries are merged in candidate-index
@@ -117,12 +120,10 @@ class SampleBuilder {
   void ApplyKeyword(TermId k) {
     query_.push_back(k);
     eval_.Add(k);
-    in_query_.insert(k);
     SyncLiveWeight();
   }
 
   void UndoLastKeyword() {
-    in_query_.erase(query_.back());
     query_.pop_back();
     eval_.Assign(*saved_);
     SyncLiveWeight();
@@ -168,7 +169,7 @@ class SampleBuilder {
       SweepCandidates(
           [&](TermId k) {
             CandidateEntry e;
-            if (in_query_.count(k) != 0) return e;
+            if (InQuery(k)) return e;
             const BenefitCost bc = eval_.Evaluate(k);
             e.evals = 1;
             // Must eliminate something in U, and keep part of C.
@@ -215,7 +216,7 @@ class SampleBuilder {
       SweepCandidates(
           [&](TermId k) {
             CandidateEntry e;
-            if (in_query_.count(k) != 0) return e;
+            if (InQuery(k)) return e;
             e.evals = 1;
             const DynamicBitset& docs_k = ctx_.universe->DocsWithTerm(k);
             const DynamicBitset& retrieved = eval_.retrieved();
@@ -282,7 +283,7 @@ class SampleBuilder {
       SweepCandidates(
           [&](TermId k) {
             CandidateEntry e;
-            if (in_query_.count(k) != 0) return e;
+            if (InQuery(k)) return e;
             if (rdoc.Contains(k)) return e;  // cannot eliminate r
             const BenefitCost bc = eval_.Evaluate(k);
             if (bc.kills_cluster) return e;  // not counted as an evaluation
@@ -310,7 +311,7 @@ class SampleBuilder {
   const SweepOptions& sweep_;
   size_t* recomputations_;
   double total_u_weight_ = 0.0;
-  common::SmallVector<TermId, 16> query_;
+  std::vector<TermId> query_;
   /// Current R(q), plus strategy scratches leased from the universe arena:
   /// saved_ holds the pre-apply set for the closeness-rule undo, selected_
   /// the random-subset targets, blocked_ the dead ends of the single-
@@ -325,7 +326,6 @@ class SampleBuilder {
   /// swept-entry buffer (scatter-gather merge target).
   std::vector<size_t> indices_buf_;
   EntryBuffer entries_buf_;
-  std::unordered_set<TermId> in_query_;
 };
 
 }  // namespace

@@ -7,9 +7,9 @@
 #include <shared_mutex>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/logging.h"
-#include "common/small_vector.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -19,13 +19,12 @@ namespace {
 constexpr double kMinWeight = 1e-9;
 
 /// Order-independent memo key for an AND conjunction: the sorted TermIds
-/// viewed as raw bytes. The sort buffer is a thread-local SmallVector
-/// (inline up to 16 terms — every memoizable query, since kMaxMemoArity
-/// is 4), so steady-state lookups touch no heap at all; the returned view
+/// viewed as raw bytes. The sort buffer is a reused thread-local vector,
+/// so steady-state lookups touch no heap at all; the returned view
 /// aliases the buffer and the map only materializes an owning string on a
 /// miss (heterogeneous lookup below).
 std::string_view ConjunctionKey(std::span<const TermId> query) {
-  thread_local common::SmallVector<TermId, 16> sorted;
+  thread_local std::vector<TermId> sorted;
   sorted.assign(query.begin(), query.end());
   std::sort(sorted.begin(), sorted.end());
   return std::string_view(reinterpret_cast<const char*>(sorted.data()),

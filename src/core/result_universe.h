@@ -97,7 +97,7 @@ class ResultUniverse {
   /// R(q) within the universe under AND semantics: results containing every
   /// term of `query`. The empty query retrieves the whole universe. Takes
   /// a span so callers may keep their query in any contiguous buffer
-  /// (std::vector, common::SmallVector, a C array).
+  /// (std::vector, std::array, a C array).
   DynamicBitset Retrieve(std::span<const TermId> query) const;
 
   /// R(q) into `out`, reusing its word storage (no allocation once the
@@ -115,8 +115,8 @@ class ResultUniverse {
   DynamicBitset RetrieveOr(std::span<const TermId> query) const;
 
   /// Braced-list conveniences forwarding to the span overloads (a braced
-  /// initializer does not deduce to std::span; std::vector and
-  /// common::SmallVector convert via span's range constructor).
+  /// initializer does not deduce to std::span; std::vector converts via
+  /// span's range constructor).
   DynamicBitset Retrieve(std::initializer_list<TermId> query) const {
     return Retrieve(std::span<const TermId>(query.begin(), query.size()));
   }

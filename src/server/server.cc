@@ -149,8 +149,14 @@ QecServer::Pending QecServer::MakePending(ServeRequest request) {
   const uint64_t deadline_ms = request.deadline_ms != 0
                                    ? request.deadline_ms
                                    : options_.default_deadline_ms;
+  // A deadline past the clock's range means no deadline; bounding it here
+  // also keeps the milliseconds -> clock-tick conversion from overflowing.
+  const uint64_t headroom_ms = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          Clock::time_point::max() - pending.context.submit_time)
+          .count());
   pending.context.deadline =
-      deadline_ms != 0
+      deadline_ms != 0 && deadline_ms < headroom_ms
           ? pending.context.submit_time + std::chrono::milliseconds(deadline_ms)
           : Clock::time_point::max();
   pending.request = std::move(request);
@@ -466,12 +472,11 @@ void QecServer::MaybeScheduleShadow(const ServeRequest& request,
   job.query = request.query;
   job.primary_algo = std::string(core::AlgorithmName(effective.algorithm));
   job.primary_score = response.outcome.set_score;
-  // A cache hit's expansion stage reads 0 — fall back to the expansion
-  // time the original computation recorded in the cached outcome.
+  // The algorithm's own time, as the shadow arm records it: the expansion
+  // stage also covers analyze, search, universe, clustering and
+  // candidates, and reads 0 on a cache hit.
   job.primary_expansion_ns =
-      response.from_cache
-          ? static_cast<uint64_t>(response.outcome.expansion_seconds * 1e9)
-          : context->stages[Stage::kExpansion];
+      static_cast<uint64_t>(response.outcome.expansion_seconds * 1e9);
   job.options = std::move(shadow_options);
 
   {

@@ -48,7 +48,9 @@ struct ShadowComparison {
   /// Set scores (Eq. 1 harmonic mean of per-cluster F) of each arm.
   double primary_score = 0.0;
   double shadow_score = 0.0;
-  /// Expansion-stage latency of each arm, nanoseconds.
+  /// Each arm's algorithm latency, nanoseconds: the outcome's
+  /// expansion_seconds (the expander alone, without analyze, search,
+  /// clustering or candidate selection), on a cache hit too.
   uint64_t primary_expansion_ns = 0;
   uint64_t shadow_expansion_ns = 0;
   /// "primary", "shadow", or "tie".

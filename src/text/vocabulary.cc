@@ -7,10 +7,8 @@ namespace qec::text {
 TermId Vocabulary::Intern(std::string_view term) {
   auto it = ids_.find(term);
   if (it != ids_.end()) return it->second;
-  TermId id = static_cast<TermId>(terms_.size());
-  std::string_view stored = arena_.Intern(term);
-  terms_.push_back(stored);
-  ids_.emplace(stored, id);
+  const TermId id = static_cast<TermId>(terms_.size());
+  terms_.push_back(ids_.emplace(term, id).first->first);
   return id;
 }
 

@@ -11,9 +11,7 @@
 #include <vector>
 
 #include "common/dynamic_bitset.h"
-#include "common/interned_strings.h"
 #include "common/random.h"
-#include "common/small_vector.h"
 #include "common/status.h"
 #include "common/string_util.h"
 #include "common/sweep_pool.h"
@@ -491,140 +489,6 @@ TEST(DynamicBitsetTest, WordKernelsMatchPerBitReference) {
   }
 }
 
-
-// ------------------------------------------------------------ SmallVector --
-
-TEST(SmallVectorTest, StaysInlineUpToN) {
-  common::SmallVector<int, 4> v;
-  EXPECT_TRUE(v.is_inline());
-  EXPECT_EQ(v.capacity(), 4u);
-  for (int i = 0; i < 4; ++i) v.push_back(i);
-  EXPECT_TRUE(v.is_inline());
-  EXPECT_EQ(v.size(), 4u);
-}
-
-TEST(SmallVectorTest, SpillsPastTheBoundaryAndKeepsContents) {
-  common::SmallVector<int, 4> v;
-  for (int i = 0; i < 5; ++i) v.push_back(i);
-  EXPECT_FALSE(v.is_inline());
-  EXPECT_GE(v.capacity(), 5u);
-  ASSERT_EQ(v.size(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(v[static_cast<size_t>(i)], i);
-}
-
-TEST(SmallVectorTest, GrowsThroughManyDoublings) {
-  common::SmallVector<int, 2> v;
-  for (int i = 0; i < 1000; ++i) v.push_back(i);
-  ASSERT_EQ(v.size(), 1000u);
-  for (int i = 0; i < 1000; ++i) EXPECT_EQ(v[static_cast<size_t>(i)], i);
-}
-
-TEST(SmallVectorTest, MoveStealsHeapBuffer) {
-  common::SmallVector<int, 2> v{1, 2, 3, 4};
-  ASSERT_FALSE(v.is_inline());
-  const int* heap = v.data();
-  common::SmallVector<int, 2> moved(std::move(v));
-  EXPECT_EQ(moved.data(), heap);  // stolen, not copied
-  EXPECT_EQ(moved, (common::SmallVector<int, 2>{1, 2, 3, 4}));
-  EXPECT_TRUE(v.empty());
-  EXPECT_TRUE(v.is_inline());  // reset to the inline buffer
-  v.push_back(9);              // and still usable
-  EXPECT_EQ(v[0], 9);
-}
-
-TEST(SmallVectorTest, MoveOfInlineVectorRelocatesElements) {
-  common::SmallVector<std::string, 4> v{"alpha", "beta"};
-  ASSERT_TRUE(v.is_inline());
-  common::SmallVector<std::string, 4> moved(std::move(v));
-  EXPECT_TRUE(moved.is_inline());
-  ASSERT_EQ(moved.size(), 2u);
-  EXPECT_EQ(moved[0], "alpha");
-  EXPECT_EQ(moved[1], "beta");
-  EXPECT_TRUE(v.empty());
-}
-
-TEST(SmallVectorTest, CopyAndAssignPreserveIndependence) {
-  common::SmallVector<int, 2> a{1, 2, 3};
-  common::SmallVector<int, 2> b(a);
-  b.push_back(4);
-  EXPECT_EQ(a.size(), 3u);
-  EXPECT_EQ(b.size(), 4u);
-  a = b;
-  EXPECT_EQ(a, b);
-  a = std::move(b);
-  EXPECT_EQ(a.size(), 4u);
-}
-
-TEST(SmallVectorTest, EraseSingleAndRange) {
-  common::SmallVector<int, 4> v{0, 1, 2, 3, 4, 5};
-  auto it = v.erase(v.begin() + 1);
-  EXPECT_EQ(*it, 2);
-  EXPECT_EQ(v, (common::SmallVector<int, 4>{0, 2, 3, 4, 5}));
-  v.erase(v.begin() + 1, v.begin() + 3);
-  EXPECT_EQ(v, (common::SmallVector<int, 4>{0, 4, 5}));
-  v.erase(v.begin(), v.end());
-  EXPECT_TRUE(v.empty());
-}
-
-TEST(SmallVectorTest, ResizeAssignPopBack) {
-  common::SmallVector<int, 2> v;
-  v.resize(5, 7);
-  EXPECT_EQ(v, (common::SmallVector<int, 2>{7, 7, 7, 7, 7}));
-  v.resize(2);
-  EXPECT_EQ(v.size(), 2u);
-  const std::vector<int> src = {1, 2, 3};
-  v.assign(src.begin(), src.end());
-  EXPECT_EQ(v, (common::SmallVector<int, 2>{1, 2, 3}));
-  v.pop_back();
-  EXPECT_EQ(v.back(), 2);
-}
-
-TEST(SmallVectorTest, NonTrivialElementsSurviveGrowth) {
-  common::SmallVector<std::string, 2> v;
-  for (int i = 0; i < 20; ++i) {
-    v.emplace_back("string-with-heap-allocation-" + std::to_string(i));
-  }
-  ASSERT_EQ(v.size(), 20u);
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(v[static_cast<size_t>(i)],
-              "string-with-heap-allocation-" + std::to_string(i));
-  }
-}
-
-// --------------------------------------------------------- StringInterner --
-
-TEST(StringInternerTest, DeduplicatesToTheSameView) {
-  common::StringInterner interner;
-  const std::string_view a = interner.Intern("apple");
-  const std::string_view b = interner.Intern("apple");
-  EXPECT_EQ(a.data(), b.data());  // same arena bytes, not just equal
-  EXPECT_EQ(interner.size(), 1u);
-  EXPECT_NE(interner.Intern("banana").data(), a.data());
-  EXPECT_EQ(interner.size(), 2u);
-}
-
-TEST(StringInternerTest, ViewsStayValidAsTheArenaGrows) {
-  common::StringInterner interner;
-  std::vector<std::string_view> views;
-  for (int i = 0; i < 10000; ++i) {
-    views.push_back(interner.Intern("term-" + std::to_string(i)));
-  }
-  for (int i = 0; i < 10000; ++i) {
-    EXPECT_EQ(views[static_cast<size_t>(i)], "term-" + std::to_string(i));
-  }
-  EXPECT_EQ(interner.size(), 10000u);
-  EXPECT_GT(interner.arena_bytes(), 0u);
-}
-
-TEST(StringInternerTest, OversizedStringsGetTheirOwnChunk) {
-  common::StringInterner interner;
-  const std::string_view small = interner.Intern("small");
-  const std::string huge(1 << 20, 'x');
-  const std::string_view stored = interner.Intern(huge);
-  EXPECT_EQ(stored, huge);
-  EXPECT_EQ(interner.Intern("small").data(), small.data());
-  EXPECT_EQ(interner.Intern(huge).data(), stored.data());
-}
 
 // ------------------------------------------------------------- SweepPool --
 

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -505,6 +506,33 @@ TEST_F(ServerFixture, ExpiredDeadlineIsShedWhenDequeued) {
   EXPECT_EQ(server.stats().shed_deadline, 1u);
 }
 
+// A deadline past the steady clock's range means no deadline: the request
+// is served, not shed as expired by a submit time + deadline that wrapped.
+TEST_F(ServerFixture, HugeDeadlineMeansNoDeadline) {
+  for (const char* line :
+       {"EXPAND deadline_ms=10000000000000 -- canon products",
+        "EXPAND deadline_ms=18446744073709551615 -- canon products"}) {
+    SCOPED_TRACE(line);
+    Result<ServeRequest> request = ParseRequestLine(line);
+    ASSERT_TRUE(request.ok()) << request.status().ToString();
+    ServerOptions options;
+    options.start_workers = false;
+    QecServer server(index_, options);
+    auto future = server.Submit(*std::move(request));
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    server.Start();
+    auto response = future.get();
+    EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_EQ(server.stats().shed_deadline, 0u);
+  }
+  // The server-wide default takes the same path.
+  ServerOptions options;
+  options.default_deadline_ms = std::numeric_limits<uint64_t>::max();
+  QecServer server(index_, options);
+  auto response = server.Submit(Expand("canon products")).get();
+  EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+}
+
 TEST_F(ServerFixture, CancelledRequestIsDropped) {
   ServerOptions options;
   options.start_workers = false;
@@ -974,6 +1002,37 @@ TEST_F(ServerFixture, ShadowComparisonsLandInFlightRecorder) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// Both arms record the algorithm's own time (the outcome's
+// expansion_seconds), on a cache miss and on a hit alike, so the latency
+// comparison is like for like: the primary's expansion stage would add
+// analyze, search, universe, clustering and candidate selection.
+TEST_F(ServerFixture, ShadowComparisonTimesTheAlgorithmOnBothArms) {
+  ServerOptions options;
+  options.shadow_sample_rate = 1.0;
+  options.shadow_dedupe = false;
+  QecServer server(index_, options);
+  const ServeResponse miss = server.Submit(Expand("canon products")).get();
+  const ServeResponse hit = server.Submit(Expand("canon products")).get();
+  ASSERT_TRUE(miss.status.ok());
+  ASSERT_TRUE(hit.status.ok());
+  ASSERT_FALSE(miss.from_cache);
+  ASSERT_TRUE(hit.from_cache);
+  for (int i = 0; i < 400 && server.shadow_tallies().executed < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(server.shadow_tallies().executed, 2u);
+  const std::vector<ShadowComparison> recent =
+      server.shadow_evaluator()->Recent(2);
+  ASSERT_EQ(recent.size(), 2u);
+  // The hit serves the miss's cached outcome, so both comparisons carry
+  // the same primary algorithm time.
+  const uint64_t algorithm_ns =
+      static_cast<uint64_t>(miss.outcome.expansion_seconds * 1e9);
+  for (const ShadowComparison& c : recent) {
+    EXPECT_EQ(c.primary_expansion_ns, algorithm_ns);
+  }
 }
 
 TEST_F(ServerFixture, ExplainJsonLineCarriesBothArmsAndTermDetails) {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "text/analyzer.h"
 #include "text/porter_stemmer.h"
 #include "text/stopwords.h"
@@ -184,6 +187,37 @@ TEST(VocabularyTest, DenseIdsFromZero) {
   EXPECT_EQ(v.Intern("a"), 0u);
   EXPECT_EQ(v.Intern("b"), 1u);
   EXPECT_EQ(v.Intern("c"), 2u);
+}
+
+TEST(VocabularyTest, ReinterningReturnsTheSameTermStringBytes) {
+  Vocabulary v;
+  const std::string huge(1 << 20, 'x');  // far past any small-string buffer
+  for (const std::string& term : {std::string("apple"), huge}) {
+    const std::string_view first = v.TermString(v.Intern(term));
+    const std::string_view again = v.TermString(v.Intern(term));
+    EXPECT_EQ(first.data(), again.data());  // same stored bytes, not a copy
+    EXPECT_EQ(again, term);
+  }
+  EXPECT_EQ(v.size(), 2u);
+}
+
+TEST(VocabularyTest, ViewsSurviveManyLaterInterns) {
+  Vocabulary v;
+  const std::string long_term = "a-term-long-enough-to-live-on-the-heap";
+  const std::string_view short_view = v.TermString(v.Intern("apple"));
+  const std::string_view long_view = v.TermString(v.Intern(long_term));
+  for (int i = 0; i < 10000; ++i) v.Intern("term-" + std::to_string(i));
+  ASSERT_EQ(v.size(), 10002u);
+  // The id map rehashed many times meanwhile; the earlier views still read
+  // intact bytes, and they are the bytes the vocabulary hands out now.
+  EXPECT_EQ(short_view, "apple");
+  EXPECT_EQ(long_view, long_term);
+  EXPECT_EQ(v.TermString(v.Lookup("apple")).data(), short_view.data());
+  EXPECT_EQ(v.TermString(v.Lookup(long_term)).data(), long_view.data());
+  for (int i = 0; i < 10000; ++i) {
+    EXPECT_EQ(v.TermString(v.Lookup("term-" + std::to_string(i))),
+              "term-" + std::to_string(i));
+  }
 }
 
 // ---------------------------------------------------------------- Analyzer
