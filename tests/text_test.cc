@@ -191,13 +191,23 @@ TEST(VocabularyTest, DenseIdsFromZero) {
 
 TEST(VocabularyTest, ReinterningReturnsTheSameTermStringBytes) {
   Vocabulary v;
+  const std::string_view first = v.TermString(v.Intern("apple"));
+  const std::string_view again = v.TermString(v.Intern("apple"));
+  EXPECT_EQ(first.data(), again.data());  // same stored bytes, not a copy
+  EXPECT_EQ(again, "apple");
+  EXPECT_EQ(v.size(), 1u);
+  EXPECT_NE(v.TermString(v.Intern("banana")).data(), first.data());
+  EXPECT_EQ(v.size(), 2u);
+}
+
+TEST(VocabularyTest, OversizedTermsRoundTripAndReintern) {
+  Vocabulary v;
+  const std::string_view small = v.TermString(v.Intern("small"));
   const std::string huge(1 << 20, 'x');  // far past any small-string buffer
-  for (const std::string& term : {std::string("apple"), huge}) {
-    const std::string_view first = v.TermString(v.Intern(term));
-    const std::string_view again = v.TermString(v.Intern(term));
-    EXPECT_EQ(first.data(), again.data());  // same stored bytes, not a copy
-    EXPECT_EQ(again, term);
-  }
+  const std::string_view stored = v.TermString(v.Intern(huge));
+  EXPECT_EQ(stored, huge);
+  EXPECT_EQ(v.TermString(v.Intern("small")).data(), small.data());
+  EXPECT_EQ(v.TermString(v.Intern(huge)).data(), stored.data());
   EXPECT_EQ(v.size(), 2u);
 }
 
