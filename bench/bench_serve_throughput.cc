@@ -490,12 +490,8 @@ size_t CheckTransportIdentity(qec::server::QecServer* server, uint16_t port,
   size_t mismatches = 0;
   for (size_t i = 0; i < workload.size(); ++i) {
     auto request = qec::server::ParseRequestLine("EXPAND " + workload[i]);
-    qec::server::ServeResponse response =
-        server->Submit(*std::move(request)).get();
     const std::string direct =
-        !response.json_line.empty()
-            ? response.json_line
-            : qec::server::ResponseToJsonLine(response);
+        server->Submit(*std::move(request)).get().json_line;
     if (CanonicalizeResponse(net_lines[i]) != CanonicalizeResponse(direct)) {
       if (++mismatches <= 3) {
         std::fprintf(stderr,

@@ -26,8 +26,7 @@
 //                  [--max-line-bytes=N] [--drain-ms=N]]
 //                  [--threads=N] [--queue=N] [--deadline-ms=N] [--no-cache]
 //                  [--cache-size=N] [--slowlog-dump=FILE] [--slow-ms=N]
-//                  [--flight-recorder=N] [--metrics-flush-interval=SEC]
-//                  [--metrics-flush-out=FILE] [--shadow-rate=R]
+//                  [--flight-recorder=N] [--shadow-rate=R]
 //                  [--shadow-algo=A] [--shadow-queue=N]  line-protocol
 //                  server over stdin/stdout, or over TCP (epoll, pipelined)
 //                  with --port
@@ -50,7 +49,6 @@
 // the file name).
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
@@ -72,6 +70,7 @@
 #include "obs/profiler.h"
 #include "obs/prometheus.h"
 #include "server/admin/admin_server.h"
+#include "server/line_handler.h"
 #include "server/net/connection.h"
 #include "server/net/net_server.h"
 #include "server/protocol.h"
@@ -109,8 +108,7 @@ int Usage() {
       "[--admin-port=N [--admin-host=ADDR]] "
       "[--threads=N] [--queue=N] [--deadline-ms=N] [--no-cache] "
       "[--cache-size=N] [--slowlog-dump=FILE] [--slow-ms=N] "
-      "[--flight-recorder=N] [--metrics-flush-interval=SEC] "
-      "[--metrics-flush-out=FILE] [--shadow-rate=R] [--shadow-algo=A] "
+      "[--flight-recorder=N] [--shadow-rate=R] [--shadow-algo=A] "
       "[--shadow-queue=N]\n"
       "  qec_cli slowlog <dump.jsonl> [-n N]\n"
       "  qec_cli metrics-lint [exposition.prom|-]   (default: stdin)\n"
@@ -691,7 +689,7 @@ void HandleStopSignal(int) {
 // on worker threads but print strictly in request order. Open() applies
 // backpressure once `window` responses are outstanding, so a piped-in
 // workload cannot trip the server's admission shedding.
-class OrderedStdout {
+class OrderedStdout final : public qec::server::LineHandler::Responder {
  public:
   explicit OrderedStdout(size_t window) : window_(window) {}
 
@@ -700,23 +698,30 @@ class OrderedStdout {
     return slots_.size() >= window_;
   }
 
-  uint64_t Open() {
+  uint64_t Open() override {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [this] { return slots_.size() < window_; });
     return slots_.Open();
   }
 
-  void Complete(uint64_t slot, std::string line) {
+  qec::server::QecServer::ResponseCallback CompleteLater(
+      uint64_t slot) override {
+    return [this, slot](qec::server::ServeResponse response) {
+      Complete(slot, std::move(response.json_line));
+    };
+  }
+
+  void Complete(uint64_t slot, std::string line) override {
     line += '\n';
     std::string ready;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      slots_.Complete(slot, std::move(line));
-      slots_.TakeReady(&ready);
-      if (ready.empty()) return;
-      std::fwrite(ready.data(), 1, ready.size(), stdout);
-      std::fflush(stdout);
-    }
+    // Notify under the lock: once Drain() sees the last slot released the
+    // writer may be destroyed, so a worker must not touch it after unlocking.
+    std::lock_guard<std::mutex> lock(mu_);
+    slots_.Complete(slot, std::move(line));
+    slots_.TakeReady(&ready);
+    if (ready.empty()) return;
+    std::fwrite(ready.data(), 1, ready.size(), stdout);
+    std::fflush(stdout);
     cv_.notify_all();
   }
 
@@ -733,6 +738,27 @@ class OrderedStdout {
   qec::server::net::SlotQueue slots_;
 };
 
+// The stdin transport: lines are read ahead into the shared LineHandler and
+// EXPANDs admitted in bursts, so a piped workload uses the whole worker
+// pool; a window of queue-capacity slots keeps it from being shed.
+void ServeStdin(qec::server::QecServer* server) {
+  OrderedStdout writer(server->options().queue_capacity);
+  qec::server::LineHandler handler(server);
+  std::string line;
+  while (std::getline(std::cin, line)) {
+    // Never let unsubmitted work block slot backpressure.
+    if (writer.Full()) handler.Flush();
+    handler.Handle(line, writer);
+    // Submit at the end of the buffered burst (nothing left to read without
+    // blocking) or at a size cap, like the TCP front end's per-read batches.
+    if (handler.buffered() >= 64 || std::cin.rdbuf()->in_avail() <= 0) {
+      handler.Flush();
+    }
+  }
+  handler.Flush();
+  writer.Drain();
+}
+
 // serve: the line-protocol serving layer (docs/SERVING.md) driven by
 // stdin/stdout — one request line in, one JSON response line out — or, with
 // --port=N, by the epoll network front end serving the same protocol over
@@ -748,8 +774,6 @@ int CmdServe(const std::vector<std::string>& args) {
   bool admin_mode = false;
   std::string corpus_arg;
   std::string snapshot_path;
-  std::string metrics_flush_out = "metrics.prom";
-  uint64_t metrics_flush_interval_s = 0;
   for (const std::string& arg : args) {
     if (qec::StartsWith(arg, "--port=")) {
       net_mode = true;
@@ -790,7 +814,8 @@ int CmdServe(const std::vector<std::string>& args) {
       }
     } else if (qec::StartsWith(arg, "--queue=")) {
       if (!ParseUnsigned(arg.substr(strlen("--queue=")),
-                         &options.queue_capacity)) {
+                         &options.queue_capacity) ||
+          options.queue_capacity == 0) {
         return Usage();
       }
     } else if (qec::StartsWith(arg, "--deadline-ms=")) {
@@ -803,7 +828,8 @@ int CmdServe(const std::vector<std::string>& args) {
       options.enable_set_algebra_cache = false;
     } else if (qec::StartsWith(arg, "--cache-size=")) {
       if (!ParseUnsigned(arg.substr(strlen("--cache-size=")),
-                         &options.expansion_cache_capacity)) {
+                         &options.expansion_cache_capacity) ||
+          options.expansion_cache_capacity == 0) {
         return Usage();
       }
     } else if (qec::StartsWith(arg, "--slowlog-dump=")) {
@@ -818,22 +844,6 @@ int CmdServe(const std::vector<std::string>& args) {
                          &options.flight_recorder_capacity)) {
         return Usage();
       }
-    } else if (qec::StartsWith(arg, "--metrics-flush-interval=")) {
-      // The flusher's timed wait adds the interval to steady_clock::now()
-      // in nanoseconds; past that range the deadline wraps negative and
-      // the wait returns at once, so the flusher would spin. Half the
-      // range leaves ~146 years of clock uptime as headroom.
-      constexpr uint64_t kMaxFlushIntervalS =
-          std::chrono::duration_cast<std::chrono::seconds>(
-              std::chrono::steady_clock::duration::max() / 2)
-              .count();
-      if (!ParseUnsigned(arg.substr(strlen("--metrics-flush-interval=")),
-                         &metrics_flush_interval_s) ||
-          metrics_flush_interval_s > kMaxFlushIntervalS) {
-        return Usage();
-      }
-    } else if (qec::StartsWith(arg, "--metrics-flush-out=")) {
-      metrics_flush_out = arg.substr(strlen("--metrics-flush-out="));
     } else if (qec::StartsWith(arg, "--shadow-rate=")) {
       if (!qec::ParseDouble(arg.substr(strlen("--shadow-rate=")),
                             &options.shadow_sample_rate)) {
@@ -866,12 +876,6 @@ int CmdServe(const std::vector<std::string>& args) {
     return 1;
   }
   qec::server::QecServer server(*data->index, options);
-  std::unique_ptr<qec::obs::MetricsFlusher> flusher;
-  if (metrics_flush_interval_s != 0) {
-    flusher = std::make_unique<qec::obs::MetricsFlusher>(
-        metrics_flush_out,
-        std::chrono::milliseconds(metrics_flush_interval_s * 1000));
-  }
   std::fprintf(stderr,
                "serving %zu documents with %zu workers (queue %zu, cache "
                "%s, shadow %s); one request per line: EXPAND [k=N] [algo=A] "
@@ -882,56 +886,21 @@ int CmdServe(const std::vector<std::string>& args) {
                options.enable_expansion_cache ? "on" : "off",
                options.shadow_sample_rate > 0.0 ? "on" : "off");
 
+  std::unique_ptr<qec::server::net::NetServer> net;
   if (net_mode) {
-    qec::server::net::NetServer net(&server, net_options);
-    const qec::Status bound = net.Bind();
+    net = std::make_unique<qec::server::net::NetServer>(&server, net_options);
+    const qec::Status bound = net->Bind();
     if (!bound.ok()) {
       std::fprintf(stderr, "%s\n", bound.ToString().c_str());
       return 1;
     }
-    std::unique_ptr<qec::server::admin::AdminServer> admin;
-    if (admin_mode) {
-      admin = std::make_unique<qec::server::admin::AdminServer>(
-          &server, &net, admin_options);
-      const qec::Status admin_up = admin->Start();
-      if (!admin_up.ok()) {
-        std::fprintf(stderr, "%s\n", admin_up.ToString().c_str());
-        return 1;
-      }
-      g_admin_server.store(admin.get(), std::memory_order_release);
-      std::fprintf(stderr,
-                   "admin plane on http://%s:%u (/metrics /healthz /readyz "
-                   "/statusz /slowlog /abtest /pprof/profile)\n",
-                   admin_options.host.c_str(),
-                   static_cast<unsigned>(admin->port()));
-    }
-    g_net_server.store(&net, std::memory_order_release);
-    std::signal(SIGINT, HandleStopSignal);
-    std::signal(SIGTERM, HandleStopSignal);
-    std::fprintf(stderr, "listening on %s:%u (SIGINT/SIGTERM drain)\n",
-                 net_options.host.c_str(), static_cast<unsigned>(net.port()));
-    const qec::Status run = net.Run();
-    g_net_server.store(nullptr, std::memory_order_release);
-    // The admin plane outlives the query drain (so /readyz answered 503 the
-    // whole time queries were finishing) and only now shuts down.
-    g_admin_server.store(nullptr, std::memory_order_release);
-    if (admin != nullptr) admin->Shutdown();
-    if (flusher != nullptr) flusher->Stop();
-    if (!run.ok()) {
-      std::fprintf(stderr, "%s\n", run.ToString().c_str());
-      return 1;
-    }
-    return 0;
   }
-
-  // The admin plane also works without --port: stdin-driven serve with
-  // --admin-port gets /metrics, /statusz, and the profiler over HTTP while
-  // requests flow through the pipe (net_server == nullptr, so /readyz only
-  // reflects SetDraining).
+  // The admin plane serves either transport. Without --port its /readyz
+  // only reflects SetDraining (net_server == nullptr).
   std::unique_ptr<qec::server::admin::AdminServer> admin;
   if (admin_mode) {
     admin = std::make_unique<qec::server::admin::AdminServer>(
-        &server, nullptr, admin_options);
+        &server, net.get(), admin_options);
     const qec::Status admin_up = admin->Start();
     if (!admin_up.ok()) {
       std::fprintf(stderr, "%s\n", admin_up.ToString().c_str());
@@ -945,65 +914,26 @@ int CmdServe(const std::vector<std::string>& args) {
                  static_cast<unsigned>(admin->port()));
   }
 
-  // Stdin transport, same submission path as the network front end:
-  // request lines are read ahead and EXPANDs admitted in bursts through
-  // SubmitBatch, so a piped workload pipelines through the whole worker
-  // pool instead of serializing on one future.get() per line. OrderedStdout
-  // keeps responses in request order.
-  OrderedStdout writer(std::max<size_t>(options.queue_capacity, 1));
-  std::vector<qec::server::QecServer::AsyncRequest> batch;
-  const auto flush_batch = [&server, &batch] {
-    if (batch.empty()) return;
-    server.SubmitBatch(std::move(batch));
-    batch.clear();
-  };
-
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    if (qec::TrimWhitespace(line).empty()) continue;
-    // Never let unsubmitted work block slot backpressure.
-    if (writer.Full()) flush_batch();
-    const uint64_t slot = writer.Open();
-
-    auto request = qec::server::ParseRequestLine(line);
-    if (!request.ok()) {
-      qec::server::ServeResponse bad;
-      bad.status = request.status();
-      writer.Complete(slot, qec::server::ResponseToJsonLine(bad));
-      continue;
-    }
-
-    if (request->verb == qec::server::ServeRequest::Verb::kExpand) {
-      qec::server::QecServer::AsyncRequest async;
-      async.request = *std::move(request);
-      async.on_done = [&writer, slot](qec::server::ServeResponse response) {
-        // The worker pre-renders the line inside its timed serialize
-        // stage; requests rejected before reaching a worker render here.
-        writer.Complete(slot,
-                        !response.json_line.empty()
-                            ? std::move(response.json_line)
-                            : qec::server::ResponseToJsonLine(response));
-      };
-      batch.push_back(std::move(async));
-      // Submit at end of the buffered burst (nothing left to read without
-      // blocking) or at a size cap, mirroring the per-readable-event
-      // batches of the network front end.
-      if (batch.size() >= 64 || std::cin.rdbuf()->in_avail() <= 0) {
-        flush_batch();
-      }
-      continue;
-    }
-
-    // Control verbs answer immediately (still in request order via their
-    // slot). Submit buffered EXPANDs first so STATS/METRICS observe them.
-    flush_batch();
-    writer.Complete(slot, server.ControlResponse(*request));
+  qec::Status run;
+  if (net != nullptr) {
+    g_net_server.store(net.get(), std::memory_order_release);
+    std::signal(SIGINT, HandleStopSignal);
+    std::signal(SIGTERM, HandleStopSignal);
+    std::fprintf(stderr, "listening on %s:%u (SIGINT/SIGTERM drain)\n",
+                 net_options.host.c_str(), static_cast<unsigned>(net->port()));
+    run = net->Run();
+    g_net_server.store(nullptr, std::memory_order_release);
+  } else {
+    ServeStdin(&server);
   }
-  flush_batch();
-  writer.Drain();
+  // The admin plane outlives the query drain (so /readyz answered 503 the
+  // whole time queries were finishing) and only now shuts down.
   g_admin_server.store(nullptr, std::memory_order_release);
   if (admin != nullptr) admin->Shutdown();
-  if (flusher != nullptr) flusher->Stop();
+  if (!run.ok()) {
+    std::fprintf(stderr, "%s\n", run.ToString().c_str());
+    return 1;
+  }
   return 0;
 }
 
@@ -1083,7 +1013,7 @@ std::string ReadAllStdin() {
 }
 
 // Lints a Prometheus/OpenMetrics exposition (a /metrics scrape, a METRICS
-// verb response, or a --metrics-flush-out file): parse, histogram
+// verb response, or a saved scrape): parse, histogram
 // invariants (cumulative buckets, +Inf, _count, exemplar-within-bucket),
 // then the qec naming conventions. Exit 0 with a summary line on success,
 // 1 with the first violation on stderr otherwise.

@@ -1,7 +1,5 @@
 #include "obs/prometheus.h"
 
-#include <unistd.h>
-
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -532,60 +530,6 @@ Status LintPrometheusNaming(const std::vector<PrometheusFamily>& families) {
     }
   }
   return Status::Ok();
-}
-
-MetricsFlusher::MetricsFlusher(std::string path,
-                               std::chrono::milliseconds interval)
-    : path_(std::move(path)), interval_(interval) {
-  thread_ = std::thread([this] { Loop(); });
-}
-
-MetricsFlusher::~MetricsFlusher() { Stop(); }
-
-bool MetricsFlusher::FlushNow() {
-  const std::string text = PrometheusSnapshot();
-  // Pid-unique temp name so two processes flushing to the same path never
-  // clobber each other's in-progress write; fsync before the rename so the
-  // atomic swap never publishes an empty or torn file after a crash.
-  const std::string tmp =
-      path_ + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool wrote =
-      std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  const bool flushed = wrote && std::fflush(f) == 0 && ::fsync(fileno(f)) == 0;
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !flushed || !closed) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  flush_count_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-void MetricsFlusher::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) return;
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  FlushNow();  // Final flush so short-lived processes still leave a file.
-}
-
-void MetricsFlusher::Loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    if (cv_.wait_for(lock, interval_, [this] { return stopping_; })) return;
-    lock.unlock();
-    FlushNow();
-    lock.lock();
-  }
 }
 
 }  // namespace qec::obs

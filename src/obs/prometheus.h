@@ -1,13 +1,9 @@
 #ifndef QEC_OBS_PROMETHEUS_H_
 #define QEC_OBS_PROMETHEUS_H_
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -116,43 +112,6 @@ Status ValidatePrometheusHistograms(
 /// label), `_sum`, and `_count`; gauge families don't end `_total`; all
 /// family names are legal metric names. Returns the first violation.
 Status LintPrometheusNaming(const std::vector<PrometheusFamily>& families);
-
-/// Background thread that periodically writes PrometheusSnapshot() to a
-/// file (atomically: temp file + rename), so external scrapers and CI can
-/// consume the exposition without speaking the line protocol. Started by
-/// the constructor; the destructor (or Stop()) joins the thread after one
-/// final flush.
-class MetricsFlusher {
- public:
-  MetricsFlusher(std::string path, std::chrono::milliseconds interval);
-  ~MetricsFlusher();
-
-  MetricsFlusher(const MetricsFlusher&) = delete;
-  MetricsFlusher& operator=(const MetricsFlusher&) = delete;
-
-  /// Writes one snapshot immediately. Returns false on I/O failure.
-  bool FlushNow();
-
-  /// Stops the periodic thread after a final flush. Idempotent.
-  void Stop();
-
-  uint64_t flush_count() const {
-    return flush_count_.load(std::memory_order_relaxed);
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  void Loop();
-
-  std::string path_;
-  std::chrono::milliseconds interval_;
-  std::atomic<uint64_t> flush_count_{0};
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stopping_ = false;
-  std::thread thread_;
-};
 
 }  // namespace qec::obs
 

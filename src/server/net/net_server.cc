@@ -4,13 +4,49 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "server/protocol.h"
 
 namespace qec::server::net {
 
+namespace {
+
+/// One connection's responses, completed on the loop thread or posted to
+/// it from a worker.
+class ConnectionResponder final : public LineHandler::Responder {
+ public:
+  ConnectionResponder(Connection& connection,
+                      const std::shared_ptr<EventLoop>& loop)
+      : connection_(connection), loop_(loop) {}
+
+  uint64_t Open() override { return connection_.OpenSlot(); }
+
+  void Complete(uint64_t slot, std::string line) override {
+    line += '\n';
+    connection_.CompleteSlot(slot, std::move(line));
+  }
+
+  QecServer::ResponseCallback CompleteLater(uint64_t slot) override {
+    // Holds the loop by shared_ptr (posting into a stopped loop is a no-op)
+    // and the connection weakly: a vanished client's response is dropped.
+    return [loop = loop_, weak = connection_.weak_from_this(),
+            slot](ServeResponse response) {
+      std::string out = std::move(response.json_line);
+      out += '\n';
+      loop->Post([weak, slot, out = std::move(out)]() mutable {
+        if (auto conn = weak.lock()) conn->CompleteSlot(slot, std::move(out));
+      });
+    };
+  }
+
+ private:
+  Connection& connection_;
+  const std::shared_ptr<EventLoop>& loop_;
+};
+
+}  // namespace
+
 NetServer::NetServer(QecServer* server, NetServerOptions options)
-    : server_(server),
-      options_(std::move(options)),
+    : options_(std::move(options)),
+      handler_(server, [this](LineHandler::Event event) { Count(event); }),
       front_end_(LinePlane()) {}
 
 PlaneConfig NetServer::LinePlane() {
@@ -38,6 +74,7 @@ PlaneConfig NetServer::LinePlane() {
 
 void NetServer::ReadLines(Connection& connection, std::string& rbuf,
                           size_t& scan_pos) {
+  ConnectionResponder responder(connection, front_end_.loop());
   size_t consumed = 0;
   bool oversized = false;
   for (;;) {
@@ -55,7 +92,7 @@ void NetServer::ReadLines(Connection& connection, std::string& rbuf,
       oversized = true;
       break;
     }
-    if (!line.empty()) OnLine(connection, line);
+    handler_.Handle(line, responder);
     if (connection.closed() || connection.draining()) break;
   }
   // An unterminated frame past the limit is rejected now: its terminator
@@ -80,66 +117,27 @@ void NetServer::ReadLines(Connection& connection, std::string& rbuf,
     rbuf.erase(0, consumed);
     scan_pos -= consumed;
   }
-  if (!connection.closed()) SubmitBatch();
+  if (!connection.closed()) handler_.Flush();
 }
 
-void NetServer::OnLine(Connection& connection, std::string_view line) {
+void NetServer::Count(LineHandler::Event event) {
+  if (event == LineHandler::Event::kBatch) {
+    batches_.fetch_add(1, std::memory_order_relaxed);
+    QEC_COUNTER_INC("net/batches");
+    return;
+  }
   lines_.fetch_add(1, std::memory_order_relaxed);
   QEC_COUNTER_INC("net/requests");
-
-  auto parsed = ParseRequestLine(line);
-  if (!parsed.ok()) {
+  if (event == LineHandler::Event::kParseError) {
     parse_errors_.fetch_add(1, std::memory_order_relaxed);
     QEC_COUNTER_INC("net/parse_errors");
-    ServeResponse bad;
-    bad.status = parsed.status();
-    const uint64_t slot = connection.OpenSlot();
-    connection.CompleteSlot(slot, ResponseToJsonLine(bad) + '\n');
-    return;
-  }
-  ServeRequest request = std::move(parsed).value();
-
-  if (request.verb != ServeRequest::Verb::kExpand) {
-    // Submit any buffered EXPANDs from this burst first, so a pipelined
-    // `EXPAND…\nSTATS` observes them as submitted (and the stdin transport
-    // behaves identically).
-    SubmitBatch();
+  } else if (event == LineHandler::Event::kControl) {
     immediate_requests_.fetch_add(1, std::memory_order_relaxed);
     QEC_COUNTER_INC("net/immediate_requests");
-    const uint64_t slot = connection.OpenSlot();
-    connection.CompleteSlot(slot, server_->ControlResponse(request) + '\n');
-    return;
+  } else {
+    expand_requests_.fetch_add(1, std::memory_order_relaxed);
+    QEC_COUNTER_INC("net/expand_requests");
   }
-
-  expand_requests_.fetch_add(1, std::memory_order_relaxed);
-  QEC_COUNTER_INC("net/expand_requests");
-  const uint64_t slot = connection.OpenSlot();
-  // The completion callback runs on a worker thread. It holds the loop by
-  // shared_ptr (posting into a stopped loop is a harmless no-op) and the
-  // connection only weakly: if the client vanished first, the response is
-  // simply dropped.
-  std::weak_ptr<Connection> weak = connection.weak_from_this();
-  QecServer::AsyncRequest async;
-  async.request = std::move(request);
-  async.on_done = [loop = front_end_.loop(), weak,
-                   slot](ServeResponse response) {
-    std::string out = !response.json_line.empty()
-                          ? std::move(response.json_line)
-                          : ResponseToJsonLine(response);
-    out += '\n';
-    loop->Post([weak, slot, out = std::move(out)]() mutable {
-      if (auto conn = weak.lock()) conn->CompleteSlot(slot, std::move(out));
-    });
-  };
-  batch_.push_back(std::move(async));
-}
-
-void NetServer::SubmitBatch() {
-  if (batch_.empty()) return;
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  QEC_COUNTER_INC("net/batches");
-  server_->SubmitBatch(std::move(batch_));
-  batch_.clear();
 }
 
 NetServerStats NetServer::stats() const {

@@ -4,11 +4,11 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "server/net/connection.h"
 #include "server/net/front_end.h"
+#include "server/line_handler.h"
 #include "server/server.h"
 
 namespace qec::server::net {
@@ -51,18 +51,16 @@ struct NetServerStats {
 
 /// The qec line protocol over TCP: a FrontEnd whose connections are framed
 /// by '\n', in front of an existing QecServer (which must outlive it and
-/// whose worker pool does every expansion — the loop thread only parses,
-/// dispatches, and writes).
+/// whose worker pool does every expansion — the loop thread only frames,
+/// hands lines to the shared LineHandler, and writes).
 ///
 /// Pipelining: a connection may send any number of request lines without
 /// waiting; responses come back in request order. All EXPAND lines decoded
-/// from one readable burst are admitted through QecServer::SubmitBatch
-/// under a single queue-lock acquisition, so a burst for one hot cluster
-/// runs back to back on cache-warm state. Non-EXPAND verbs (PING, STATS,
-/// METRICS, SLOWLOG, ABTEST) are answered on the loop thread but still
-/// occupy an in-order slot, so `EXPAND…\nPING\n` answers in that order.
-/// EXPLAIN also runs on the loop thread — it is a synchronous diagnostic
-/// verb, and a pipelined EXPLAIN stalls only its own connection's reads.
+/// from one readable burst are admitted as one batch, so a burst for one
+/// hot cluster runs back to back on cache-warm state. Control verbs,
+/// EXPLAIN included, are answered on the loop thread but still occupy an
+/// in-order slot, so `EXPAND…\nPING\n` answers in that order; a pipelined
+/// EXPLAIN stalls only its own connection's reads.
 ///
 /// Shutdown is a graceful drain: stop accepting, stop reading, let
 /// in-flight expansions complete and flush, then close — bounded by
@@ -112,21 +110,18 @@ class NetServer {
   /// Enforces the max-line guard on terminated and unterminated frames,
   /// then admits the burst's EXPANDs as one batch.
   void ReadLines(Connection& connection, std::string& rbuf, size_t& scan_pos);
-  void OnLine(Connection& connection, std::string_view line);
-  /// Admits the EXPANDs buffered from the current readable burst.
-  void SubmitBatch();
+  /// Tallies one handler event into stats() and the net/* metrics.
+  void Count(LineHandler::Event event);
 
-  QecServer* server_;
   NetServerOptions options_;
-  /// EXPANDs decoded from the current readable burst, admitted together
-  /// once the burst is framed.
-  std::vector<QecServer::AsyncRequest> batch_;
 
   std::atomic<uint64_t> lines_{0};
   std::atomic<uint64_t> expand_requests_{0};
   std::atomic<uint64_t> immediate_requests_{0};
   std::atomic<uint64_t> parse_errors_{0};
   std::atomic<uint64_t> batches_{0};
+  /// Fed by the loop thread; buffers the current burst's EXPANDs.
+  LineHandler handler_;
 
   /// Last member: destroyed (and its loop thread joined) first, while the
   /// state its framers use is still alive.

@@ -325,28 +325,32 @@ std::string ResponseToJsonLine(const ServeResponse& response) {
 
 std::string RenderOutcomeTail(const core::ExpansionOutcome& o) {
   using obs::json::NumberToString;
-  using obs::json::Quote;
   std::string out;
   out += ",\"clusters\":" + std::to_string(o.num_clusters);
   out += ",\"results_used\":" + std::to_string(o.num_results_used);
   out += ",\"set_score\":" + NumberToString(o.set_score);
   out += ",\"queries\":[";
   for (size_t i = 0; i < o.queries.size(); ++i) {
-    const core::ExpandedQuery& q = o.queries[i];
     if (i > 0) out += ",";
-    out += "{\"keywords\":[";
-    for (size_t k = 0; k < q.keywords.size(); ++k) {
-      if (k > 0) out += ",";
-      out += Quote(q.keywords[k]);
-    }
-    out += "],\"cluster_size\":" + std::to_string(q.cluster_size);
-    out += ",\"precision\":" + NumberToString(q.quality.precision);
-    out += ",\"recall\":" + NumberToString(q.quality.recall);
-    out += ",\"f_measure\":" + NumberToString(q.quality.f_measure);
+    AppendQueryFields(&out, o.queries[i]);
     out += "}";
   }
   out += "]}";
   return out;
+}
+
+void AppendQueryFields(std::string* out, const core::ExpandedQuery& q) {
+  using obs::json::NumberToString;
+  using obs::json::Quote;
+  *out += "{\"keywords\":[";
+  for (size_t k = 0; k < q.keywords.size(); ++k) {
+    if (k > 0) *out += ",";
+    *out += Quote(q.keywords[k]);
+  }
+  *out += "],\"cluster_size\":" + std::to_string(q.cluster_size);
+  *out += ",\"precision\":" + NumberToString(q.quality.precision);
+  *out += ",\"recall\":" + NumberToString(q.quality.recall);
+  *out += ",\"f_measure\":" + NumberToString(q.quality.f_measure);
 }
 
 }  // namespace qec::server

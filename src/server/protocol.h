@@ -116,8 +116,9 @@ struct ServeResponse {
   /// the JSON line is rendered, so inside `json_line` it reads 0; the
   /// stage histograms and the flight recorder carry the real value.
   StageTimings stages;
-  /// Response line pre-rendered by the worker (the timed serialize stage).
-  /// Empty for responses produced outside the pool — render on demand.
+  /// The rendered response line: by the worker inside the timed serialize
+  /// stage, or by the admission path for a rejection. Set on every
+  /// response from QecServer::Submit/SubmitBatch; empty from Execute().
   std::string json_line;
   /// The outcome-dependent tail of the JSON line (clusters, set_score, the
   /// queries array). Invariant for a given outcome, so the expansion cache
@@ -130,6 +131,10 @@ struct ServeResponse {
 /// `,"clusters":` through the closing `}`. ResponseToJsonLine() composes
 /// the volatile prefix (trace id, cached flag, timings) with this tail.
 std::string RenderOutcomeTail(const core::ExpansionOutcome& outcome);
+
+/// Appends one expanded query's `{"keywords":[...],…,"f_measure":F` to
+/// `out`, unclosed: RenderOutcomeTail closes it, EXPLAIN adds `terms` first.
+void AppendQueryFields(std::string* out, const core::ExpandedQuery& query);
 
 /// Renders a response as the protocol's single-line JSON:
 ///   {"status":"ok","trace_id":"4fe1...","cached":false,"clusters":2,

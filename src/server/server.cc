@@ -127,14 +127,7 @@ void QecServer::Shutdown() {
     for (size_t i = 0; i < shadows_to_drop.size(); ++i) shadow_->RecordShed();
   }
   for (auto& pending : to_reject) {
-    ServeResponse response;
-    response.status = Status::Unavailable("server shutting down");
-    response.trace_id = pending.context.trace_id;
-    const uint64_t total_ns =
-        ToNanos(Clock::now() - pending.context.submit_time);
-    response.total_seconds = static_cast<double>(total_ns) / 1e9;
-    RecordFlight(pending.request, response, pending.context, total_ns);
-    Fulfill(std::move(pending), std::move(response));
+    Reject(std::move(pending), Status::Unavailable("server shutting down"));
   }
   for (auto& worker : to_join) worker.join();
 }
@@ -163,89 +156,43 @@ QecServer::Pending QecServer::MakePending(ServeRequest request) {
   return pending;
 }
 
-void QecServer::Fulfill(Pending pending, ServeResponse response) {
-  if (pending.callback) {
-    pending.callback(std::move(response));
-  } else {
-    pending.promise.set_value(std::move(response));
-  }
-}
-
-void QecServer::Reject(Pending pending, Status status,
-                       std::atomic<uint64_t>* counter) {
-  if (counter != nullptr) counter->fetch_add(1, std::memory_order_relaxed);
+void QecServer::Reject(Pending pending, Status status) {
   ServeResponse response;
   response.status = std::move(status);
   response.trace_id = pending.context.trace_id;
   const uint64_t total_ns = ToNanos(Clock::now() - pending.context.submit_time);
   response.total_seconds = static_cast<double>(total_ns) / 1e9;
+  response.json_line = ResponseToJsonLine(response);
   RecordFlight(pending.request, response, pending.context, total_ns);
-  Fulfill(std::move(pending), std::move(response));
+  pending.callback(std::move(response));
 }
 
 std::future<ServeResponse> QecServer::Submit(ServeRequest request) {
-  Pending pending = MakePending(std::move(request));
-  std::future<ServeResponse> future = pending.promise.get_future();
-
-  if (pending.request.verb != ServeRequest::Verb::kExpand) {
-    Reject(std::move(pending),
-           Status::InvalidArgument("only EXPAND goes through the request queue"),
-           nullptr);
-    return future;
-  }
-  enum class Decision { kAdmitted, kStopping, kQueueFull };
-  Decision decision;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      decision = Decision::kStopping;
-    } else if (queue_.size() >= options_.queue_capacity) {
-      QEC_COUNTER_INC("server/shed_queue_full");
-      decision = Decision::kQueueFull;
-    } else {
-      admitted_.fetch_add(1, std::memory_order_relaxed);
-      QEC_COUNTER_INC("server/admitted");
-      queue_.push_back(std::move(pending));
-      UpdateQueueDepthLocked();
-      decision = Decision::kAdmitted;
-    }
-  }
-  switch (decision) {
-    case Decision::kAdmitted:
-      cv_.notify_one();
-      break;
-    case Decision::kStopping:
-      Reject(std::move(pending), Status::Unavailable("server shutting down"),
-             nullptr);
-      break;
-    case Decision::kQueueFull:
-      Reject(std::move(pending), Status::Unavailable("admission queue full"),
-             &shed_queue_full_);
-      break;
-  }
+  auto promise = std::make_shared<std::promise<ServeResponse>>();
+  std::future<ServeResponse> future = promise->get_future();
+  std::vector<AsyncRequest> batch(1);
+  batch[0].request = std::move(request);
+  batch[0].on_done = [promise](ServeResponse response) {
+    promise->set_value(std::move(response));
+  };
+  SubmitBatch(std::move(batch));
   return future;
 }
 
 void QecServer::SubmitBatch(std::vector<AsyncRequest> batch) {
-  struct Rejection {
-    Pending pending;
-    Status status;
-    std::atomic<uint64_t>* counter;
-  };
   std::vector<Pending> to_admit;
   to_admit.reserve(batch.size());
   // Rejections are resolved outside the queue lock: callbacks may do
   // arbitrary work (post to an event loop) and must never run under mu_.
-  std::vector<Rejection> to_reject;
+  std::vector<std::pair<Pending, Status>> to_reject;
 
   for (auto& entry : batch) {
     Pending pending = MakePending(std::move(entry.request));
     pending.callback = std::move(entry.on_done);
     if (pending.request.verb != ServeRequest::Verb::kExpand) {
-      to_reject.push_back(
-          {std::move(pending),
-           Status::InvalidArgument("only EXPAND goes through the request queue"),
-           nullptr});
+      to_reject.emplace_back(
+          std::move(pending),
+          Status::InvalidArgument("only EXPAND goes through the request queue"));
       continue;
     }
     to_admit.push_back(std::move(pending));
@@ -256,16 +203,15 @@ void QecServer::SubmitBatch(std::vector<AsyncRequest> batch) {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto& pending : to_admit) {
       if (stopping_) {
-        to_reject.push_back({std::move(pending),
-                             Status::Unavailable("server shutting down"),
-                             nullptr});
+        to_reject.emplace_back(std::move(pending),
+                               Status::Unavailable("server shutting down"));
         continue;
       }
       if (queue_.size() >= options_.queue_capacity) {
+        shed_queue_full_.fetch_add(1, std::memory_order_relaxed);
         QEC_COUNTER_INC("server/shed_queue_full");
-        to_reject.push_back({std::move(pending),
-                             Status::Unavailable("admission queue full"),
-                             &shed_queue_full_});
+        to_reject.emplace_back(std::move(pending),
+                               Status::Unavailable("admission queue full"));
         continue;
       }
       admitted_.fetch_add(1, std::memory_order_relaxed);
@@ -281,9 +227,8 @@ void QecServer::SubmitBatch(std::vector<AsyncRequest> batch) {
   } else if (admitted > 1) {
     cv_.notify_all();
   }
-  for (auto& rejection : to_reject) {
-    Reject(std::move(rejection.pending), std::move(rejection.status),
-           rejection.counter);
+  for (auto& [pending, status] : to_reject) {
+    Reject(std::move(pending), std::move(status));
   }
 }
 
@@ -367,7 +312,7 @@ void QecServer::Process(Pending pending) {
   completed_.fetch_add(1, std::memory_order_relaxed);
   QEC_COUNTER_INC("server/completed");
   RecordFlight(request, response, context, total_ns);
-  Fulfill(std::move(pending), std::move(response));
+  pending.callback(std::move(response));
 }
 
 ServeResponse QecServer::Execute(const ServeRequest& request) {
@@ -441,9 +386,8 @@ ServeResponse QecServer::Execute(const ServeRequest& request,
 void QecServer::MaybeScheduleShadow(const ServeRequest& request,
                                     const ServeResponse& response,
                                     RequestContext* context) {
-  if (shadow_ == nullptr) return;
-  if (request.verb != ServeRequest::Verb::kExpand) return;
-  if (!response.status.ok()) return;
+  // Only a successful EXPAND gets here with an ok status.
+  if (shadow_ == nullptr || !response.status.ok()) return;
 
   const core::QueryExpanderOptions effective = EffectiveOptions(request);
   // Same algorithm on both arms compares nothing — don't burn a sample.
@@ -819,15 +763,7 @@ std::string QecServer::ExplainJsonLine(const ServeRequest& request) const {
     for (size_t i = 0; i < o.queries.size(); ++i) {
       const core::ExpandedQuery& q = o.queries[i];
       if (i > 0) out += ",";
-      out += "{\"keywords\":[";
-      for (size_t k = 0; k < q.keywords.size(); ++k) {
-        if (k > 0) out += ",";
-        out += Quote(q.keywords[k]);
-      }
-      out += "],\"cluster_size\":" + std::to_string(q.cluster_size);
-      out += ",\"precision\":" + NumberToString(q.quality.precision);
-      out += ",\"recall\":" + NumberToString(q.quality.recall);
-      out += ",\"f_measure\":" + NumberToString(q.quality.f_measure);
+      AppendQueryFields(&out, q);
       out += ",\"terms\":[";
       for (size_t t = 0; t < q.term_details.size(); ++t) {
         const core::TermExplain& row = q.term_details[t];

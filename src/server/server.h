@@ -123,17 +123,11 @@ class QecServer {
   QecServer(const QecServer&) = delete;
   QecServer& operator=(const QecServer&) = delete;
 
-  /// Enqueues an EXPAND request. The future resolves with the response —
-  /// possibly an error Status: Unavailable (queue full / shutting down),
-  /// DeadlineExceeded, Cancelled, or whatever the expander returned.
-  /// Non-EXPAND verbs resolve immediately with InvalidArgument (PING and
-  /// STATS are answered by the driver, not the pool).
-  std::future<ServeResponse> Submit(ServeRequest request);
-
-  /// Completion callback alternative to the future: invoked exactly once
-  /// with the final response, on a worker thread for executed requests or
-  /// on the submitting thread for immediate rejections. Callbacks must not
-  /// block (the network front end posts the response to its event loop).
+  /// Completion callback of a submitted request: invoked exactly once with
+  /// the final response and its rendered `json_line`, on a worker thread
+  /// for executed requests or on the submitting thread for immediate
+  /// rejections. Callbacks must not block (the network front end posts the
+  /// response to its event loop).
   using ResponseCallback = std::function<void(ServeResponse)>;
 
   /// One request of a batch submission.
@@ -145,20 +139,19 @@ class QecServer {
   /// Admits a pipelined burst under a single queue-lock acquisition and one
   /// worker wakeup, so co-arriving requests for one hot cluster run back to
   /// back on cache-warm state instead of interleaving with unrelated work.
-  /// Per-request shedding semantics are identical to Submit; rejected
-  /// requests get their callback invoked before SubmitBatch returns.
+  /// The only admission path: a non-EXPAND is rejected with
+  /// InvalidArgument and an EXPAND past a full queue or at shutdown with
+  /// Unavailable, each callback invoked before SubmitBatch returns.
   void SubmitBatch(std::vector<AsyncRequest> batch);
+
+  /// A batch of one whose future resolves with the response.
+  std::future<ServeResponse> Submit(ServeRequest request);
 
   /// Runs a request synchronously on the calling thread, bypassing the
   /// queue (still uses — and fills — the expansion cache). Stage timings
   /// and the trace id land in the returned response; the queue_wait stage
   /// is 0 by definition on this path.
   ServeResponse Execute(const ServeRequest& request);
-
-  /// Core of Execute: runs the request against `context`, accumulating the
-  /// cache_lookup and expansion stages into it. The worker pool calls this
-  /// with the request's queued context.
-  ServeResponse Execute(const ServeRequest& request, RequestContext* context);
 
   /// Spawns the worker pool if it is not already running.
   void Start();
@@ -219,9 +212,6 @@ class QecServer {
 
   struct Pending {
     ServeRequest request;
-    std::promise<ServeResponse> promise;
-    /// Set for callback-style submissions (SubmitBatch); the promise is
-    /// fulfilled otherwise.
     ResponseCallback callback;
     /// Trace id, submit time, deadline, and stage stopwatch accumulators.
     RequestContext context;
@@ -229,7 +219,7 @@ class QecServer {
 
   /// One queued shadow run: everything needed to re-run the query through
   /// the shadow arm and score it against the foreground result, detached
-  /// from the foreground request's promise and deadline.
+  /// from the foreground request's callback and deadline.
   struct ShadowJob {
     uint64_t trace_id = 0;
     std::string query;
@@ -243,16 +233,17 @@ class QecServer {
 
   /// Stamps submission time, trace id, and deadline onto a fresh Pending.
   Pending MakePending(ServeRequest request);
-  /// Resolves a pending request through its callback or promise.
-  static void Fulfill(Pending pending, ServeResponse response);
-  /// Resolves `pending` with an error status without executing it,
-  /// flight-recording the rejection. `counter` is the matching shed/cancel
-  /// total (may be null).
-  void Reject(Pending pending, Status status, std::atomic<uint64_t>* counter);
+  /// Resolves `pending` with an error status and its rendered line without
+  /// executing it, flight-recording the rejection.
+  void Reject(Pending pending, Status status);
 
   void WorkerLoop();
-  /// Processes one dequeued request end to end and fulfills its promise.
+  /// Processes one dequeued request end to end and invokes its callback.
   void Process(Pending pending);
+  /// Core of Execute: runs the request against `context`, accumulating the
+  /// cache_lookup and expansion stages into it. The worker pool calls this
+  /// with the request's queued context.
+  ServeResponse Execute(const ServeRequest& request, RequestContext* context);
   /// Samples a completed foreground EXPAND; enqueues a ShadowJob (low
   /// priority, sheddable) when selected and sets context->shadow_sampled.
   void MaybeScheduleShadow(const ServeRequest& request,

@@ -3,7 +3,7 @@
 // keep-alive and Connection: close, the header-size guard, routing
 // (404/405), the /readyz drain flip, the exemplar round-trip from a served
 // request through /metrics and back through the exposition parser, the
-// sampling profiler, the metrics-flusher final flush, and the naming lint.
+// sampling profiler, and the naming lint.
 // Every server test drives a real AdminServer over real sockets.
 
 #include <gtest/gtest.h>
@@ -583,46 +583,6 @@ TEST_F(AdminHttpFixture, ProfilerSummarizesFoldedStacks) {
   EXPECT_NE(table.find("total samples: 10"), std::string::npos) << table;
   EXPECT_NE(table.find("inner"), std::string::npos);
   EXPECT_NE(table.find("work"), std::string::npos);
-}
-
-TEST(MetricsFlusherTest, StopWritesFinalFlushAtomically) {
-  obs::MetricsRegistry::Global().ResetAll();
-  QEC_COUNTER_ADD("flusher_test/events", 3);
-  char path[] = "/tmp/qec_flusher_test_XXXXXX";
-  const int fd = ::mkstemp(path);
-  ASSERT_GE(fd, 0);
-  ::close(fd);
-
-  {
-    // Interval far beyond the test's lifetime: only Stop()'s final flush
-    // can have written the file.
-    obs::MetricsFlusher flusher(path, std::chrono::milliseconds(3600 * 1000));
-    flusher.Stop();
-    EXPECT_GE(flusher.flush_count(), 1u);
-  }
-
-  std::FILE* f = std::fopen(path, "rb");
-  ASSERT_NE(f, nullptr);
-  std::string content;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, n);
-  std::fclose(f);
-  std::remove(path);
-
-  EXPECT_NE(content.find("qec_flusher_test_events_total 3"),
-            std::string::npos)
-      << content;
-  // A complete exposition, not a torn partial write.
-  EXPECT_NE(content.find("# EOF"), std::string::npos);
-  // The temp file was renamed away, not left behind.
-  const std::string tmp_prefix = std::string(path) + ".tmp.";
-  std::string dir = path;
-  dir.erase(dir.find_last_of('/'));
-  // mkstemp names are unique; just confirm the exact .tmp.<pid> is gone.
-  const std::string tmp_path =
-      tmp_prefix + std::to_string(static_cast<long>(::getpid()));
-  EXPECT_NE(::access(tmp_path.c_str(), F_OK), 0);
 }
 
 TEST(MetricsLintTest, CatchesNamingViolations) {

@@ -211,6 +211,20 @@ TEST_F(NetServerFixture, ReassemblesSplitFrames) {
   EXPECT_EQ(client.ReadLine(), "{\"status\":\"ok\",\"pong\":true}");
 }
 
+TEST_F(NetServerFixture, WhitespaceOnlyLineIsSkipped) {
+  QecServer server(index_);
+  auto net = StartNet(&server);
+  TestClient client(net->port());
+  ASSERT_TRUE(client.connected());
+
+  // Both transports share one grammar: a line of only whitespace is
+  // skipped like an empty one, not answered with a parse error.
+  ASSERT_TRUE(client.Send("PING\n \t \r\nPING\n"));
+  EXPECT_EQ(client.ReadLine(), "{\"status\":\"ok\",\"pong\":true}");
+  EXPECT_EQ(client.ReadLine(), "{\"status\":\"ok\",\"pong\":true}");
+  EXPECT_EQ(net->stats().parse_errors, 0u);
+}
+
 TEST_F(NetServerFixture, PipelinedBurstAnswersInOrder) {
   QecServer server(index_);
   auto net = StartNet(&server);

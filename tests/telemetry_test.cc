@@ -196,27 +196,6 @@ TEST(PrometheusValidateTest, CatchesBrokenHistograms) {
                    .ok());
 }
 
-TEST(MetricsFlusherTest, WritesParsableExposition) {
-  const std::string path = "/tmp/qec_telemetry_test_flush.prom";
-  std::remove(path.c_str());
-  MetricsRegistry::Global().GetCounter("telemetry_test/flush_counter")->Add(1);
-  {
-    MetricsFlusher flusher(path, std::chrono::milliseconds(3600 * 1000));
-    ASSERT_TRUE(flusher.FlushNow());
-    EXPECT_GE(flusher.flush_count(), 1u);
-    flusher.Stop();  // final flush + join
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  auto families = ParsePrometheusText(text);
-  ASSERT_TRUE(families.ok()) << families.status().ToString();
-  EXPECT_TRUE(ValidatePrometheusHistograms(*families).ok());
-  EXPECT_FALSE(families->empty());
-  std::remove(path.c_str());
-}
-
 // -------------------------------------------------------- flight recorder --
 
 RequestRecord MakeRecord(uint64_t trace_id) {
