@@ -19,6 +19,7 @@
 #include <cstdio>
 
 #include "baselines/faceted.h"
+#include "cluster/cosine_space.h"
 #include "cluster/hac.h"
 #include "common/string_util.h"
 #include "core/candidates.h"
@@ -73,22 +74,19 @@ void RunDataset(const qec::eval::DatasetBundle& bundle, Sums& sums) {
     const auto& universe = *qc->universe;
     auto candidates = qec::core::SelectCandidates(universe, *bundle.index,
                                                   qc->user_terms, {});
-    // Rebuild the TF vectors once for the alternative clusterings.
-    std::vector<qec::cluster::SparseVector> vectors;
-    for (size_t i = 0; i < universe.size(); ++i) {
-      vectors.push_back(qec::cluster::SparseVector::FromDocument(
-          bundle.corpus->Get(universe.doc_at(i))));
-    }
+    // One space over the universe's TF rows for the alternative
+    // clusterings.
+    const qec::cluster::CosineSpace space(universe.term_rows());
 
     // (1) clustering methods.
     const Clustering& kmeans = qc->clustering;  // harness used auto-k kmeans
     qec::cluster::HacOptions hopts;
     hopts.k = 5;
     hopts.auto_k = true;
-    Clustering hac = qec::cluster::Hac(hopts).Cluster(vectors);
+    Clustering hac = qec::cluster::Hac(hopts).Cluster(space);
     qec::cluster::ClusteringMethod chosen;
     Clustering dynamic =
-        qec::cluster::SelectBestClustering(vectors, 5, 42, &chosen);
+        qec::cluster::SelectBestClustering(space, 5, 42, &chosen);
     if (chosen == qec::cluster::ClusteringMethod::kHac) ++sums.hac_chosen;
 
     double s_kmeans =
@@ -121,16 +119,11 @@ void RunDataset(const qec::eval::DatasetBundle& bundle, Sums& sums) {
     {
       auto vsm_results = bundle.index->SearchVsm(qc->user_terms, 30);
       qec::core::ResultUniverse vsm_universe(*bundle.corpus, vsm_results);
-      std::vector<qec::cluster::SparseVector> vsm_vectors;
-      for (size_t i = 0; i < vsm_universe.size(); ++i) {
-        vsm_vectors.push_back(qec::cluster::SparseVector::FromDocument(
-            bundle.corpus->Get(vsm_universe.doc_at(i))));
-      }
       qec::cluster::KMeansOptions kopts;
       kopts.k = 5;
       kopts.auto_k = true;
-      Clustering vsm_clustering =
-          qec::cluster::KMeans(kopts).Cluster(vsm_vectors);
+      Clustering vsm_clustering = qec::cluster::KMeans(kopts).Cluster(
+          qec::cluster::CosineSpace(vsm_universe.term_rows()));
       auto vsm_candidates = qec::core::SelectCandidates(
           vsm_universe, *bundle.index, qc->user_terms, {});
       sums.vsm_rank += ExpandAllScore(vsm_universe, qc->user_terms,

@@ -28,8 +28,9 @@ std::vector<SuggestedQuery> ClusterSummarization::Suggest(
   for (size_t c = 0; c < k; ++c) {
     for (size_t i : members[c]) {
       const doc::Document& d = universe.corpus().Get(universe.doc_at(i));
-      for (TermId t : d.term_set()) {
-        cluster_tf[c][t] += static_cast<double>(d.TermFrequency(t));
+      const auto& terms = d.term_set();
+      for (size_t e = 0; e < terms.size(); ++e) {
+        cluster_tf[c][terms[e]] += static_cast<double>(d.term_counts()[e]);
       }
     }
     for (const auto& [t, tf] : cluster_tf[c]) cluster_freq[t]++;

@@ -16,17 +16,20 @@ std::vector<SuggestedQuery> DataClouds::Suggest(
     TermId term;
     double score;
   };
+  // Σ over results containing t of tf(t, d) · rank(d), rank-weighted,
+  // summed in ascending result order from the universe's term rows.
+  const cluster::TermRows& rows = universe.term_rows();
+  std::vector<double> weighted_tf(rows.dims, 0.0);
+  for (size_t i = 0; i < universe.size(); ++i) {
+    for (uint32_t e = rows.begin[i]; e < rows.begin[i + 1]; ++e) {
+      weighted_tf[rows.term[e]] += rows.weight[e] * universe.weight(i);
+    }
+  }
   std::vector<Scored> scored;
-  for (TermId t : universe.DistinctTerms()) {
+  for (size_t local = 0; local < rows.dims; ++local) {
+    const TermId t = universe.DistinctTerms()[local];
     if (excluded.count(t) != 0) continue;
-    // Σ over results containing t of tf(t, d) · rank(d), rank-weighted.
-    double weighted_tf = 0.0;
-    universe.DocsWithTerm(t).ForEachSetBit([&](size_t i) {
-      const doc::Document& d = universe.corpus().Get(universe.doc_at(i));
-      weighted_tf +=
-          static_cast<double>(d.TermFrequency(t)) * universe.weight(i);
-    });
-    scored.push_back(Scored{t, weighted_tf * index.Idf(t)});
+    scored.push_back(Scored{t, weighted_tf[local] * index.Idf(t)});
   }
   std::sort(scored.begin(), scored.end(), [](const Scored& a, const Scored& b) {
     if (a.score != b.score) return a.score > b.score;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 
 namespace qec::cluster {
 
@@ -28,46 +29,73 @@ void CentroidDots(const uint32_t* term, const double* weight, size_t len,
   std::copy(sum, sum + K, dots);
 }
 
-}  // namespace
-
-CosineSpace::CosineSpace(const std::vector<SparseVector>& points) {
-  // Local id of a term = number of distinct terms below it: a presence
-  // bitmap over TermIds (vocabulary ids, so it spans the vocabulary at
-  // most) and its per-word prefix popcounts.
-  std::vector<uint64_t> present;
+// Rows of sparse vectors over their terms' local ids.
+TermRows RowsOf(const std::vector<SparseVector>& points) {
+  TermRanks ranks;
   size_t nnz = 0;
   for (const SparseVector& p : points) {
-    for (const auto& [t, w] : p.entries()) {
-      if (t / 64 >= present.size()) present.resize(t / 64 + 1, 0);
-      present[t / 64] |= uint64_t{1} << (t % 64);
-    }
+    for (const auto& [t, w] : p.entries()) ranks.Insert(t);
     nnz += p.NumNonZero();
   }
-  std::vector<uint32_t> below(present.size() + 1, 0);
-  for (size_t b = 0; b < present.size(); ++b) {
-    below[b + 1] = below[b] + static_cast<uint32_t>(std::popcount(present[b]));
-  }
-  const size_t dims = below.back();
-
-  point_begin_.reserve(points.size() + 1);
-  point_begin_.push_back(0);
-  point_term_.reserve(nnz);
-  point_weight_.reserve(nnz);
-  norms_.reserve(points.size());
-  term_begin_.assign(dims + 1, 0);
+  ranks.Seal();
+  TermRows rows;
+  rows.dims = ranks.size();
+  rows.begin.reserve(points.size() + 1);
+  rows.term.reserve(nnz);
+  rows.weight.reserve(nnz);
   for (const SparseVector& p : points) {
     // Each point's entries are sorted by TermId, so its local ids ascend.
     for (const auto& [t, w] : p.entries()) {
-      const uint64_t lower = (uint64_t{1} << (t % 64)) - 1;
-      const uint32_t id =
-          below[t / 64] +
-          static_cast<uint32_t>(std::popcount(present[t / 64] & lower));
-      point_term_.push_back(id);
-      point_weight_.push_back(w);
-      ++term_begin_[id + 1];
+      rows.term.push_back(ranks.Rank(t));
+      rows.weight.push_back(w);
     }
-    point_begin_.push_back(static_cast<uint32_t>(point_term_.size()));
-    norms_.push_back(p.Norm());
+    rows.begin.push_back(static_cast<uint32_t>(rows.term.size()));
+  }
+  return rows;
+}
+
+}  // namespace
+
+void TermRanks::Seal() {
+  below_.assign(present_.size() + 1, 0);
+  for (size_t w = 0; w < present_.size(); ++w) {
+    below_[w + 1] =
+        below_[w] + static_cast<uint32_t>(std::popcount(present_[w]));
+  }
+}
+
+std::vector<TermId> TermRanks::Terms() const {
+  std::vector<TermId> terms;
+  terms.reserve(size());
+  for (size_t w = 0; w < present_.size(); ++w) {
+    for (uint64_t word = present_[w]; word != 0; word &= word - 1) {
+      terms.push_back(static_cast<TermId>(w * 64 + std::countr_zero(word)));
+    }
+  }
+  return terms;
+}
+
+CosineSpace::CosineSpace(const std::vector<SparseVector>& points)
+    : CosineSpace(RowsOf(points)) {}
+
+CosineSpace::CosineSpace(TermRows rows)
+    : point_begin_(std::move(rows.begin)),
+      point_term_(std::move(rows.term)),
+      point_weight_(std::move(rows.weight)) {
+  const size_t n = point_begin_.size() - 1;
+  const size_t nnz = point_term_.size();
+  const size_t dims = rows.dims;
+  norms_.reserve(n);
+  term_begin_.assign(dims + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    // The norm adds its squares in ascending term order, as
+    // SparseVector::Norm does.
+    double sq = 0.0;
+    for (uint32_t e = point_begin_[i]; e < point_begin_[i + 1]; ++e) {
+      sq += point_weight_[e] * point_weight_[e];
+      ++term_begin_[point_term_[e] + 1];
+    }
+    norms_.push_back(std::sqrt(sq));
   }
   // Postings, filled in ascending point order.
   for (size_t t = 0; t < dims; ++t) term_begin_[t + 1] += term_begin_[t];
@@ -75,7 +103,7 @@ CosineSpace::CosineSpace(const std::vector<SparseVector>& points) {
   term_point_.resize(nnz);
   term_weight_.resize(nnz);
   point_pos_.resize(nnz);
-  for (size_t i = 0; i < points.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
     for (uint32_t e = point_begin_[i]; e < point_begin_[i + 1]; ++e) {
       const uint32_t at = fill[point_term_[e]]++;
       point_pos_[e] = at;
@@ -85,7 +113,6 @@ CosineSpace::CosineSpace(const std::vector<SparseVector>& points) {
   }
   // Dense columns for the terms held by at least half the points: at most
   // 2 * nnz doubles.
-  const size_t n = points.size();
   term_column_.assign(dims, kNoColumn);
   size_t columns = 0;
   for (size_t t = 0; t < dims; ++t) {

@@ -1,22 +1,78 @@
 #ifndef QEC_CLUSTER_COSINE_SPACE_H_
 #define QEC_CLUSTER_COSINE_SPACE_H_
 
-// Internal to qec_cluster (and its kernel tests): the one distance kernel
-// behind k-means, HAC and the silhouette.
+// The one distance kernel behind k-means, HAC and the silhouette, and the
+// local-term-id scheme its input rows are written in.
 
+#include <bit>
 #include <cstdint>
-#include <span>
 #include <vector>
 
-#include "cluster/kmeans.h"
 #include "cluster/sparse_vector.h"
+#include "common/types.h"
 
 namespace qec::cluster {
 
-/// The points of one clustering call, re-indexed onto local term ids
-/// 0..dims()-1 assigned in ascending TermId order, with each point's norm
-/// cached, a per-term posting list of (point, weight) pairs, and each
-/// entry's position in its term's posting list. Every dot product adds the
+/// Local term ids for a set of TermIds: a presence bitmap over TermIds
+/// (vocabulary ids, so it spans the vocabulary at most) and its per-word
+/// prefix popcounts. A term's local id is the number of present terms
+/// below it, so local ids ascend with TermId.
+class TermRanks {
+ public:
+  static constexpr uint32_t kAbsent = UINT32_MAX;
+
+  void Insert(TermId t) {
+    if (t / 64 >= present_.size()) present_.resize(t / 64 + 1, 0);
+    present_[t / 64] |= uint64_t{1} << (t % 64);
+  }
+
+  /// Computes the prefix popcounts; call once, after the last Insert.
+  void Seal();
+
+  /// Number of present terms.
+  size_t size() const { return below_.empty() ? 0 : below_.back(); }
+
+  /// Local id of a present term.
+  uint32_t Rank(TermId t) const {
+    const uint64_t lower = (uint64_t{1} << (t % 64)) - 1;
+    return below_[t / 64] +
+           static_cast<uint32_t>(std::popcount(present_[t / 64] & lower));
+  }
+
+  /// Local id of `t`, or kAbsent for a term never inserted (any TermId,
+  /// including those past the bitmap's end).
+  uint32_t Find(TermId t) const {
+    if (t / 64 >= present_.size() ||
+        (present_[t / 64] >> (t % 64) & 1) == 0) {
+      return kAbsent;
+    }
+    return Rank(t);
+  }
+
+  /// The present terms, ascending: element l has local id l.
+  std::vector<TermId> Terms() const;
+
+ private:
+  std::vector<uint64_t> present_;
+  std::vector<uint32_t> below_;  // below_[w] = present terms in words < w
+};
+
+/// Points as compressed rows over local term ids 0..dims-1: point i's terms
+/// and weights are term/weight[begin[i], begin[i + 1]), local ids
+/// ascending.
+struct TermRows {
+  std::vector<uint32_t> begin = {0};
+  std::vector<uint32_t> term;
+  std::vector<double> weight;
+  size_t dims = 0;
+
+  size_t size() const { return begin.size() - 1; }
+};
+
+/// The points of one clustering call over local term ids 0..dims()-1
+/// assigned in ascending TermId order, with each point's norm cached, a
+/// per-term posting list of (point, weight) pairs, and each entry's
+/// position in its term's posting list. Every dot product adds the
 /// products of the two vectors' common terms in ascending term order, the
 /// order of SparseVector::Dot's merge, and a dense centroid adds +0.0 for
 /// each term it lacks. Distances, norms and centroid sums over finite
@@ -24,10 +80,15 @@ namespace qec::cluster {
 /// distance between two points is the same double from either side.
 class CosineSpace {
  public:
+  /// Takes rows already over local term ids (see TermRows).
+  explicit CosineSpace(TermRows rows);
+
+  /// Re-indexes sparse vectors through TermRanks.
   explicit CosineSpace(const std::vector<SparseVector>& points);
 
   size_t size() const { return norms_.size(); }
   size_t dims() const { return term_begin_.size() - 1; }
+  double norm(size_t i) const { return norms_[i]; }
 
   /// out[j] = cosine distance between points i and j, for every point j
   /// (out[i] included): point i's terms' postings scattered into `out`.
@@ -69,15 +130,6 @@ class CosineSpace {
   std::vector<size_t> term_column_;
   std::vector<double> columns_;
 };
-
-/// Mean silhouette (see MeanSilhouette) of every clustering of the space's
-/// points, in one triangular pass: each pair's distance is computed once
-/// and added to both points' per-cluster sums of every clustering. Extra
-/// memory is one sum per (point, cluster), O(points * total clusters);
-/// clusterings whose sums would exceed a fixed budget are scored in
-/// further passes. No pairwise matrix is held.
-std::vector<double> MeanSilhouettes(const CosineSpace& space,
-                                    std::span<const Clustering> clusterings);
 
 }  // namespace qec::cluster
 

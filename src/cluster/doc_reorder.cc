@@ -17,8 +17,10 @@ namespace {
 TermId DominantTerm(const doc::Document& d) {
   TermId best = kInvalidTermId;
   int best_tf = 0;
-  for (TermId t : d.term_set()) {
-    int tf = d.TermFrequency(t);
+  const auto& terms = d.term_set();
+  for (size_t i = 0; i < terms.size(); ++i) {
+    const TermId t = terms[i];
+    const int tf = d.term_counts()[i];
     if (tf > best_tf || (tf == best_tf && best != kInvalidTermId && t < best)) {
       best_tf = tf;
       best = t;

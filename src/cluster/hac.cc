@@ -103,12 +103,15 @@ class Agglomerator {
 }  // namespace
 
 Clustering Hac::Cluster(const std::vector<SparseVector>& points) const {
+  return Cluster(CosineSpace(points));
+}
+
+Clustering Hac::Cluster(const CosineSpace& space) const {
   QEC_TRACE_SPAN("cluster/hac");
   QEC_COUNTER_INC("cluster/hac_runs");
-  const size_t n = points.size();
+  const size_t n = space.size();
   const size_t k_max = std::min(options_.k == 0 ? size_t{1} : options_.k,
                                 std::max<size_t>(n, 1));
-  const CosineSpace space(points);
   Agglomerator agg(space);
   while (agg.num_active() > k_max && agg.MergeClosest()) {
   }
@@ -137,6 +140,11 @@ Clustering Hac::Cluster(const std::vector<SparseVector>& points) const {
 Clustering SelectBestClustering(const std::vector<SparseVector>& points,
                                 size_t k_max, uint64_t seed,
                                 ClusteringMethod* chosen) {
+  return SelectBestClustering(CosineSpace(points), k_max, seed, chosen);
+}
+
+Clustering SelectBestClustering(const CosineSpace& space, size_t k_max,
+                                uint64_t seed, ClusteringMethod* chosen) {
   KMeansOptions kopts;
   kopts.k = k_max;
   kopts.seed = seed;
@@ -146,10 +154,9 @@ Clustering SelectBestClustering(const std::vector<SparseVector>& points,
   hopts.auto_k = true;
   // Both winners scored in one silhouette pass.
   std::vector<Clustering> winners;
-  winners.push_back(KMeans(kopts).Cluster(points));
-  winners.push_back(Hac(hopts).Cluster(points));
-  const std::vector<double> scores =
-      MeanSilhouettes(CosineSpace(points), winners);
+  winners.push_back(KMeans(kopts).Cluster(space));
+  winners.push_back(Hac(hopts).Cluster(space));
+  const std::vector<double> scores = MeanSilhouettes(space, winners);
   const bool hac = scores[1] > scores[0];
   if (chosen != nullptr) {
     *chosen = hac ? ClusteringMethod::kHac : ClusteringMethod::kKMeans;

@@ -25,8 +25,12 @@ class Hac {
  public:
   explicit Hac(HacOptions options = {});
 
-  /// Clusters `points` by merging the closest pair until `k` clusters
-  /// remain (or, with auto_k, cutting at the silhouette-best level ≤ k).
+  /// Clusters the space's points by merging the closest pair until `k`
+  /// clusters remain (or, with auto_k, cutting at the silhouette-best
+  /// level ≤ k).
+  Clustering Cluster(const CosineSpace& space) const;
+
+  /// Cluster(CosineSpace(points)).
   Clustering Cluster(const std::vector<SparseVector>& points) const;
 
   const HacOptions& options() const { return options_; }
@@ -42,6 +46,11 @@ enum class ClusteringMethod { kKMeans, kHac };
 /// clustering method dynamically"): runs every method with `k_max` as the
 /// bound and returns the clustering with the highest mean silhouette.
 /// `chosen` (optional out) reports which method won.
+Clustering SelectBestClustering(const CosineSpace& space, size_t k_max,
+                                uint64_t seed,
+                                ClusteringMethod* chosen = nullptr);
+
+/// SelectBestClustering(CosineSpace(points), ...).
 Clustering SelectBestClustering(const std::vector<SparseVector>& points,
                                 size_t k_max, uint64_t seed,
                                 ClusteringMethod* chosen = nullptr);

@@ -184,12 +184,15 @@ Clustering ClusterWithK(const CosineSpace& space,
 }  // namespace
 
 Clustering KMeans::Cluster(const std::vector<SparseVector>& points) const {
+  return Cluster(CosineSpace(points));
+}
+
+Clustering KMeans::Cluster(const CosineSpace& space) const {
   QEC_TRACE_SPAN("cluster/kmeans");
   QEC_COUNTER_INC("cluster/kmeans_runs");
-  const size_t n = points.size();
+  const size_t n = space.size();
   const size_t k_max = std::min(options_.k == 0 ? size_t{1} : options_.k, n);
   const bool auto_k = options_.auto_k && n > 2 && k_max > 1;
-  const CosineSpace space(points);
   // Every k restarts the same Rng, so the seeds for k are the first k of
   // one sequence, drawn once for the largest 1 < k < n tried.
   const size_t seeded = auto_k ? std::min(k_max, n - 1) : k_max < n ? k_max : 0;

@@ -2,8 +2,10 @@
 #define QEC_CLUSTER_KMEANS_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "cluster/cosine_space.h"
 #include "cluster/sparse_vector.h"
 #include "common/types.h"
 
@@ -44,9 +46,12 @@ class KMeans {
  public:
   explicit KMeans(KMeansOptions options = {});
 
-  /// Clusters `points`. Deterministic for a fixed seed. Handles k >= n by
-  /// putting each point in its own cluster. Empty clusters are compacted
-  /// away so cluster labels are dense.
+  /// Clusters the space's points. Deterministic for a fixed seed. Handles
+  /// k >= n by putting each point in its own cluster. Empty clusters are
+  /// compacted away so cluster labels are dense.
+  Clustering Cluster(const CosineSpace& space) const;
+
+  /// Cluster(CosineSpace(points)).
   Clustering Cluster(const std::vector<SparseVector>& points) const;
 
   const KMeansOptions& options() const { return options_; }
@@ -61,6 +66,15 @@ class KMeans {
 /// every point with a label below its num_clusters (checked).
 double MeanSilhouette(const std::vector<SparseVector>& points,
                       const Clustering& clustering);
+
+/// Mean silhouette (see MeanSilhouette) of every clustering of the space's
+/// points, in one triangular pass: each pair's distance is computed once
+/// and added to both points' per-cluster sums of every clustering. Extra
+/// memory is one sum per (point, cluster), O(points * total clusters);
+/// clusterings whose sums would exceed a fixed budget are scored in
+/// further passes. No pairwise matrix is held.
+std::vector<double> MeanSilhouettes(const CosineSpace& space,
+                                    std::span<const Clustering> clusterings);
 
 }  // namespace qec::cluster
 

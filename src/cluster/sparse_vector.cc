@@ -25,10 +25,12 @@ SparseVector::SparseVector(EntryList entries) : entries_(std::move(entries)) {
 
 SparseVector SparseVector::FromDocument(const doc::Document& document) {
   SparseVector v;
-  v.entries_.reserve(document.term_set().size());
-  for (TermId t : document.term_set()) {
+  const auto& terms = document.term_set();
+  const auto& counts = document.term_counts();
+  v.entries_.reserve(terms.size());
+  for (size_t i = 0; i < terms.size(); ++i) {
     // term_set() is sorted & unique, so entries_ stays sorted.
-    v.entries_.emplace_back(t, static_cast<double>(document.TermFrequency(t)));
+    v.entries_.emplace_back(terms[i], static_cast<double>(counts[i]));
   }
   return v;
 }

@@ -1,5 +1,7 @@
 #include "common/dynamic_bitset.h"
 
+#include <cstdlib>
+
 #include "common/logging.h"
 
 namespace qec {
@@ -28,9 +30,10 @@ void DynamicBitset::TrimTail() {
   }
 }
 
-void DynamicBitset::Set(size_t i) {
-  QEC_CHECK_LT(i, size_);
-  words_[i / 64] |= 1ULL << (i % 64);
+void DynamicBitset::IndexOutOfRange(size_t i) const {
+  QEC_LOG(Fatal) << "Check failed: i < size_ (" << i << " vs " << size_
+                 << ") ";
+  std::abort();
 }
 
 void DynamicBitset::Reset(size_t i) {

@@ -25,7 +25,12 @@ class DynamicBitset {
 
   size_t size() const { return size_; }
 
-  void Set(size_t i);
+  /// Inline because the universe build sets one bit per (result, term)
+  /// pair. An index at or past size() is fatal.
+  void Set(size_t i) {
+    if (i >= size_) IndexOutOfRange(i);
+    words_[i / 64] |= uint64_t{1} << (i % 64);
+  }
   void Reset(size_t i);
   bool Test(size_t i) const;
 
@@ -124,6 +129,7 @@ class DynamicBitset {
 
  private:
   static void CheckSameSize(const DynamicBitset& a, const DynamicBitset& b);
+  [[noreturn]] void IndexOutOfRange(size_t i) const;
 
   void TrimTail();
 

@@ -7,6 +7,7 @@
 #include "common/sweep_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "cluster/cosine_space.h"
 #include "cluster/hac.h"
 #include "core/expansion_context.h"
 #include "core/interleaved.h"
@@ -74,29 +75,24 @@ Result<ExpansionOutcome> QueryExpander::Expand(
   cluster::Clustering clustering;
   {
     QEC_TRACE_SPAN("engine/cluster");
-    std::vector<cluster::SparseVector> vectors;
-    vectors.reserve(universe.size());
-    for (size_t i = 0; i < universe.size(); ++i) {
-      vectors.push_back(cluster::SparseVector::FromDocument(
-          index_->corpus().Get(universe.doc_at(i))));
-    }
+    const cluster::CosineSpace space(universe.term_rows());
     switch (options_.clustering) {
       case ClusteringAlgorithm::kKMeans: {
         cluster::KMeansOptions kmeans_options = options_.kmeans;
         kmeans_options.k = options_.max_clusters;
-        clustering = cluster::KMeans(kmeans_options).Cluster(vectors);
+        clustering = cluster::KMeans(kmeans_options).Cluster(space);
         break;
       }
       case ClusteringAlgorithm::kHac: {
         cluster::HacOptions hac_options;
         hac_options.k = options_.max_clusters;
         hac_options.auto_k = options_.kmeans.auto_k;
-        clustering = cluster::Hac(hac_options).Cluster(vectors);
+        clustering = cluster::Hac(hac_options).Cluster(space);
         break;
       }
       case ClusteringAlgorithm::kDynamic:
         clustering = cluster::SelectBestClustering(
-            vectors, options_.max_clusters, options_.kmeans.seed);
+            space, options_.max_clusters, options_.kmeans.seed);
         break;
     }
   }

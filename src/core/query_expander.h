@@ -119,6 +119,7 @@ struct ExpansionOutcome {
   double set_score = 0.0;
   size_t num_results_used = 0;
   size_t num_clusters = 0;
+  /// Building the universe's cluster::CosineSpace plus clustering it.
   double clustering_seconds = 0.0;
   double expansion_seconds = 0.0;
   /// Algorithm accounting aggregated over all clusters: counters are

@@ -7,6 +7,7 @@
 #include <shared_mutex>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/logging.h"
@@ -126,7 +127,7 @@ ResultUniverse::ResultUniverse(const doc::Corpus& corpus,
     docs_.push_back(r.doc);
     weights_.push_back(r.score > kMinWeight ? r.score : kMinWeight);
   }
-  BuildTermMap();
+  BuildTermRows();
 }
 
 ResultUniverse::ResultUniverse(const doc::Corpus& corpus,
@@ -134,10 +135,10 @@ ResultUniverse::ResultUniverse(const doc::Corpus& corpus,
     : corpus_(&corpus), scratch_(std::make_shared<ScratchArena>()) {
   docs_ = results;
   weights_.assign(results.size(), 1.0);
-  BuildTermMap();
+  BuildTermRows();
 }
 
-void ResultUniverse::BuildTermMap() {
+void ResultUniverse::BuildTermRows() {
   QEC_TRACE_SPAN("universe/build");
   QEC_COUNTER_INC("universe/builds");
   total_weight_ = 0.0;
@@ -145,18 +146,35 @@ void ResultUniverse::BuildTermMap() {
   unit_weights_ =
       std::all_of(weights_.begin(), weights_.end(),
                   [](double w) { return w == 1.0; });
-  empty_ = DynamicBitset(docs_.size());
-  for (size_t i = 0; i < docs_.size(); ++i) {
-    const doc::Document& d = corpus_->Get(docs_[i]);
-    for (TermId t : d.term_set()) {
-      auto [it, inserted] = term_docs_.try_emplace(t, docs_.size());
-      it->second.Set(i);
-      term_tf_[t] += d.TermFrequency(t);
-    }
+  const size_t n = docs_.size();
+  empty_ = DynamicBitset(n);
+  size_t nnz = 0;
+  for (DocId d : docs_) {
+    const std::vector<TermId>& terms = corpus_->Get(d).term_set();
+    for (TermId t : terms) ranks_.Insert(t);
+    nnz += terms.size();
   }
-  distinct_terms_.reserve(term_docs_.size());
-  for (const auto& [t, bits] : term_docs_) distinct_terms_.push_back(t);
-  std::sort(distinct_terms_.begin(), distinct_terms_.end());
+  ranks_.Seal();
+  distinct_terms_ = ranks_.Terms();
+  rows_.dims = distinct_terms_.size();
+  rows_.begin.reserve(n + 1);
+  rows_.term.reserve(nnz);
+  rows_.weight.reserve(nnz);
+  term_docs_.assign(rows_.dims, empty_);
+  term_tf_.assign(rows_.dims, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const doc::Document& d = corpus_->Get(docs_[i]);
+    const std::vector<TermId>& terms = d.term_set();
+    const std::vector<int>& counts = d.term_counts();
+    for (size_t e = 0; e < terms.size(); ++e) {
+      const uint32_t local = ranks_.Rank(terms[e]);
+      rows_.term.push_back(local);
+      rows_.weight.push_back(static_cast<double>(counts[e]));
+      term_docs_[local].Set(i);
+      term_tf_[local] += counts[e];
+    }
+    rows_.begin.push_back(static_cast<uint32_t>(rows_.term.size()));
+  }
 }
 
 // Deliberately uncounted: TotalWeight runs once per benefit/cost
@@ -213,12 +231,6 @@ double ResultUniverse::WeightOfAndNotAnd(const DynamicBitset& a,
   }
   return WeightWhere(
       [](uint64_t x, uint64_t y, uint64_t z) { return x & ~y & z; }, a, b, c);
-}
-
-const DynamicBitset& ResultUniverse::FindDocs(TermId term) const {
-  auto it = term_docs_.find(term);
-  if (it == term_docs_.end()) return empty_;
-  return it->second;
 }
 
 const DynamicBitset& ResultUniverse::DocsWithTerm(TermId term) const {
@@ -282,8 +294,8 @@ DynamicBitset ResultUniverse::RetrieveOr(std::span<const TermId> query) const {
 }
 
 int ResultUniverse::TotalTermFrequency(TermId term) const {
-  auto it = term_tf_.find(term);
-  return it == term_tf_.end() ? 0 : it->second;
+  const uint32_t local = ranks_.Find(term);
+  return local == cluster::TermRanks::kAbsent ? 0 : term_tf_[local];
 }
 
 }  // namespace qec::core

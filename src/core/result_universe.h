@@ -4,9 +4,9 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "cluster/cosine_space.h"
 #include "common/dynamic_bitset.h"
 #include "common/logging.h"
 #include "common/types.h"
@@ -38,6 +38,14 @@ struct ScratchArenaStats {
 /// Results get dense local ids 0..size()-1; set algebra uses DynamicBitset
 /// over local ids. Each result carries a ranking weight: the paper's S(.)
 /// is the sum of weights of a set of results (weight 1.0 when unranked).
+///
+/// Terms get dense local ids too: a term's rank among the results' distinct
+/// terms in ascending TermId order (cluster::TermRanks), so DistinctTerms()
+/// lists them by local id. The build walks the results' sorted term sets
+/// twice, once to mark the terms and once to fill the result-term matrix:
+/// each result's (local id, tf) row, read by clustering as a
+/// cluster::CosineSpace; each term's bitset of results; and each term's tf
+/// total.
 class ResultUniverse {
   struct ScratchArena;  // defined in result_universe.cc
 
@@ -133,8 +141,13 @@ class ResultUniverse {
     return RetrieveOr(std::span<const TermId>(query.begin(), query.size()));
   }
 
-  /// All distinct terms that appear in at least one result.
+  /// All distinct terms that appear in at least one result, ascending;
+  /// element l is the term of local id l.
   const std::vector<TermId>& DistinctTerms() const { return distinct_terms_; }
+
+  /// Row i holds result i's terms as (local id, tf) pairs, local ids
+  /// ascending: the TF vectors that clustering compares (Appendix C).
+  const cluster::TermRows& term_rows() const { return rows_; }
 
   /// Total term frequency of `term` across the universe's results.
   int TotalTermFrequency(TermId term) const;
@@ -194,11 +207,14 @@ class ResultUniverse {
   static constexpr size_t kMaxMemoArity = 4;
 
  private:
-  void BuildTermMap();
+  void BuildTermRows();
 
   /// DocsWithTerm without the universe/term_lookups counter, for internal
   /// callers whose own batched counters already account for the lookup.
-  const DynamicBitset& FindDocs(TermId term) const;
+  const DynamicBitset& FindDocs(TermId term) const {
+    const uint32_t local = ranks_.Find(term);
+    return local == cluster::TermRanks::kAbsent ? empty_ : term_docs_[local];
+  }
 
   const doc::Corpus* corpus_;
   std::vector<DocId> docs_;
@@ -209,8 +225,11 @@ class ResultUniverse {
   /// summing k in-order 1.0s yields exactly k.
   bool unit_weights_ = false;
   double total_weight_ = 0.0;
-  std::unordered_map<TermId, DynamicBitset> term_docs_;
-  std::unordered_map<TermId, int> term_tf_;
+  cluster::TermRanks ranks_;
+  cluster::TermRows rows_;
+  /// Indexed by local term id.
+  std::vector<DynamicBitset> term_docs_;
+  std::vector<int> term_tf_;
   std::vector<TermId> distinct_terms_;
   DynamicBitset empty_;
   /// shared_ptr keeps the universe copyable; copies share the memo, which

@@ -50,6 +50,10 @@ class Document {
   /// Sorted, deduplicated term ids.
   const std::vector<TermId>& term_set() const { return term_set_; }
 
+  /// term_counts()[i] is the frequency of term_set()[i]: a walk over the
+  /// term set reads each count at its index instead of searching for it.
+  const std::vector<int>& term_counts() const { return term_counts_; }
+
   /// Frequency of `term` in this document (0 when absent).
   int TermFrequency(TermId term) const;
 

@@ -4,6 +4,7 @@
 
 #include "baselines/cluster_summarization.h"
 #include "baselines/data_clouds.h"
+#include "cluster/cosine_space.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "core/metrics.h"
@@ -86,17 +87,12 @@ Result<QueryCase> PrepareQueryCase(const DatasetBundle& bundle,
       std::make_unique<core::ResultUniverse>(*bundle.corpus, results);
 
   Stopwatch watch;
-  std::vector<cluster::SparseVector> vectors;
-  vectors.reserve(qc.universe->size());
-  for (size_t i = 0; i < qc.universe->size(); ++i) {
-    vectors.push_back(cluster::SparseVector::FromDocument(
-        bundle.corpus->Get(qc.universe->doc_at(i))));
-  }
   cluster::KMeansOptions kopts;
   kopts.k = max_clusters;
   kopts.seed = seed;
   kopts.auto_k = auto_k;  // max_clusters is an upper bound (Sec. 1)
-  qc.clustering = cluster::KMeans(kopts).Cluster(vectors);
+  qc.clustering = cluster::KMeans(kopts).Cluster(
+      cluster::CosineSpace(qc.universe->term_rows()));
   qc.clustering_seconds = watch.ElapsedSeconds();
   return qc;
 }

@@ -32,9 +32,10 @@ void InvertedIndex::Rebuild() {
   postings_.assign(corpus_->analyzer().vocabulary().size(), {});
   for (DocId d = 0; d < corpus_->NumDocs(); ++d) {
     const doc::Document& doc = corpus_->Get(d);
-    const auto& term_set = doc.term_set();
-    for (TermId t : term_set) {
-      postings_[t].push_back(Posting{d, doc.TermFrequency(t)});
+    const auto& terms = doc.term_set();
+    const auto& counts = doc.term_counts();
+    for (size_t i = 0; i < terms.size(); ++i) {
+      postings_[terms[i]].push_back(Posting{d, counts[i]});
     }
   }
   ComputeDocNorms();
@@ -62,8 +63,10 @@ void InvertedIndex::RebuildParallel(size_t num_threads) {
       const DocId end = static_cast<DocId>((s + 1) * n / threads);
       for (DocId d = begin; d < end; ++d) {
         const doc::Document& doc = corpus_->Get(d);
-        for (TermId t : doc.term_set()) {
-          partials[s][t].push_back(Posting{d, doc.TermFrequency(t)});
+        const auto& terms = doc.term_set();
+        const auto& counts = doc.term_counts();
+        for (size_t i = 0; i < terms.size(); ++i) {
+          partials[s][terms[i]].push_back(Posting{d, counts[i]});
         }
       }
     });
@@ -89,8 +92,10 @@ void InvertedIndex::ComputeDocNorms() {
   for (DocId d = 0; d < corpus_->NumDocs(); ++d) {
     const doc::Document& doc = corpus_->Get(d);
     double sq = 0.0;
-    for (TermId t : doc.term_set()) {
-      double w = static_cast<double>(doc.TermFrequency(t)) * Idf(t);
+    const auto& terms = doc.term_set();
+    const auto& counts = doc.term_counts();
+    for (size_t i = 0; i < terms.size(); ++i) {
+      double w = static_cast<double>(counts[i]) * Idf(terms[i]);
       sq += w * w;
     }
     doc_norms_[d] = std::sqrt(sq);

@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "cluster/hac.h"
 #include "core/candidates.h"
 #include "core/query_expander.h"
 #include "datagen/shopping.h"
@@ -320,6 +321,73 @@ INSTANTIATE_TEST_SUITE_P(Algorithms, DeterminismFixture,
                                           "F-measure"
                                       ? "FMeasure"
                                       : std::string(AlgorithmName(info.param));
+                         });
+
+// The engine clusters one CosineSpace built from the universe's term rows;
+// clustering the results' SparseVector list instead, then expanding that
+// clustering, must give the same outcome.
+class EngineSpaceRouteTest
+    : public ::testing::TestWithParam<ClusteringAlgorithm> {};
+
+TEST_P(EngineSpaceRouteTest, ExpandTextMatchesClusteringSparseVectors) {
+  datagen::ShoppingOptions shopping;
+  shopping.products_per_family = 30;
+  const doc::Corpus corpus = datagen::ShoppingGenerator(shopping).Generate();
+  const index::InvertedIndex index(corpus);
+  QueryExpanderOptions options;
+  options.top_k_results = 0;  // all results
+  options.clustering = GetParam();
+  const QueryExpander expander(index, options);
+  for (const char* query : {"canon products", "tv plasma", "camera"}) {
+    SCOPED_TRACE(query);
+    auto outcome = expander.ExpandText(query);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+
+    const std::vector<TermId> terms =
+        corpus.analyzer().AnalyzeReadOnly(query);
+    const ResultUniverse universe(corpus, index.Search(terms));
+    std::vector<cluster::SparseVector> points;
+    for (size_t i = 0; i < universe.size(); ++i) {
+      points.push_back(cluster::SparseVector::FromDocument(
+          corpus.Get(universe.doc_at(i))));
+    }
+    cluster::Clustering clustering;
+    switch (GetParam()) {
+      case ClusteringAlgorithm::kKMeans: {
+        cluster::KMeansOptions kmeans = options.kmeans;
+        kmeans.k = options.max_clusters;
+        clustering = cluster::KMeans(kmeans).Cluster(points);
+        break;
+      }
+      case ClusteringAlgorithm::kHac:
+        clustering = cluster::Hac({.k = options.max_clusters,
+                                   .auto_k = options.kmeans.auto_k})
+                         .Cluster(points);
+        break;
+      case ClusteringAlgorithm::kDynamic:
+        clustering = cluster::SelectBestClustering(
+            points, options.max_clusters, options.kmeans.seed);
+        break;
+    }
+    ExpectIdenticalOutcomes(
+        expander.ExpandClustered(terms, universe, clustering), *outcome);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Clusterings, EngineSpaceRouteTest,
+                         ::testing::Values(ClusteringAlgorithm::kKMeans,
+                                           ClusteringAlgorithm::kHac,
+                                           ClusteringAlgorithm::kDynamic),
+                         [](const auto& info) {
+                           switch (info.param) {
+                             case ClusteringAlgorithm::kKMeans:
+                               return "KMeans";
+                             case ClusteringAlgorithm::kHac:
+                               return "Hac";
+                             case ClusteringAlgorithm::kDynamic:
+                               break;
+                           }
+                           return "Dynamic";
                          });
 
 TEST(AlgorithmNameTest, AllNamesDistinct) {
