@@ -40,8 +40,8 @@
 //
 // Global flags (any command; `quickstart` is the default when only flags
 // are given): --metrics-out=FILE writes a metrics JSON snapshot on exit,
-// --trace records spans and prints a flat profile, --trace-out=FILE writes
-// chrome://tracing JSON, --log-level=debug|info|warning|error sets the log
+// --trace prints a table of the engine's per-phase timings (analyze through
+// minimize) on exit, --log-level=debug|info|warning|error sets the log
 // threshold (QEC_LOG_LEVEL env works too).
 //
 // Text files are indexed as one document each; XML files must have a root
@@ -116,8 +116,7 @@ int Usage() {
       "[--out=FILE]\n"
       "  qec_cli quickstart [--snapshot=FILE [--query=Q]]\n"
       "<data> is shopping, wikipedia, or a snapshot file from index-build\n"
-      "global flags: --metrics-out=FILE --trace --trace-out=FILE "
-      "--log-level=LEVEL\n");
+      "global flags: --metrics-out=FILE --trace --log-level=LEVEL\n");
   return 2;
 }
 
@@ -520,7 +519,7 @@ int CmdExplain(const std::vector<std::string>& args) {
                 std::string(qec::core::AlgorithmName(arms[arm])).c_str(),
                 outcome->set_score, outcome->num_clusters,
                 outcome->num_results_used,
-                outcome->expansion_seconds * 1e3);
+                static_cast<double>(outcome->phases.expansion_ns()) / 1e6);
     for (const auto& eq : outcome->queries) {
       for (const auto& row : eq.term_details) {
         table.AddRow({arm_names[arm], std::to_string(eq.cluster_index),
@@ -640,8 +639,7 @@ int CmdAbtest(const std::vector<std::string>& args) {
     const auto c = evaluator.Compare(
         i + 1, queries[i],
         std::string(qec::core::AlgorithmName(primary_algo)), p->set_score,
-        static_cast<uint64_t>(p->expansion_seconds * 1e9), s->set_score,
-        static_cast<uint64_t>(s->expansion_seconds * 1e9));
+        p->phases.expansion_ns(), s->set_score, s->phases.expansion_ns());
     char p_score[32], s_score[32], p_ms[32], s_ms[32];
     std::snprintf(p_score, sizeof(p_score), "%.3f", c.primary_score);
     std::snprintf(s_score, sizeof(s_score), "%.3f", c.shadow_score);
@@ -1235,8 +1233,7 @@ int main(int argc, char** argv) {
     // Bare flags (e.g. `qec_cli --metrics-out=m.json`) run the quickstart
     // demo so there is always something to measure; no arguments at all is
     // still a usage error.
-    if (obs_flags.metrics_out.empty() && obs_flags.trace_out.empty() &&
-        !obs_flags.trace) {
+    if (obs_flags.metrics_out.empty() && !obs_flags.trace) {
       return Usage();
     }
     rc = CmdQuickstart({});

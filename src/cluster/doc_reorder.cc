@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace qec::cluster {
 
@@ -33,7 +32,6 @@ TermId DominantTerm(const doc::Document& d) {
 
 std::vector<DocId> ComputeClusterOrder(const doc::Corpus& corpus,
                                        const DocReorderOptions& options) {
-  QEC_TRACE_SPAN("cluster/doc_reorder");
   const size_t n = corpus.NumDocs();
   std::vector<TermId> signature(n, kInvalidTermId);
   std::unordered_map<TermId, size_t> bucket_docs;
@@ -65,7 +63,6 @@ std::vector<DocId> ComputeClusterOrder(const doc::Corpus& corpus,
 
 doc::Corpus ReorderCorpus(const doc::Corpus& corpus,
                           const std::vector<DocId>& order) {
-  QEC_TRACE_SPAN("cluster/reorder_corpus");
   const size_t n = corpus.NumDocs();
   QEC_CHECK_EQ(order.size(), n);
   std::vector<uint8_t> seen(n, 0);

@@ -7,7 +7,6 @@
 #include "cluster/cosine_space.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace qec::cluster {
 
@@ -107,7 +106,6 @@ Clustering Hac::Cluster(const std::vector<SparseVector>& points) const {
 }
 
 Clustering Hac::Cluster(const CosineSpace& space) const {
-  QEC_TRACE_SPAN("cluster/hac");
   QEC_COUNTER_INC("cluster/hac_runs");
   const size_t n = space.size();
   const size_t k_max = std::min(options_.k == 0 ? size_t{1} : options_.k,

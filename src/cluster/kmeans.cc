@@ -8,7 +8,6 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace qec::cluster {
 
@@ -188,7 +187,6 @@ Clustering KMeans::Cluster(const std::vector<SparseVector>& points) const {
 }
 
 Clustering KMeans::Cluster(const CosineSpace& space) const {
-  QEC_TRACE_SPAN("cluster/kmeans");
   QEC_COUNTER_INC("cluster/kmeans_runs");
   const size_t n = space.size();
   const size_t k_max = std::min(options_.k == 0 ? size_t{1} : options_.k, n);

@@ -8,7 +8,6 @@
 #include "common/sweep_pool.h"
 #include "core/benefit_cost.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace qec::core {
 
@@ -52,7 +51,6 @@ class IskrState {
 
   ExpansionResult Run() {
     while (iterations_ < options_.max_iterations) {
-      QEC_TRACE_SPAN("iskr/refine_step");
       const Move move = BestMove();
       if (move.value <= 1.0) break;
       ++iterations_;
@@ -232,7 +230,6 @@ ExpansionResult IskrExpander::Expand(const ExpansionContext& context) const {
 ExpansionResult IskrExpander::ExpandWithTrace(
     const ExpansionContext& context, std::vector<IskrStep>* trace) const {
   QEC_CHECK(context.universe != nullptr);
-  QEC_TRACE_SPAN("iskr/expand");
   IskrState state(context, options_, sweep_, trace);
   return state.Run();
 }

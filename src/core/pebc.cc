@@ -9,7 +9,6 @@
 #include "common/sweep_pool.h"
 #include "core/benefit_cost.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace qec::core {
 
@@ -39,7 +38,6 @@ class SampleBuilder {
   /// Generates a query eliminating roughly `target_percent`% of U's weight
   /// while maximizing retained C, using `strategy`.
   PebcSample Build(double target_percent, PebcStrategy strategy) {
-    QEC_TRACE_SPAN("pebc/build_sample");
     query_.assign(ctx_.user_query.begin(), ctx_.user_query.end());
     eval_.Reset();
     SyncLiveWeight();
@@ -340,7 +338,6 @@ ExpansionResult PebcExpander::Expand(const ExpansionContext& context) const {
 ExpansionResult PebcExpander::ExpandWithTrace(
     const ExpansionContext& context, std::vector<PebcSample>* trace) const {
   QEC_CHECK(context.universe != nullptr);
-  QEC_TRACE_SPAN("pebc/expand");
   Rng rng(options_.seed);
   size_t recomputations = 0;
   SampleBuilder builder(context, rng, sweep_, &recomputations);

@@ -13,6 +13,7 @@
 #include "core/iskr.h"
 #include "core/metrics.h"
 #include "core/pebc.h"
+#include "core/phases.h"
 #include "core/result_universe.h"
 #include "core/sweep_options.h"
 #include "index/inverted_index.h"
@@ -119,9 +120,8 @@ struct ExpansionOutcome {
   double set_score = 0.0;
   size_t num_results_used = 0;
   size_t num_clusters = 0;
-  /// Building the universe's cluster::CosineSpace plus clustering it.
-  double clustering_seconds = 0.0;
-  double expansion_seconds = 0.0;
+  /// Where this request's engine time went, phase by phase.
+  EnginePhases phases;
   /// Algorithm accounting aggregated over all clusters: counters are
   /// summed, PebcStats::best_target_percent is the max. Only the stats of
   /// the algorithm that actually ran are non-zero.
@@ -146,8 +146,8 @@ class QueryExpander {
       const std::vector<TermId>& user_terms,
       const std::vector<index::RankedResult>& results) const;
 
-  /// Expansion only, over an existing universe and clustering (no timing of
-  /// clustering; expansion_seconds still measured).
+  /// Expansion only, over an existing universe and clustering. Fills only
+  /// the candidates, expand and minimize phases.
   ExpansionOutcome ExpandClustered(const std::vector<TermId>& user_terms,
                                    const ResultUniverse& universe,
                                    const cluster::Clustering& clustering) const;

@@ -12,7 +12,6 @@
 
 #include "common/logging.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace qec::core {
 
@@ -139,7 +138,6 @@ ResultUniverse::ResultUniverse(const doc::Corpus& corpus,
 }
 
 void ResultUniverse::BuildTermRows() {
-  QEC_TRACE_SPAN("universe/build");
   QEC_COUNTER_INC("universe/builds");
   total_weight_ = 0.0;
   for (double w : weights_) total_weight_ += w;

@@ -8,7 +8,6 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "core/metrics.h"
-#include "obs/trace.h"
 
 #include <sys/stat.h>
 
@@ -70,7 +69,6 @@ Result<QueryCase> PrepareQueryCase(const DatasetBundle& bundle,
                                    std::string_view query_text, size_t top_k,
                                    size_t max_clusters, uint64_t seed,
                                    bool auto_k) {
-  QEC_TRACE_SPAN("eval/prepare_query_case");
   QueryCase qc;
   qc.user_terms = bundle.corpus->analyzer().AnalyzeReadOnly(query_text);
   if (qc.user_terms.empty()) {
@@ -108,7 +106,7 @@ MethodRun RunClusterAlgorithm(const DatasetBundle& bundle,
   core::ExpansionOutcome outcome = expander.ExpandClustered(
       qc.user_terms, *qc.universe, qc.clustering);
   MethodRun run;
-  run.seconds = outcome.expansion_seconds;
+  run.seconds = static_cast<double>(outcome.phases.expansion_ns()) / 1e9;
   run.set_score = outcome.set_score;
   for (auto& eq : outcome.queries) {
     baselines::SuggestedQuery s;
@@ -125,7 +123,6 @@ MethodRun RunMethod(const DatasetBundle& bundle, const QueryCase& qc,
                     Method method,
                     const baselines::QueryLogSuggester* query_log,
                     std::string_view raw_query_text) {
-  QEC_TRACE_SPAN("eval/run_method");
   switch (method) {
     case Method::kIskr:
       return RunClusterAlgorithm(bundle, qc, core::ExpansionAlgorithm::kIskr);

@@ -4,7 +4,8 @@
 #include <string_view>
 
 #include "common/logging.h"
-#include "obs/trace.h"
+#include "core/phases.h"
+#include "obs/metrics.h"
 
 namespace qec::eval {
 
@@ -33,6 +34,35 @@ bool FlagValue(std::string_view arg, std::string_view flag,
   return true;
 }
 
+/// One row per core::Phase, in pipeline order, from the
+/// `engine/phase/<name>_ns` histograms: sample count, total, mean, p50 and
+/// p99 in milliseconds. A phase nothing ran reads 0, as does every phase
+/// when QEC_DISABLE_TRACING compiles the histograms out.
+std::string EnginePhaseTable() {
+  const obs::MetricsSnapshot snapshot =
+      obs::MetricsRegistry::Global().Snapshot();
+  char line[160];
+  std::snprintf(line, sizeof(line), "%-10s %10s %12s %10s %10s %10s\n",
+                "phase", "count", "total_ms", "avg_ms", "p50_ms", "p99_ms");
+  std::string out = line;
+  for (const std::string_view name : core::kPhaseNames) {
+    const std::string histogram = "engine/phase/" + std::string(name) + "_ns";
+    obs::HistogramSnapshot h;
+    for (const obs::HistogramSnapshot& candidate : snapshot.histograms) {
+      if (candidate.name == histogram) h = candidate;
+    }
+    const double total_ms = static_cast<double>(h.sum) / 1e6;
+    std::snprintf(line, sizeof(line),
+                  "%-10.*s %10llu %12.3f %10.3f %10.3f %10.3f\n",
+                  static_cast<int>(name.size()), name.data(),
+                  static_cast<unsigned long long>(h.count), total_ms,
+                  h.count > 0 ? total_ms / static_cast<double>(h.count) : 0.0,
+                  h.p50 / 1e6, h.p99 / 1e6);
+    out += line;
+  }
+  return out;
+}
+
 }  // namespace
 
 ObsFlags ConsumeObsFlags(std::vector<std::string>& args) {
@@ -43,8 +73,6 @@ ObsFlags ConsumeObsFlags(std::vector<std::string>& args) {
     std::string value;
     if (FlagValue(arg, "--metrics-out", &value)) {
       flags.metrics_out = value;
-    } else if (FlagValue(arg, "--trace-out", &value)) {
-      flags.trace_out = value;
     } else if (arg == "--trace") {
       flags.trace = true;
     } else if (FlagValue(arg, "--log-level", &value)) {
@@ -59,9 +87,6 @@ ObsFlags ConsumeObsFlags(std::vector<std::string>& args) {
     }
   }
   args = std::move(kept);
-  if (flags.trace || !flags.trace_out.empty()) {
-    obs::SetTraceEventRecording(true);
-  }
   return flags;
 }
 
@@ -72,7 +97,6 @@ ObsFlags ParseObsFlags(int& argc, char** argv) {
     std::vector<std::string> one = {argv[i]};
     ObsFlags f = ConsumeObsFlags(one);
     if (!f.metrics_out.empty()) flags.metrics_out = f.metrics_out;
-    if (!f.trace_out.empty()) flags.trace_out = f.trace_out;
     flags.trace = flags.trace || f.trace;
     // Unconsumed arguments compact leftward; consumed ones drop out.
     if (!one.empty()) argv[out++] = argv[i];
@@ -84,16 +108,13 @@ ObsFlags ParseObsFlags(int& argc, char** argv) {
 bool EmitObsOutputs(const ObsFlags& flags) {
   bool ok = true;
   if (!flags.metrics_out.empty()) {
-    const obs::MetricsSnapshot snapshot = obs::CaptureMetrics();
+    const obs::MetricsSnapshot snapshot =
+        obs::MetricsRegistry::Global().Snapshot();
     ok = WriteFile(flags.metrics_out, snapshot.ToJson()) && ok;
     std::printf("metrics snapshot written to %s\n", flags.metrics_out.c_str());
   }
-  if (!flags.trace_out.empty()) {
-    ok = WriteFile(flags.trace_out, obs::TraceEventsJson()) && ok;
-    std::printf("trace events written to %s\n", flags.trace_out.c_str());
-  }
   if (flags.trace) {
-    std::printf("\n--- span profile ---\n%s", obs::SpanFlatProfile().c_str());
+    std::printf("\n--- engine phases ---\n%s", EnginePhaseTable().c_str());
   }
   return ok;
 }

@@ -7,7 +7,6 @@
 
 #include "common/logging.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace qec::index {
 
@@ -28,7 +27,6 @@ InvertedIndex InvertedIndex::FromPostings(
 }
 
 void InvertedIndex::Rebuild() {
-  QEC_TRACE_SPAN("index/rebuild");
   postings_.assign(corpus_->analyzer().vocabulary().size(), {});
   for (DocId d = 0; d < corpus_->NumDocs(); ++d) {
     const doc::Document& doc = corpus_->Get(d);
@@ -191,7 +189,6 @@ double InvertedIndex::TfIdfScore(const std::vector<TermId>& terms,
 
 std::vector<RankedResult> InvertedIndex::Search(
     const std::vector<TermId>& terms, size_t top_k) const {
-  QEC_TRACE_SPAN("index/search");
   QEC_COUNTER_INC("index/searches");
   std::vector<DocId> docs = EvaluateAnd(terms);
   std::vector<RankedResult> out;
@@ -221,7 +218,6 @@ std::vector<RankedResult> InvertedIndex::SearchVsm(
   if (query_norm == 0.0) return {};
 
   // Accumulate dot products by traversing each query term's postings.
-  QEC_TRACE_SPAN("index/search_vsm");
   QEC_COUNTER_INC("index/searches");
   size_t scanned = 0;
   std::unordered_map<DocId, double> dots;
@@ -261,7 +257,6 @@ std::vector<RankedResult> InvertedIndex::SearchBm25(
   std::sort(unique.begin(), unique.end());
   unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
 
-  QEC_TRACE_SPAN("index/search_bm25");
   QEC_COUNTER_INC("index/searches");
   size_t scanned = 0;
   std::unordered_map<DocId, double> scores;

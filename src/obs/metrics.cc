@@ -213,19 +213,7 @@ std::string MetricsSnapshot::ToJson() const {
     }
     out += "]}";
   }
-  out += histograms.empty() ? "},\n" : "\n  },\n";
-
-  out += "  \"spans\": {";
-  for (size_t i = 0; i < spans.size(); ++i) {
-    const SpanStats& s = spans[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    " + json::Quote(s.name) + ": {";
-    out += "\"count\": " + std::to_string(s.count);
-    out += ", \"total_ns\": " + std::to_string(s.total_ns);
-    out += ", \"self_ns\": " + std::to_string(s.self_ns);
-    out += "}";
-  }
-  out += spans.empty() ? "}\n" : "\n  }\n";
+  out += histograms.empty() ? "}\n" : "\n  }\n";
   out += "}\n";
   return out;
 }

@@ -119,26 +119,14 @@ struct HistogramSnapshot {
   std::vector<BucketExemplar> exemplars;
 };
 
-/// Aggregated timings of one span name (see trace.h).
-struct SpanStats {
-  std::string name;
-  uint64_t count = 0;
-  uint64_t total_ns = 0;
-  /// Time not attributed to nested child spans.
-  uint64_t self_ns = 0;
-};
-
-/// Point-in-time copy of every metric, exportable to JSON. Span stats are
-/// filled by CaptureMetrics() in trace.h; MetricsRegistry::Snapshot() alone
-/// leaves them empty.
+/// Point-in-time copy of every metric, exportable to JSON.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
   std::vector<HistogramSnapshot> histograms;
-  std::vector<SpanStats> spans;
 
-  /// {"counters": {...}, "gauges": {...}, "histograms": {...},
-  ///  "spans": {...}} — see docs/OBSERVABILITY.md for the schema.
+  /// {"counters": {...}, "gauges": {...}, "histograms": {...}} — see
+  /// docs/OBSERVABILITY.md for the schema.
   std::string ToJson() const;
 };
 
@@ -155,8 +143,7 @@ class MetricsRegistry {
   Gauge* GetGauge(std::string_view name);
   Histogram* GetHistogram(std::string_view name);
 
-  /// Counters/gauges/histograms sorted by name. Spans are not included
-  /// here (use CaptureMetrics() from trace.h for the full picture).
+  /// Counters/gauges/histograms sorted by name.
   MetricsSnapshot Snapshot() const;
 
   /// Zeroes every metric (handles remain valid). Intended for tests and
@@ -171,9 +158,6 @@ class MetricsRegistry {
 };
 
 }  // namespace qec::obs
-
-#define QEC_OBS_CONCAT_IMPL_(a, b) a##b
-#define QEC_OBS_CONCAT_(a, b) QEC_OBS_CONCAT_IMPL_(a, b)
 
 // Hot-path instrumentation macros. `name` must be a per-call-site constant:
 // the registry handle is resolved once and cached in a function-local

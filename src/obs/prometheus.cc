@@ -10,7 +10,6 @@
 #include "common/sweep_pool.h"
 #include "obs/json.h"
 #include "obs/process_collector.h"
-#include "obs/trace.h"
 
 namespace qec::obs {
 
@@ -188,7 +187,7 @@ std::string WritePrometheus(const MetricsSnapshot& snapshot) {
 }
 
 std::string PrometheusSnapshot() {
-  std::string out = WritePrometheus(CaptureMetrics());
+  std::string out = WritePrometheus(MetricsRegistry::Global().Snapshot());
   // Splice the live qec_process_* families in before the trailing # EOF so
   // the admin /metrics route (and the flusher file) expose process health
   // without WritePrometheus — a pure snapshot renderer — touching /proc.

@@ -53,15 +53,13 @@ std::string PrometheusSweepPool();
 /// Buckets whose histogram recorded a traced observation carry an
 /// OpenMetrics exemplar: ` # {trace_id="<16-hex>"} <value> <unix seconds>`
 /// appended to the `_bucket` line, linking the bucket to its
-/// flight-recorder record. Span aggregates are not emitted separately —
-/// every span already feeds its `span/<name>` histogram. The output ends
-/// with a `# EOF` line so stream consumers (the METRICS protocol verb and
-/// the admin /metrics route) can find the end.
+/// flight-recorder record. The output ends with a `# EOF` line so stream
+/// consumers (the METRICS protocol verb and the admin /metrics route) can
+/// find the end.
 std::string WritePrometheus(const MetricsSnapshot& snapshot);
 
-/// WritePrometheus over the full live registry + span aggregates
-/// (CaptureMetrics() in trace.h), plus the `qec_process_*` families
-/// sampled live from /proc (see process_collector.h).
+/// WritePrometheus over the full live registry, plus the `qec_process_*`
+/// families sampled live from /proc (see process_collector.h).
 std::string PrometheusSnapshot();
 
 /// One parsed sample line: `name{labels} value [# {exemplar} value [ts]]`.

@@ -9,7 +9,6 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
-#include "obs/trace.h"
 
 namespace qec::server {
 
@@ -330,7 +329,6 @@ ServeResponse QecServer::Execute(const ServeRequest& request) {
 
 ServeResponse QecServer::Execute(const ServeRequest& request,
                                  RequestContext* context) {
-  QEC_TRACE_SPAN("server/execute");
   ServeResponse response;
   if (request.verb != ServeRequest::Verb::kExpand) {
     response.status =
@@ -419,8 +417,7 @@ void QecServer::MaybeScheduleShadow(const ServeRequest& request,
   // The algorithm's own time, as the shadow arm records it: the expansion
   // stage also covers analyze, search, universe, clustering and
   // candidates, and reads 0 on a cache hit.
-  job.primary_expansion_ns =
-      static_cast<uint64_t>(response.outcome.expansion_seconds * 1e9);
+  job.primary_expansion_ns = response.outcome.phases.expansion_ns();
   job.options = std::move(shadow_options);
 
   {
@@ -443,7 +440,6 @@ void QecServer::MaybeScheduleShadow(const ServeRequest& request,
 }
 
 void QecServer::RunShadow(ShadowJob job) {
-  QEC_TRACE_SPAN("server/shadow");
   {
     std::lock_guard<std::mutex> lock(mu_);
     QEC_GAUGE_SET("shadow/queue_depth",
@@ -465,7 +461,7 @@ void QecServer::RunShadow(ShadowJob job) {
   const ShadowComparison comparison = shadow_->Compare(
       job.trace_id, job.query, job.primary_algo, job.primary_score,
       job.primary_expansion_ns, outcome->set_score,
-      static_cast<uint64_t>(outcome->expansion_seconds * 1e9));
+      outcome->phases.expansion_ns());
 
   // Flight-record the comparison so SLOWLOG interleaves quality verdicts
   // with the requests they describe (same trace id as the foreground
@@ -758,7 +754,8 @@ std::string QecServer::ExplainJsonLine(const ServeRequest& request) const {
     out += ",\"set_score\":" + NumberToString(o.set_score);
     out += ",\"clusters\":" + std::to_string(o.num_clusters);
     out += ",\"results_used\":" + std::to_string(o.num_results_used);
-    out += ",\"expansion_ms\":" + NumberToString(o.expansion_seconds * 1e3);
+    out += ",\"expansion_ms\":" +
+           NumberToString(o.phases.expansion_ns() / 1e6);
     out += ",\"queries\":[";
     for (size_t i = 0; i < o.queries.size(); ++i) {
       const core::ExpandedQuery& q = o.queries[i];

@@ -49,8 +49,8 @@ struct ShadowComparison {
   double primary_score = 0.0;
   double shadow_score = 0.0;
   /// Each arm's algorithm latency, nanoseconds: the outcome's
-  /// expansion_seconds (the expander alone, without analyze, search,
-  /// clustering or candidate selection), on a cache hit too.
+  /// EnginePhases::expansion_ns() (the expander alone, without analyze,
+  /// search, clustering or candidate selection), on a cache hit too.
   uint64_t primary_expansion_ns = 0;
   uint64_t shadow_expansion_ns = 0;
   /// "primary", "shadow", or "tie".

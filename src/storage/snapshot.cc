@@ -9,7 +9,6 @@
 #include "common/stopwatch.h"
 #include "index/posting_codec.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace qec::storage {
 
@@ -126,7 +125,6 @@ std::string SerializeSnapshot(const index::InvertedIndex& index) {
 
 std::string SerializeSnapshot(const index::InvertedIndex& index,
                               const std::vector<DocId>& external_ids) {
-  QEC_TRACE_SPAN("storage/serialize_snapshot");
   Stopwatch watch;
   const doc::Corpus& corpus = index.corpus();
 
@@ -484,7 +482,6 @@ Result<index::InvertedIndex> SnapshotReader::LoadIndex(
 }
 
 Result<Snapshot> SnapshotReader::Load() const {
-  QEC_TRACE_SPAN("storage/load_snapshot");
   Stopwatch watch;
   auto corpus = LoadCorpus();
   if (!corpus.ok()) return corpus.status();

@@ -1,13 +1,11 @@
 // Tests for the qec_obs library: counters/gauges/histograms (including
-// concurrent updates), span nesting and aggregation, JSON export
-// round-trips, and an end-to-end check that an ISKR/PEBC run populates
-// the registry counters the docs promise.
+// concurrent updates), JSON export round-trips, and an end-to-end check
+// that an ISKR/PEBC run populates the registry counters the docs promise.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,7 +17,6 @@
 #include "doc/corpus.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace qec::obs {
 namespace {
@@ -27,12 +24,7 @@ namespace {
 // Metrics are process-global; every test starts from zero.
 class ObsTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    MetricsRegistry::Global().ResetAll();
-    ResetSpans();
-    SetTraceEventRecording(false);
-    ClearTraceEvents();
-  }
+  void SetUp() override { MetricsRegistry::Global().ResetAll(); }
 };
 
 TEST_F(ObsTest, CounterBasics) {
@@ -218,8 +210,8 @@ TEST_F(ObsTest, HistogramPercentilesStayMonotonicUnderConcurrentRecords) {
   EXPECT_GT(p50, 0.0);
 }
 
-// Everything below exercises the QEC_* macros and span aggregation, which
-// are no-ops when instrumentation is compiled out.
+// Everything below exercises the QEC_* macros, which are no-ops when
+// instrumentation is compiled out.
 #ifndef QEC_DISABLE_TRACING
 
 TEST_F(ObsTest, MacrosFeedTheGlobalRegistry) {
@@ -233,128 +225,14 @@ TEST_F(ObsTest, MacrosFeedTheGlobalRegistry) {
   EXPECT_EQ(reg.GetHistogram("test/macro_hist")->count(), 1u);
 }
 
-void SpinFor(int iterations) {
-  volatile int sink = 0;
-  for (int i = 0; i < iterations; ++i) sink = sink + i;
-}
-
-void InnerWork() {
-  QEC_TRACE_SPAN("test/inner");
-  SpinFor(20000);
-}
-
-void OuterWork() {
-  QEC_TRACE_SPAN("test/outer");
-  SpinFor(20000);
-  InnerWork();
-  InnerWork();
-}
-
-TEST_F(ObsTest, SpansNestAndAggregate) {
-  for (int i = 0; i < 3; ++i) OuterWork();
-
-  const SpanSite& outer = GetSpanSite("test/outer");
-  const SpanSite& inner = GetSpanSite("test/inner");
-  EXPECT_EQ(outer.count(), 3u);
-  EXPECT_EQ(inner.count(), 6u);
-  // The inner spans ran entirely inside the outer ones, so outer total
-  // covers inner total, and outer self time excludes it.
-  EXPECT_GE(outer.total_ns(), inner.total_ns());
-  EXPECT_LE(outer.self_ns(), outer.total_ns() - inner.total_ns());
-  EXPECT_GT(outer.self_ns(), 0u);
-  // The inner spans have no children: self == total.
-  EXPECT_EQ(inner.self_ns(), inner.total_ns());
-
-  // Every span duration also lands in a "span/<name>" histogram, which is
-  // what gives the export its p50/p95/p99.
-  Histogram* h = MetricsRegistry::Global().GetHistogram("span/test/outer");
-  EXPECT_EQ(h->count(), 3u);
-  EXPECT_GT(h->Percentile(50), 0.0);
-
-  auto spans = SnapshotSpans();
-  ASSERT_GE(spans.size(), 2u);
-  // Sorted by total descending; outer dominates inner.
-  EXPECT_GE(spans[0].total_ns, spans[1].total_ns);
-  bool saw_outer = false;
-  for (const auto& s : spans) {
-    if (s.name == "test/outer") {
-      saw_outer = true;
-      EXPECT_EQ(s.count, 3u);
-    }
-  }
-  EXPECT_TRUE(saw_outer);
-}
-
-TEST_F(ObsTest, ResetSpansZeroesAggregates) {
-  OuterWork();
-  ResetSpans();
-  EXPECT_EQ(GetSpanSite("test/outer").count(), 0u);
-  OuterWork();
-  EXPECT_EQ(GetSpanSite("test/outer").count(), 1u);
-}
-
-TEST_F(ObsTest, TraceEventsRecordWhenEnabled) {
-  OuterWork();  // recording off: no events
-  SetTraceEventRecording(true);
-  OuterWork();
-  SetTraceEventRecording(false);
-
-  auto doc = json::Parse(TraceEventsJson());
-  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-  const json::Value* events = doc->Find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  ASSERT_TRUE(events->is_array());
-  EXPECT_EQ(events->array.size(), 3u);  // one outer + two inner
-  for (const auto& e : events->array) {
-    ASSERT_NE(e.Find("name"), nullptr);
-    ASSERT_NE(e.Find("dur"), nullptr);
-    EXPECT_EQ(e.Find("ph")->string, "X");
-  }
-}
-
-TEST_F(ObsTest, TraceEventsCarryRealThreadAndProcessIds) {
-  SetTraceEventRecording(true);
-  const uint32_t main_tid = CurrentOsThreadId();
-  uint32_t worker_tid = 0;
-  OuterWork();
-  std::thread worker([&worker_tid] {
-    worker_tid = CurrentOsThreadId();
-    InnerWork();
-  });
-  worker.join();
-  SetTraceEventRecording(false);
-
-  ASSERT_NE(main_tid, 0u);
-  ASSERT_NE(worker_tid, 0u);
-  EXPECT_NE(main_tid, worker_tid);
-
-  auto doc = json::Parse(TraceEventsJson());
-  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-  const json::Value* events = doc->Find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  std::set<uint32_t> tids;
-  for (const auto& e : events->array) {
-    ASSERT_NE(e.Find("tid"), nullptr);
-    ASSERT_NE(e.Find("pid"), nullptr);
-    tids.insert(static_cast<uint32_t>(e.Find("tid")->number));
-    // All events come from this process, stamped with its real pid.
-    EXPECT_EQ(static_cast<uint32_t>(e.Find("pid")->number),
-              CurrentOsProcessId());
-  }
-  // chrome://tracing lanes: the main thread's spans and the worker's span
-  // carry their actual OS thread ids, not synthetic indices.
-  EXPECT_EQ(tids, (std::set<uint32_t>{main_tid, worker_tid}));
-}
-
 TEST_F(ObsTest, JsonExportRoundTrips) {
   QEC_COUNTER_ADD("test/export_counter", 7);
   QEC_GAUGE_SET("test/export_gauge", -1.5);
   for (uint64_t v = 1; v <= 100; ++v) {
     QEC_HISTOGRAM_RECORD("test/export_hist", v);
   }
-  OuterWork();
 
-  const std::string text = CaptureMetrics().ToJson();
+  const std::string text = MetricsRegistry::Global().Snapshot().ToJson();
   auto doc = json::Parse(text);
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
 
@@ -381,13 +259,6 @@ TEST_F(ObsTest, JsonExportRoundTrips) {
   ASSERT_NE(buckets, nullptr);
   EXPECT_TRUE(buckets->is_array());
   EXPECT_FALSE(buckets->array.empty());
-
-  const json::Value* spans = doc->Find("spans");
-  ASSERT_NE(spans, nullptr);
-  const json::Value* outer = spans->Find("test/outer");
-  ASSERT_NE(outer, nullptr);
-  EXPECT_DOUBLE_EQ(outer->Find("count")->number, 1.0);
-  EXPECT_GE(outer->Find("total_ns")->number, outer->Find("self_ns")->number);
 }
 
 #endif  // QEC_DISABLE_TRACING
@@ -462,8 +333,6 @@ TEST_F(ObsTest, ExpanderRunsPopulateMetrics) {
   EXPECT_GE(reg.GetCounter("iskr/runs")->value(), 1u);
   EXPECT_GE(reg.GetCounter("pebc/samples_drawn")->value(), 1u);
   EXPECT_GE(reg.GetCounter("universe/term_lookups")->value(), 1u);
-  EXPECT_GE(GetSpanSite("iskr/refine_step").count(), 1u);
-  EXPECT_GE(GetSpanSite("pebc/build_sample").count(), 1u);
 #endif
 }
 

@@ -2,14 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
 
+#include "cluster/cosine_space.h"
 #include "cluster/hac.h"
 #include "core/candidates.h"
 #include "core/query_expander.h"
 #include "datagen/shopping.h"
 #include "doc/corpus.h"
 #include "index/inverted_index.h"
+#include "obs/metrics.h"
 
 namespace qec::core {
 namespace {
@@ -191,13 +194,78 @@ TEST_F(EngineFixture, MaxClustersBoundsQueries) {
   EXPECT_LE(outcome->queries.size(), 5u);
 }
 
-TEST_F(EngineFixture, TimingFieldsPopulated) {
-  QueryExpander expander(*index_);
-  auto outcome = expander.ExpandText("apple");
+// ---------------------------------------------------------------- phases
+
+TEST_F(EngineFixture, ExpandTextTimesEveryPhaseButMinimize) {
+  auto outcome = QueryExpander(*index_).ExpandText("apple");
   ASSERT_TRUE(outcome.ok());
-  EXPECT_GE(outcome->clustering_seconds, 0.0);
-  EXPECT_GE(outcome->expansion_seconds, 0.0);
+  for (size_t i = 0; i < kNumPhases; ++i) {
+    const Phase phase = static_cast<Phase>(i);
+    SCOPED_TRACE(std::string(kPhaseNames[i]));
+    if (phase == Phase::kMinimize) {
+      EXPECT_EQ(outcome->phases[phase], 0u);
+    } else {
+      EXPECT_GT(outcome->phases[phase], 0u);
+    }
+  }
 }
+
+TEST_F(EngineFixture, MinimizePhaseRunsWithMinimizeQueries) {
+  QueryExpanderOptions options;
+  options.minimize_queries = true;
+  auto outcome = QueryExpander(*index_, options).ExpandText("apple");
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_GT(outcome->phases[Phase::kMinimize], 0u);
+  EXPECT_EQ(outcome->phases.expansion_ns(),
+            outcome->phases[Phase::kExpand] +
+                outcome->phases[Phase::kMinimize]);
+}
+
+TEST_F(EngineFixture, PhasesSumToNoMoreThanTheWallClock) {
+  const QueryExpander expander(*index_);
+  const auto start = std::chrono::steady_clock::now();
+  auto outcome = expander.ExpandText("apple");
+  const std::chrono::nanoseconds wall =
+      std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(outcome.ok());
+  uint64_t sum = 0;
+  for (uint64_t ns : outcome->phases.ns) sum += ns;
+  EXPECT_LE(sum, static_cast<uint64_t>(wall.count()));
+}
+
+TEST_F(EngineFixture, ExpandClusteredTimesOnlyItsOwnPhases) {
+  QueryExpanderOptions options;
+  options.minimize_queries = true;
+  const QueryExpander expander(*index_, options);
+  const std::vector<TermId> terms = {T("apple")};
+  const ResultUniverse universe(corpus_, index_->Search(terms));
+  cluster::KMeansOptions kmeans;
+  kmeans.k = 2;
+  const cluster::CosineSpace space(universe.term_rows());
+  const cluster::Clustering clustering = cluster::KMeans(kmeans).Cluster(space);
+  const ExpansionOutcome outcome =
+      expander.ExpandClustered(terms, universe, clustering);
+  for (size_t i = 0; i < kNumPhases; ++i) {
+    const Phase phase = static_cast<Phase>(i);
+    SCOPED_TRACE(std::string(kPhaseNames[i]));
+    if (phase == Phase::kCandidates || phase == Phase::kExpand ||
+        phase == Phase::kMinimize) {
+      EXPECT_GT(outcome.phases[phase], 0u);
+    } else {
+      EXPECT_EQ(outcome.phases[phase], 0u);
+    }
+  }
+}
+
+#ifndef QEC_DISABLE_TRACING
+TEST_F(EngineFixture, ExpandTextRecordsOneClusterPhaseSample) {
+  const obs::Histogram* cluster_ns =
+      obs::MetricsRegistry::Global().GetHistogram("engine/phase/cluster_ns");
+  const uint64_t before = cluster_ns->count();
+  ASSERT_TRUE(QueryExpander(*index_).ExpandText("apple").ok());
+  EXPECT_EQ(cluster_ns->count(), before + 1);
+}
+#endif
 
 // ---------------------------------------------------------- determinism
 

@@ -1004,8 +1004,8 @@ TEST_F(ServerFixture, ShadowComparisonsLandInFlightRecorder) {
   EXPECT_TRUE(found);
 }
 
-// Both arms record the algorithm's own time (the outcome's
-// expansion_seconds), on a cache miss and on a hit alike, so the latency
+// Both arms record the algorithm's own time (the outcome's expand plus
+// minimize phases), on a cache miss and on a hit alike, so the latency
 // comparison is like for like: the primary's expansion stage would add
 // analyze, search, universe, clustering and candidate selection.
 TEST_F(ServerFixture, ShadowComparisonTimesTheAlgorithmOnBothArms) {
@@ -1028,8 +1028,9 @@ TEST_F(ServerFixture, ShadowComparisonTimesTheAlgorithmOnBothArms) {
   ASSERT_EQ(recent.size(), 2u);
   // The hit serves the miss's cached outcome, so both comparisons carry
   // the same primary algorithm time.
-  const uint64_t algorithm_ns =
-      static_cast<uint64_t>(miss.outcome.expansion_seconds * 1e9);
+  const uint64_t algorithm_ns = miss.outcome.phases.expansion_ns();
+  EXPECT_GT(algorithm_ns, 0u);
+  EXPECT_LT(algorithm_ns, miss.stages[Stage::kExpansion]);
   for (const ShadowComparison& c : recent) {
     EXPECT_EQ(c.primary_expansion_ns, algorithm_ns);
   }

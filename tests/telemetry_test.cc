@@ -27,7 +27,8 @@ namespace {
 TEST(PrometheusNameTest, SanitizesRegistryNames) {
   EXPECT_EQ(PrometheusName("server/queue_wait_ns"),
             "qec_server_queue_wait_ns");
-  EXPECT_EQ(PrometheusName("span/engine/expand"), "qec_span_engine_expand");
+  EXPECT_EQ(PrometheusName("engine/phase/cluster_ns"),
+            "qec_engine_phase_cluster_ns");
   EXPECT_EQ(PrometheusName("weird-name.v2"), "qec_weird_name_v2");
   EXPECT_EQ(PrometheusName("already_fine"), "qec_already_fine");
 }
