@@ -33,9 +33,10 @@
 // --admin-port (net mode) additionally runs an in-process HTTP admin plane
 // and repeats the pipelined run under a 1 Hz /metrics scrape; the result
 // JSON gains "scrape":{"scrapes","p99_ratio","scraped"} — the CI gate
-// compares p99_ratio against its regression budget. --profile-out=FILE
-// [--profile-hz=N, default 99] captures a sampling CPU profile of the
-// measured runs as folded stacks (render with `qec_cli profile FILE`).
+// compares p99_ratio against its regression budget.
+//
+// A malformed numeric flag value (non-numeric, negative, or a non-finite
+// --shadow-rate) exits 2 like an unknown flag.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -53,6 +54,7 @@
 #include <future>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -64,7 +66,6 @@
 #include "eval/obs_report.h"
 #include "eval/table_printer.h"
 #include "index/inverted_index.h"
-#include "obs/profiler.h"
 #include "server/admin/admin_server.h"
 #include "server/net/net_server.h"
 #include "server/protocol.h"
@@ -505,45 +506,6 @@ size_t CheckTransportIdentity(qec::server::QecServer* server, uint16_t port,
   return mismatches;
 }
 
-/// Starts the sampling CPU profiler when `path` is nonempty; Stop() (or the
-/// destructor) writes the folded stacks there and reports the sample count.
-class ScopedCpuProfile {
- public:
-  ScopedCpuProfile(std::string path, int hz) : path_(std::move(path)) {
-    if (path_.empty()) return;
-    const qec::Status started = qec::obs::CpuProfiler::Global().Start(hz);
-    if (!started.ok()) {
-      std::fprintf(stderr, "profiler: %s\n", started.ToString().c_str());
-      path_.clear();
-      return;
-    }
-    active_ = true;
-  }
-
-  ~ScopedCpuProfile() { Stop(); }
-
-  void Stop() {
-    if (!active_) return;
-    active_ = false;
-    qec::obs::CpuProfiler& profiler = qec::obs::CpuProfiler::Global();
-    const std::string folded = profiler.StopFolded();
-    std::FILE* f = std::fopen(path_.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", path_.c_str());
-      return;
-    }
-    std::fwrite(folded.data(), 1, folded.size(), f);
-    std::fclose(f);
-    std::printf("cpu profile: %llu samples at %s\n",
-                static_cast<unsigned long long>(profiler.sample_count()),
-                path_.c_str());
-  }
-
- private:
-  std::string path_;
-  bool active_ = false;
-};
-
 /// A stand-in Prometheus scraper: GET /metrics over a fresh connection once
 /// per second until Stop(), which returns the completed scrape count. Used
 /// to measure the foreground cost of a realistic scrape cadence.
@@ -728,6 +690,15 @@ int RunNetMode(const qec::index::InvertedIndex& index,
   return rc;
 }
 
+/// Strict unsigned flag value (qec::ParseSize): "abc" and "-1" fail
+/// instead of throwing or wrapping to 2^64-1.
+bool ParseSizeFlag(std::string_view text, size_t* out) {
+  uint64_t value = 0;
+  if (!qec::ParseSize(text, &value)) return false;
+  *out = static_cast<size_t>(value);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -742,26 +713,27 @@ int main(int argc, char** argv) {
   double shadow_rate = 0.0;
   std::string result_out;
   bool admin = false;
-  std::string profile_out;
-  int profile_hz = 99;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    bool valid = true;
     if (qec::StartsWith(arg, "--requests=")) {
-      num_requests = std::stoul(arg.substr(strlen("--requests=")));
+      valid = ParseSizeFlag(arg.substr(strlen("--requests=")), &num_requests);
     } else if (qec::StartsWith(arg, "--threads=")) {
-      threads = std::stoul(arg.substr(strlen("--threads=")));
+      valid = ParseSizeFlag(arg.substr(strlen("--threads=")), &threads);
     } else if (qec::StartsWith(arg, "--queue=")) {
-      queue_capacity = std::stoul(arg.substr(strlen("--queue=")));
+      valid = ParseSizeFlag(arg.substr(strlen("--queue=")), &queue_capacity);
     } else if (arg == "--no-cache") {
       cached_config = false;
     } else if (arg == "--net") {
       net_mode = true;
     } else if (qec::StartsWith(arg, "--connections=")) {
-      connections = std::stoul(arg.substr(strlen("--connections=")));
+      valid = ParseSizeFlag(arg.substr(strlen("--connections=")), &connections);
     } else if (qec::StartsWith(arg, "--pipeline=")) {
-      pipeline_depth = std::stoul(arg.substr(strlen("--pipeline=")));
+      valid =
+          ParseSizeFlag(arg.substr(strlen("--pipeline=")), &pipeline_depth);
     } else if (qec::StartsWith(arg, "--shadow-rate=")) {
-      shadow_rate = std::stod(arg.substr(strlen("--shadow-rate=")));
+      valid =
+          qec::ParseDouble(arg.substr(strlen("--shadow-rate=")), &shadow_rate);
     } else if (qec::StartsWith(arg, "--result-out=")) {
       result_out = arg.substr(strlen("--result-out="));
     } else if (arg == "--admin-port" ||
@@ -769,12 +741,12 @@ int main(int argc, char** argv) {
       // In-process: the admin listener always binds an ephemeral loopback
       // port, so any requested number is ignored.
       admin = true;
-    } else if (qec::StartsWith(arg, "--profile-out=")) {
-      profile_out = arg.substr(strlen("--profile-out="));
-    } else if (qec::StartsWith(arg, "--profile-hz=")) {
-      profile_hz = std::stoi(arg.substr(strlen("--profile-hz=")));
     } else {
       std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
+      return 2;
+    }
+    if (!valid) {
+      std::fprintf(stderr, "malformed value in %s\n", arg.c_str());
       return 2;
     }
   }
@@ -799,11 +771,9 @@ int main(int argc, char** argv) {
     std::snprintf(buf, sizeof(buf), "\"requests\":%zu,\"threads\":%zu",
                   workload.size(), threads);
     result_json += buf;
-    ScopedCpuProfile profile(profile_out, profile_hz);
     const int rc = RunNetMode(index, workload, threads, queue_capacity,
                               connections, pipeline_depth, admin,
                               &result_json);
-    profile.Stop();
     result_json += "}";
     if (!result_out.empty()) {
       std::FILE* f = std::fopen(result_out.c_str(), "w");
@@ -830,7 +800,6 @@ int main(int argc, char** argv) {
 
   // Uncached first so the cached run's server/cache_* counters are the
   // last written into the metrics snapshot.
-  ScopedCpuProfile profile(profile_out, profile_hz);
   RunResult uncached =
       RunWorkload(index, workload, false, threads, queue_capacity);
   add_row("no-cache", uncached);
@@ -899,7 +868,6 @@ int main(int argc, char** argv) {
     std::printf("%s\n", table.ToString().c_str());
     PrintStageBreakdown("no-cache", uncached);
   }
-  profile.Stop();
   result_json += "}";
   if (!result_out.empty()) {
     std::FILE* f = std::fopen(result_out.c_str(), "w");

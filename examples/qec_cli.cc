@@ -67,7 +67,6 @@
 #include "core/query_expander.h"
 #include "eval/table_printer.h"
 #include "obs/flight_recorder.h"
-#include "obs/profiler.h"
 #include "obs/prometheus.h"
 #include "server/admin/admin_server.h"
 #include "server/line_handler.h"
@@ -112,8 +111,6 @@ int Usage() {
       "[--shadow-queue=N]\n"
       "  qec_cli slowlog <dump.jsonl> [-n N]\n"
       "  qec_cli metrics-lint [exposition.prom|-]   (default: stdin)\n"
-      "  qec_cli profile <folded.txt|-> [-n N] | --self=SECONDS [--hz=H] "
-      "[--out=FILE]\n"
       "  qec_cli quickstart [--snapshot=FILE [--query=Q]]\n"
       "<data> is shopping, wikipedia, or a snapshot file from index-build\n"
       "global flags: --metrics-out=FILE --trace --log-level=LEVEL\n");
@@ -907,7 +904,7 @@ int CmdServe(const std::vector<std::string>& args) {
     g_admin_server.store(admin.get(), std::memory_order_release);
     std::fprintf(stderr,
                  "admin plane on http://%s:%u (/metrics /healthz /readyz "
-                 "/statusz /slowlog /abtest /pprof/profile)\n",
+                 "/statusz /slowlog /abtest)\n",
                  admin_options.host.c_str(),
                  static_cast<unsigned>(admin->port()));
   }
@@ -1064,74 +1061,6 @@ int CmdMetricsLint(const std::vector<std::string>& args) {
   return 0;
 }
 
-// Pretty-prints folded-stack profiler output (GET /pprof/profile, or
-// bench --profile-out): per-frame inclusive/self sample counts, heaviest
-// self-time first. `--self=SECONDS` instead profiles this process live —
-// the standalone smoke test for the SIGPROF profiler.
-int CmdProfile(const std::vector<std::string>& args) {
-  std::string path;
-  size_t limit = 30;
-  double self_seconds = 0.0;
-  int hz = 99;
-  std::string out_path;
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    if (arg == "-n") {
-      if (i + 1 >= args.size() || !ParseUnsigned(args[++i], &limit)) {
-        return Usage();
-      }
-    } else if (qec::StartsWith(arg, "--self=")) {
-      if (!qec::ParseDouble(arg.substr(strlen("--self=")), &self_seconds)) {
-        return Usage();
-      }
-    } else if (qec::StartsWith(arg, "--hz=")) {
-      if (!ParseUnsigned(arg.substr(strlen("--hz=")), &hz)) return Usage();
-    } else if (qec::StartsWith(arg, "--out=")) {
-      out_path = arg.substr(strlen("--out="));
-    } else if (qec::StartsWith(arg, "--")) {
-      return Usage();
-    } else if (path.empty()) {
-      path = arg;
-    } else {
-      return Usage();
-    }
-  }
-
-  std::string folded;
-  if (self_seconds > 0.0) {
-    auto profile = qec::obs::CollectCpuProfile(hz, self_seconds);
-    if (!profile.ok()) {
-      std::fprintf(stderr, "%s\n", profile.status().ToString().c_str());
-      return 1;
-    }
-    folded = *std::move(profile);
-    if (!out_path.empty()) {
-      std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
-          std::fopen(out_path.c_str(), "wb"), &std::fclose);
-      if (f == nullptr ||
-          std::fwrite(folded.data(), 1, folded.size(), f.get()) !=
-              folded.size()) {
-        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-        return 1;
-      }
-    }
-  } else {
-    if (path.empty()) return Usage();
-    if (path == "-") {
-      folded = ReadAllStdin();
-    } else {
-      auto content = ReadFile(path);
-      if (!content.ok()) {
-        std::fprintf(stderr, "%s\n", content.status().ToString().c_str());
-        return 1;
-      }
-      folded = *std::move(content);
-    }
-  }
-  std::printf("%s", qec::obs::SummarizeFoldedStacks(folded, limit).c_str());
-  return 0;
-}
-
 // The quickstart corpus: the ranking-bias "apple" situation from the
 // paper's introduction (same documents as examples/quickstart.cc).
 qec::doc::Corpus QuickstartCorpus() {
@@ -1258,8 +1187,6 @@ int main(int argc, char** argv) {
       rc = CmdSlowlog(rest);
     } else if (cmd == "metrics-lint") {
       rc = CmdMetricsLint(rest);
-    } else if (cmd == "profile") {
-      rc = CmdProfile(rest);
     } else if (cmd == "quickstart") {
       rc = CmdQuickstart(rest);
     } else {

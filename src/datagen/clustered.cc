@@ -32,14 +32,19 @@ doc::Corpus ClusteredGenerator::Generate() const {
   // corpus is deterministic in TermId space.
   std::vector<TermId> background(options_.shared_vocab);
   for (size_t i = 0; i < options_.shared_vocab; ++i) {
-    background[i] = analyzer.InternVerbatim("w" + std::to_string(i));
+    std::string term = "w";
+    term += std::to_string(i);
+    background[i] = analyzer.InternVerbatim(term);
   }
   std::vector<std::vector<TermId>> topics(options_.num_clusters);
   for (size_t k = 0; k < options_.num_clusters; ++k) {
     topics[k].reserve(options_.topic_terms_per_cluster);
     for (size_t j = 0; j < options_.topic_terms_per_cluster; ++j) {
-      topics[k].push_back(analyzer.InternVerbatim(
-          "c" + std::to_string(k) + "t" + std::to_string(j)));
+      std::string term = "c";
+      term += std::to_string(k);
+      term += 't';
+      term += std::to_string(j);
+      topics[k].push_back(analyzer.InternVerbatim(term));
     }
   }
 

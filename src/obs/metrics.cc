@@ -208,8 +208,11 @@ std::string MetricsSnapshot::ToJson() const {
     out += ", \"buckets\": [";
     for (size_t b = 0; b < h.buckets.size(); ++b) {
       if (b > 0) out += ", ";
-      out += "[" + std::to_string(h.buckets[b].first) + ", " +
-             std::to_string(h.buckets[b].second) + "]";
+      out += '[';
+      out += std::to_string(h.buckets[b].first);
+      out += ", ";
+      out += std::to_string(h.buckets[b].second);
+      out += ']';
     }
     out += "]}";
   }

@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <memory>
 #include <utility>
 
 #include "common/logging.h"
@@ -11,7 +10,6 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/process_collector.h"
-#include "obs/profiler.h"
 #include "obs/prometheus.h"
 
 namespace qec::server::admin {
@@ -56,10 +54,9 @@ net::PlaneConfig AdminServer::AdminPlane() {
   plane.busy_response =
       RenderResponse(503, kTextPlain, "admin connection limit reached\n",
                      /*keep_alive=*/false);
-  plane.framer = HttpFramer(
-      options_.max_header_bytes, options_.max_body_bytes,
-      [this](net::Connection& connection, const HttpRequest& request,
-             uint64_t slot) { OnRequest(connection, request, slot); });
+  plane.framer =
+      HttpFramer(options_.max_header_bytes, options_.max_body_bytes,
+                 [this](const HttpRequest& request) { return Route(request); });
   plane.accepted_metric = "admin/http_connections_accepted";
   plane.rejected_metric = "admin/http_rejected_over_capacity";
   plane.active_metric = "admin/http_active_connections";
@@ -68,33 +65,13 @@ net::PlaneConfig AdminServer::AdminPlane() {
 
 AdminServer::~AdminServer() { Shutdown(); }
 
-void AdminServer::RequestStop() {
-  profile_abort_.store(true, std::memory_order_release);
-  front_end_.RequestStop();
-}
-
-void AdminServer::Shutdown() {
-  RequestStop();
-  front_end_.Shutdown();
-  if (profile_thread_.joinable()) profile_thread_.join();
-}
-
-void AdminServer::OnRequest(net::Connection& connection,
-                            const HttpRequest& request, uint64_t slot) {
-  const std::string response = Route(connection, request, slot);
-  if (response.empty()) return;  // completes asynchronously
-  connection.CompleteSlot(slot, response, /*close_after=*/!request.keep_alive);
-}
-
-std::string AdminServer::Route(net::Connection& connection,
-                               const HttpRequest& request, uint64_t slot) {
+std::string AdminServer::Route(const HttpRequest& request) {
   const bool keep = request.keep_alive;
   const std::string& path = request.path;
 
   const bool known_path =
       path == "/metrics" || path == "/healthz" || path == "/readyz" ||
-      path == "/statusz" || path == "/slowlog" || path == "/abtest" ||
-      path == "/pprof/profile";
+      path == "/statusz" || path == "/slowlog" || path == "/abtest";
   if (!known_path) {
     return RenderResponse(404, kTextPlain, "unknown route " + path + "\n",
                           keep);
@@ -129,14 +106,10 @@ std::string AdminServer::Route(net::Connection& connection,
     return RenderResponse(200, kJson, server_->SlowlogJsonLine(n) + "\n",
                           keep);
   }
-  if (path == "/abtest") {
-    const size_t n = static_cast<size_t>(
-        QueryNumber(request, "n", 16.0, 1.0, 1024.0));
-    return RenderResponse(200, kJson, server_->AbtestJsonLine(n) + "\n", keep);
-  }
-  // /pprof/profile
-  StartProfile(connection, request, slot);
-  return "";
+  // /abtest
+  const size_t n =
+      static_cast<size_t>(QueryNumber(request, "n", 16.0, 1.0, 1024.0));
+  return RenderResponse(200, kJson, server_->AbtestJsonLine(n) + "\n", keep);
 }
 
 std::string AdminServer::StatuszJson() const {
@@ -192,58 +165,6 @@ std::string AdminServer::StatuszJson() const {
   }
   out += "}\n";
   return out;
-}
-
-void AdminServer::StartProfile(net::Connection& connection,
-                               const HttpRequest& request, uint64_t slot) {
-  const bool keep = request.keep_alive;
-  const double seconds = QueryNumber(request, "seconds", 2.0, 0.1,
-                                     options_.max_profile_seconds);
-  const int hz = static_cast<int>(QueryNumber(
-      request, "hz", static_cast<double>(options_.default_profile_hz), 1.0,
-      1000.0));
-
-  bool expected = false;
-  if (!profile_busy_.compare_exchange_strong(expected, true)) {
-    connection.CompleteSlot(
-        slot,
-        RenderResponse(409, kTextPlain, "a cpu profile is already running\n",
-                       keep),
-        !keep);
-    return;
-  }
-  // The previous capture thread (if any) has finished — profile_busy_ was
-  // clear — so this join returns immediately.
-  if (profile_thread_.joinable()) profile_thread_.join();
-
-  QEC_COUNTER_INC("admin/profiles");
-  std::weak_ptr<net::Connection> weak = connection.weak_from_this();
-  auto loop = front_end_.loop();
-  profile_thread_ = std::thread([this, loop, weak, slot, keep, hz, seconds] {
-    obs::CpuProfiler& profiler = obs::CpuProfiler::Global();
-    std::string response;
-    const Status started = profiler.Start(hz);
-    if (!started.ok()) {
-      response =
-          RenderResponse(409, kTextPlain, started.message() + "\n", keep);
-    } else {
-      // Sleep in slices so shutdown aborts a long capture promptly.
-      const auto deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::milliseconds(static_cast<int64_t>(seconds * 1000.0));
-      while (std::chrono::steady_clock::now() < deadline &&
-             !profile_abort_.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      }
-      response = RenderResponse(200, kTextPlain, profiler.StopFolded(), keep);
-    }
-    loop->Post([weak, slot, response = std::move(response), keep]() mutable {
-      if (auto conn = weak.lock()) {
-        conn->CompleteSlot(slot, std::move(response), !keep);
-      }
-    });
-    profile_busy_.store(false, std::memory_order_release);
-  });
 }
 
 }  // namespace qec::server::admin

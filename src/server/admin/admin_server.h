@@ -5,11 +5,9 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
-#include <thread>
 
 #include "common/status.h"
 #include "server/admin/http.h"
-#include "server/net/connection.h"
 #include "server/net/front_end.h"
 #include "server/net/net_server.h"
 #include "server/server.h"
@@ -28,9 +26,6 @@ struct AdminServerOptions {
   /// from exhausting fds meant for the query plane.
   size_t max_connections = 64;
   uint64_t drain_timeout_ms = 2000;
-  /// Bounds for GET /pprof/profile?seconds=N&hz=H.
-  double max_profile_seconds = 60.0;
-  int default_profile_hz = 99;
 };
 
 /// The HTTP admin plane: a second net::FrontEnd on its own EventLoop and
@@ -46,13 +41,10 @@ struct AdminServerOptions {
 ///                       pool, server and net stats as JSON
 ///   GET /slowlog?n=K    the flight recorder's slowest requests
 ///   GET /abtest?n=K     shadow A/B tallies
-///   GET /pprof/profile?seconds=N&hz=H
-///                       SIGPROF sampling profile, folded-stack text
-///                       (flamegraph-ready); 409 while one is running
 ///
-/// Unknown paths 404; known paths with a non-GET method 405. The profiler
-/// runs on a dedicated thread and completes its response slot through the
-/// loop, so a 30-second capture never blocks /healthz probes.
+/// Unknown paths 404; known paths with a non-GET method 405. Every route
+/// is a cheap read-only view that Route() answers synchronously on the
+/// loop thread.
 class AdminServer {
  public:
   /// `server` must outlive this. `net_server` may be null (stdin mode);
@@ -73,10 +65,10 @@ class AdminServer {
   Status Start() { return front_end_.Start(); }
 
   /// RequestStop() + join. Idempotent; the destructor calls it.
-  void Shutdown();
+  void Shutdown() { front_end_.Shutdown(); }
 
   /// Signals the loop to stop and drain. Async-signal-safe.
-  void RequestStop();
+  void RequestStop() { front_end_.RequestStop(); }
 
   /// Flips /readyz to 503. Async-signal-safe: the SIGTERM handler calls
   /// this first, then stops the query plane — an LB polling /readyz sees
@@ -86,15 +78,9 @@ class AdminServer {
 
  private:
   net::PlaneConfig AdminPlane();
-  void OnRequest(net::Connection& connection, const HttpRequest& request,
-                 uint64_t slot);
-  /// Routes a GET. Returns the serialized response, or "" when the route
-  /// completes asynchronously (the profiler).
-  std::string Route(net::Connection& connection, const HttpRequest& request,
-                    uint64_t slot);
+  /// Routes one request to its serialized response.
+  std::string Route(const HttpRequest& request);
   std::string StatuszJson() const;
-  void StartProfile(net::Connection& connection, const HttpRequest& request,
-                    uint64_t slot);
 
   QecServer* server_;
   net::NetServer* net_server_;
@@ -104,13 +90,6 @@ class AdminServer {
       std::chrono::steady_clock::now();
 
   std::atomic<bool> draining_{false};
-
-  /// One profile at a time; the flag clears when the capture thread hands
-  /// its response to the loop.
-  std::atomic<bool> profile_busy_{false};
-  /// Tells an in-flight capture to cut its sleep short on shutdown.
-  std::atomic<bool> profile_abort_{false};
-  std::thread profile_thread_;
 
   net::FrontEnd front_end_;
 };

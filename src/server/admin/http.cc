@@ -1,6 +1,7 @@
 #include "server/admin/http.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "common/string_util.h"
@@ -243,10 +244,10 @@ void HttpFramer::operator()(net::Connection& connection, std::string& rbuf) {
 
     QEC_COUNTER_INC("admin/http_requests");
     const uint64_t slot = connection.OpenSlot();
-    on_request_(connection, request, slot);
-    // Nothing after a request without keep-alive is answered; the
-    // response's close_after flag (set by the router from
-    // request.keep_alive) tears the connection down once flushed.
+    // Nothing after a request without keep-alive is answered; close_after
+    // tears the connection down once its response flushes.
+    connection.CompleteSlot(slot, on_request_(request),
+                            /*close_after=*/!request.keep_alive);
     if (!request.keep_alive) break;
   }
   rbuf.erase(0, consumed);

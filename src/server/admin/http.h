@@ -1,7 +1,6 @@
 #ifndef QEC_SERVER_ADMIN_HTTP_H_
 #define QEC_SERVER_ADMIN_HTTP_H_
 
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -17,7 +16,7 @@ namespace qec::server::admin {
 /// misbehaving probes can't wedge the connection.
 struct HttpRequest {
   std::string method;   // as sent ("GET", "POST", ...)
-  std::string target;   // raw request-target, e.g. "/pprof/profile?seconds=2"
+  std::string target;   // raw request-target, e.g. "/slowlog?n=8"
   std::string path;     // target up to the first '?'
   std::string query;    // after the '?', "" when absent
   std::string version;  // "HTTP/1.1" or "HTTP/1.0"
@@ -41,16 +40,15 @@ std::string RenderResponse(int status, std::string_view content_type,
 
 /// The admin plane's net::Connection::Framer: splits one connection's
 /// receive buffer into HTTP/1.1 requests. Each request opens an in-order
-/// response slot and goes to the handler, which must eventually complete
-/// that slot — synchronously, or via EventLoop::Post from another thread.
+/// response slot, which the framer completes with the handler's return
+/// value (closing after it unless the request keeps the connection alive).
 /// Enforces bounded header and body sizes (431/413), rejects malformed
 /// requests (400) and chunked uploads (501); a framing error answers once
 /// and drains the connection. A request without keep-alive is the last
 /// one parsed.
 class HttpFramer {
  public:
-  using Handler =
-      std::function<void(net::Connection&, const HttpRequest&, uint64_t slot)>;
+  using Handler = std::function<std::string(const HttpRequest&)>;
 
   HttpFramer(size_t max_header_bytes, size_t max_body_bytes,
              Handler on_request);

@@ -56,8 +56,8 @@ class SlotQueue {
 ///    that the framer consumes, so a request split across arbitrarily many
 ///    TCP segments parses identically to one arriving whole;
 ///  - pipelining with in-order writeback: the framer opens one response
-///    slot per request; slots complete out of order (worker pool,
-///    profiler thread) but are written strictly in request order;
+///    slot per request; slots complete out of order (worker pool)
+///    but are written strictly in request order;
 ///  - write coalescing: all completed head-of-line responses are appended
 ///    to one output buffer and flushed with as few send() calls as the
 ///    socket accepts, falling back to EPOLLOUT on short writes;

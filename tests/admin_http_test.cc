@@ -2,8 +2,8 @@
 // across arbitrary TCP segmentation, pipelining with in-order responses,
 // keep-alive and Connection: close, the header-size guard, routing
 // (404/405), the /readyz drain flip, the exemplar round-trip from a served
-// request through /metrics and back through the exposition parser, the
-// sampling profiler, and the naming lint.
+// request through /metrics and back through the exposition parser, and
+// the naming lint.
 // Every server test drives a real AdminServer over real sockets.
 
 #include <gtest/gtest.h>
@@ -12,11 +12,9 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -30,7 +28,6 @@
 #include "doc/corpus.h"
 #include "index/inverted_index.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/prometheus.h"
 #include "server/admin/admin_server.h"
 #include "server/net/net_server.h"
@@ -168,25 +165,6 @@ class HttpClient {
   std::string buf_;
 };
 
-/// Share of one CPU the whole process burns while the calling thread
-/// sleeps `window_ms`: a loop thread spinning on a level-triggered event
-/// reads as ~1.0, an idle loop as ~0.
-double CpuShareWhileSleeping(int window_ms) {
-  const auto cpu_ms = [] {
-    struct timespec ts = {};
-    ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) * 1e3 +
-           static_cast<double>(ts.tv_nsec) / 1e6;
-  };
-  const double cpu_start = cpu_ms();
-  const auto wall_start = std::chrono::steady_clock::now();
-  std::this_thread::sleep_for(std::chrono::milliseconds(window_ms));
-  const double wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - wall_start)
-                             .count();
-  return (cpu_ms() - cpu_start) / wall_ms;
-}
-
 // -------------------------------------------------------------- fixture --
 
 class AdminHttpFixture : public ::testing::Test {
@@ -236,11 +214,14 @@ TEST_F(AdminHttpFixture, HealthzStatuszAndRouting) {
   EXPECT_NE(statusz.body.find("\"uptime_seconds\""), std::string::npos);
   EXPECT_NE(statusz.body.find("\"sweep_pool\""), std::string::npos);
 
-  // Unknown path: 404 (and still keep-alive).
-  ASSERT_TRUE(client.Get("/no/such/route"));
-  auto missing = client.ReadResponse();
-  ASSERT_TRUE(missing.ok);
-  EXPECT_EQ(missing.status, 404);
+  // Unknown paths, the retired profiler route among them: 404 (and still
+  // keep-alive).
+  for (const char* path : {"/no/such/route", "/pprof/profile"}) {
+    ASSERT_TRUE(client.Get(path));
+    auto missing = client.ReadResponse();
+    ASSERT_TRUE(missing.ok);
+    EXPECT_EQ(missing.status, 404) << path;
+  }
 
   // Known path, wrong method: 405.
   ASSERT_TRUE(client.Send(
@@ -249,7 +230,7 @@ TEST_F(AdminHttpFixture, HealthzStatuszAndRouting) {
   ASSERT_TRUE(post.ok);
   EXPECT_EQ(post.status, 405);
 
-  // The connection survived all four exchanges.
+  // The connection survived every exchange above.
   ASSERT_TRUE(client.Get("/healthz"));
   EXPECT_EQ(client.ReadResponse().status, 200);
 }
@@ -518,75 +499,24 @@ TEST_F(AdminHttpFixture, NanQueryParamFallsBack) {
   EXPECT_EQ(abtest.body, server.AbtestJsonLine(16) + "\n");
 }
 
-TEST_F(AdminHttpFixture, ProfileRouteCapturesAndRejectsConcurrent) {
-  QecServer server(index_);
-  auto admin = StartAdmin(&server);
-
-  // Busy thread so ITIMER_PROF actually fires during the capture window.
-  std::atomic<bool> stop{false};
-  std::thread burner([&] {
-    volatile double x = 1.0;
-    while (!stop.load(std::memory_order_acquire)) x = x * 1.0000001 + 0.1;
-  });
-
-  // A profile already running (started out-of-band) earns a 409.
-  ASSERT_TRUE(obs::CpuProfiler::Global().Start(99).ok());
-  {
-    HttpClient client(admin->port());
-    ASSERT_TRUE(client.connected());
-    ASSERT_TRUE(client.Get("/pprof/profile?seconds=0.2"));
-    auto busy = client.ReadResponse();
-    ASSERT_TRUE(busy.ok);
-    EXPECT_EQ(busy.status, 409);
-  }
-  obs::CpuProfiler::Global().StopFolded();
-
-  HttpClient client(admin->port());
-  ASSERT_TRUE(client.connected());
-  ASSERT_TRUE(client.Get("/pprof/profile?seconds=0.3&hz=500"));
-  auto profile = client.ReadResponse();
-  stop.store(true, std::memory_order_release);
-  burner.join();
-  ASSERT_TRUE(profile.ok);
-  EXPECT_EQ(profile.status, 200);
-  // Folded stacks: "frame;frame;... count" lines.
-  EXPECT_FALSE(profile.body.empty());
-  EXPECT_NE(profile.body.find(';'), std::string::npos) << profile.body;
-}
-
-TEST_F(AdminHttpFixture, HalfClosedPeerWithOwedProfileDoesNotSpin) {
+TEST_F(AdminHttpFixture, HalfClosedPeerGetsResponseThenEof) {
   QecServer server(index_);
   auto admin = StartAdmin(&server);
   HttpClient client(admin->port());
   ASSERT_TRUE(client.connected());
 
-  // The profile response stays owed for a second after the client
-  // half-closes. The socket at EOF stays readable; the loop must stop
-  // watching it instead of spinning on it. A spin fills both windows; the
-  // quieter one keeps a one-off burst (sampling, sanitizer bookkeeping)
-  // from reading as one.
-  ASSERT_TRUE(client.Get("/pprof/profile?seconds=1"));
+  // A peer that half-closes right after its request still gets the
+  // response, then EOF: the read side's EOF must not drop what is owed.
+  // (That the loop does not spin while a response is owed to a half-closed
+  // peer is net::Connection's, covered in net_test.)
+  ASSERT_TRUE(client.Get("/healthz"));
   ASSERT_TRUE(client.HalfClose());
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  const double first = CpuShareWhileSleeping(300);
-  const double second = CpuShareWhileSleeping(300);
-  EXPECT_LT(std::min(first, second), 0.25) << first << ", " << second;
 
-  auto profile = client.ReadResponse();
-  ASSERT_TRUE(profile.ok);
-  EXPECT_EQ(profile.status, 200);
+  auto health = client.ReadResponse();
+  ASSERT_TRUE(health.ok);
+  EXPECT_EQ(health.status, 200);
+  EXPECT_EQ(health.body, "ok\n");
   EXPECT_TRUE(client.ReadEof());
-}
-
-TEST_F(AdminHttpFixture, ProfilerSummarizesFoldedStacks) {
-  const std::string folded =
-      "main;work;inner 7\n"
-      "main;work 2\n"
-      "main;idle 1\n";
-  const std::string table = obs::SummarizeFoldedStacks(folded, 10);
-  EXPECT_NE(table.find("total samples: 10"), std::string::npos) << table;
-  EXPECT_NE(table.find("inner"), std::string::npos);
-  EXPECT_NE(table.find("work"), std::string::npos);
 }
 
 TEST(MetricsLintTest, CatchesNamingViolations) {

@@ -18,12 +18,18 @@ class InterleavedFixture : public ::testing::Test {
   InterleavedFixture() {
     // Two clean senses.
     for (int i = 0; i < 4; ++i) {
-      ids_.push_back(corpus_.AddTextDocument(
-          "a" + std::to_string(i), "q alpha sensea item" + std::to_string(i)));
+      std::string name = "a";
+      std::string body = "q alpha sensea item";
+      name += std::to_string(i);
+      body += std::to_string(i);
+      ids_.push_back(corpus_.AddTextDocument(name, body));
     }
     for (int i = 0; i < 4; ++i) {
-      ids_.push_back(corpus_.AddTextDocument(
-          "b" + std::to_string(i), "q beta senseb item" + std::to_string(i)));
+      std::string name = "b";
+      std::string body = "q beta senseb item";
+      name += std::to_string(i);
+      body += std::to_string(i);
+      ids_.push_back(corpus_.AddTextDocument(name, body));
     }
     universe_ = std::make_unique<ResultUniverse>(corpus_, ids_);
     for (const char* w : {"alpha", "beta", "sensea", "senseb"}) {

@@ -91,9 +91,10 @@ class PaperExampleFixture : public ::testing::Test {
     if (store) body += " store";
     if (location) body += " location";
     if (fruit) body += " fruit";
-    for (const auto& w : extra) body += " " + w;
-    doc_ids_.push_back(
-        corpus_.AddTextDocument("r" + std::to_string(doc_ids_.size()), body));
+    for (const auto& w : extra) body.append(" ").append(w);
+    std::string name = "r";
+    name += std::to_string(doc_ids_.size());
+    doc_ids_.push_back(corpus_.AddTextDocument(name, body));
   }
 
   TermId T(const std::string& w) const {

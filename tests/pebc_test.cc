@@ -32,7 +32,9 @@ class Example42Fixture : public ::testing::Test {
       if (contains(2, 7)) body += " k2";
       if (contains(8, 8)) body += " k3";
       if (contains(9, 12)) body += " k4";
-      ids_.push_back(corpus_.AddTextDocument("c" + std::to_string(i), body));
+      std::string name = "c";
+      name += std::to_string(i);
+      ids_.push_back(corpus_.AddTextDocument(name, body));
     }
     cluster_size_ = ids_.size();
     // U: R1..R10. k eliminates R iff absent.
@@ -58,7 +60,9 @@ class Example42Fixture : public ::testing::Test {
       if (u_rows[i].k2) body += " k2";
       if (u_rows[i].k3) body += " k3";
       if (u_rows[i].k4) body += " k4";
-      ids_.push_back(corpus_.AddTextDocument("u" + std::to_string(i), body));
+      std::string name = "u";
+      name += std::to_string(i);
+      ids_.push_back(corpus_.AddTextDocument(name, body));
     }
     universe_ = std::make_unique<ResultUniverse>(corpus_, ids_);
     DynamicBitset cluster(universe_->size());

@@ -234,8 +234,10 @@ TEST_F(FacetedFixture, NonDiscriminativeFacetDropped) {
   doc::Corpus corpus;
   std::vector<DocId> ids;
   for (int i = 0; i < 4; ++i) {
-    ids.push_back(corpus.AddStructuredDocument(
-        "p" + std::to_string(i), {{"item", "condition", "new"}}));
+    std::string name = "p";
+    name += std::to_string(i);
+    ids.push_back(
+        corpus.AddStructuredDocument(name, {{"item", "condition", "new"}}));
   }
   core::ResultUniverse universe(corpus, ids);
   auto facets = baselines::FacetedNavigator().ExtractFacets(universe);
