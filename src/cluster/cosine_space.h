@@ -4,6 +4,7 @@
 // The one distance kernel behind k-means, HAC and the silhouette, and the
 // local-term-id scheme its input rows are written in.
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -69,67 +70,82 @@ struct TermRows {
   size_t size() const { return begin.size() - 1; }
 };
 
-/// The points of one clustering call over local term ids 0..dims()-1
-/// assigned in ascending TermId order, with each point's norm cached, a
-/// per-term posting list of (point, weight) pairs, and each entry's
-/// position in its term's posting list. Every dot product adds the
-/// products of the two vectors' common terms in ascending term order, the
-/// order of SparseVector::Dot's merge, and a dense centroid adds +0.0 for
-/// each term it lacks. Distances, norms and centroid sums over finite
-/// weights are therefore bit-identical to the sparse formulation, and the
-/// distance between two points is the same double from either side.
+/// Rows of sparse vectors over their terms' local ids (see TermRanks).
+TermRows RowsOf(const std::vector<SparseVector>& points);
+
+/// Most points one PointDistances call loads as columns.
+inline constexpr size_t kPointBlock = 8;
+
+/// The points of one clustering call: TermRows the caller owns, read in
+/// place, with each point's norm cached. The space keeps a reference to
+/// the rows, so they must outlive it and stay unchanged; it takes no
+/// temporary.
+///
+/// Every distance is one point's row against dense term-major columns:
+/// the dot product adds the point's products in ascending term order, the
+/// order of SparseVector::Dot's merge, and a column adds +0.0 for each
+/// term it lacks. Adding w * 0.0 = ±0.0 leaves a dot product unchanged (it
+/// starts at +0.0, so it is never -0.0), so a column holding another point
+/// yields their sparse dot product. Distances, norms and centroid sums
+/// over finite weights are therefore bit-identical to the sparse
+/// formulation, and the distance between two points is the same double
+/// from either side.
 class CosineSpace {
  public:
-  /// Takes rows already over local term ids (see TermRows).
-  explicit CosineSpace(TermRows rows);
-
-  /// Re-indexes sparse vectors through TermRanks.
-  explicit CosineSpace(const std::vector<SparseVector>& points);
+  explicit CosineSpace(const TermRows& rows);
+  explicit CosineSpace(TermRows&&) = delete;
 
   size_t size() const { return norms_.size(); }
-  size_t dims() const { return term_begin_.size() - 1; }
+  size_t dims() const { return rows_.dims; }
   double norm(size_t i) const { return norms_[i]; }
 
-  /// out[j] = cosine distance between points i and j, for every point j
-  /// (out[i] included): point i's terms' postings scattered into `out`.
-  void DistanceRow(size_t i, double* out) const;
-
-  /// The upper half of DistanceRow: out[j] for every j > i, bit-equal to
-  /// DistanceRow(i)[j] and DistanceRow(j)[i]. Only the postings after point
-  /// i's own are scattered, and a term held by at least half the points is
-  /// added along its dense column instead; out[0..i] is left untouched.
-  void DistanceRowAbove(size_t i, double* out) const;
-
-  /// Centroids are dense and term-major: centroid c of k is column c of a
-  /// dims() x k matrix. out[c] = cosine distance between point i and
-  /// centroid c of norm `centroid_norms[c]`. One pass over point i's terms
-  /// reads each term's k-long row; every column still adds its products in
-  /// ascending term order.
-  void CentroidDistances(size_t i, const double* centroids,
-                         const double* centroid_norms, size_t k,
+  /// The distance kernel. Columns are dense and term-major: column c of k
+  /// is column c of a dims() x k matrix, with norm `column_norms[c]`.
+  /// out[(i - first) * k + c] = cosine distance between point i and column
+  /// c, for every point i in [first, last); it is 1 when either norm is
+  /// zero. One pass over each point's terms reads each term's k-long row;
+  /// every column still adds its products in ascending term order.
+  void CentroidDistances(size_t first, size_t last, const double* columns,
+                         const double* column_norms, size_t k,
                          double* out) const;
 
   /// Adds point i into column c of a dims() x k term-major matrix.
-  void AddTo(size_t i, double* centroids, size_t k, size_t c) const;
+  void AddTo(size_t i, double* columns, size_t k, size_t c) const;
+
+  /// Point-to-point distances through CentroidDistances: points
+  /// [first, first + count), count <= kPointBlock, are added as the columns
+  /// of the dims() x count term-major `tile`, which must be all +0.0 and
+  /// is again on return (only the entries they set are zeroed).
+  /// out[(j - from) * count + c] = distance between points j and first + c,
+  /// for every j in [from, size()).
+  void PointDistances(size_t first, size_t count, size_t from, double* tile,
+                      double* out) const;
+
+  /// Calls visit(i, j, distance) for every pair i < j in ascending (i, j)
+  /// order, kPointBlock rows i per PointDistances call.
+  template <typename Visit>
+  void ForEachPair(Visit visit) const;
 
  private:
-  // Compressed rows both ways: point i's local terms and weights in
-  // [point_begin_[i], point_begin_[i + 1]), and term t's points and weights
-  // in [term_begin_[t], term_begin_[t + 1]), ascending. point_pos_[e] is
-  // where point entry e sits in its term's posting list.
-  std::vector<uint32_t> point_begin_, point_term_, point_pos_;
-  std::vector<double> point_weight_;
-  std::vector<uint32_t> term_begin_, term_point_;
-  std::vector<double> term_weight_;
+  const TermRows& rows_;
   std::vector<double> norms_;
-  // A term held by at least half the points also has a dense n-long column
-  // of weights (0.0 where a point lacks it) at columns_[term_column_[t]];
-  // other terms have kNoColumn. Adding w * 0.0 = ±0.0 leaves a dot product
-  // unchanged: it starts at +0.0, so it is never -0.0.
-  static constexpr size_t kNoColumn = SIZE_MAX;
-  std::vector<size_t> term_column_;
-  std::vector<double> columns_;
 };
+
+template <typename Visit>
+void CosineSpace::ForEachPair(Visit visit) const {
+  const size_t n = size();
+  std::vector<double> tile(dims() * kPointBlock, 0.0), block;
+  for (size_t first = 0; first + 1 < n; first += kPointBlock) {
+    const size_t count = std::min(kPointBlock, n - first);
+    block.resize((n - first - 1) * count);
+    PointDistances(first, count, first + 1, tile.data(), block.data());
+    for (size_t c = 0; c < count; ++c) {
+      for (size_t j = first + c + 1; j < n; ++j) {
+        visit(first + c, j, block[(j - first - 1) * count + c]);
+      }
+    }
+  }
+}
 
 }  // namespace qec::cluster
 

@@ -25,12 +25,12 @@ class Agglomerator {
         active_count_(n_),
         size_(n_, 1),
         dist_(n_ * n_) {
-    // Distances are symmetric bit for bit, so the upper triangle is
-    // computed and mirrored; the diagonal is never read.
-    for (size_t i = 0; i < n_; ++i) {
-      space.DistanceRowAbove(i, &dist_[i * n_]);
-      for (size_t j = i + 1; j < n_; ++j) dist_[j * n_ + i] = dist_[i * n_ + j];
-    }
+    // Distances are symmetric bit for bit, so each pair is computed once
+    // and mirrored; the diagonal is never read.
+    space.ForEachPair([&](size_t i, size_t j, double d) {
+      dist_[i * n_ + j] = d;
+      dist_[j * n_ + i] = d;
+    });
     // members_[c] = point indices currently in cluster c.
     members_.resize(n_);
     for (size_t i = 0; i < n_; ++i) members_[i] = {i};
@@ -102,7 +102,8 @@ class Agglomerator {
 }  // namespace
 
 Clustering Hac::Cluster(const std::vector<SparseVector>& points) const {
-  return Cluster(CosineSpace(points));
+  const TermRows rows = RowsOf(points);
+  return Cluster(CosineSpace(rows));
 }
 
 Clustering Hac::Cluster(const CosineSpace& space) const {
@@ -138,7 +139,8 @@ Clustering Hac::Cluster(const CosineSpace& space) const {
 Clustering SelectBestClustering(const std::vector<SparseVector>& points,
                                 size_t k_max, uint64_t seed,
                                 ClusteringMethod* chosen) {
-  return SelectBestClustering(CosineSpace(points), k_max, seed, chosen);
+  const TermRows rows = RowsOf(points);
+  return SelectBestClustering(CosineSpace(rows), k_max, seed, chosen);
 }
 
 Clustering SelectBestClustering(const CosineSpace& space, size_t k_max,

@@ -26,17 +26,17 @@ KMeans::KMeans(KMeansOptions options) : options_(options) {}
 namespace {
 
 // k-means++ seeding: first centroid uniform, subsequent proportional to
-// squared distance to the nearest chosen centroid. Each seed's distance row
-// is computed once.
+// squared distance to the nearest chosen centroid. Each seed's distances
+// are computed once, with the seed as a one-column tile.
 std::vector<size_t> SeedPlusPlus(const CosineSpace& space, size_t k,
                                  Rng& rng) {
   const size_t n = space.size();
   std::vector<size_t> seeds;
   seeds.push_back(static_cast<size_t>(rng.UniformInt(n)));
   std::vector<double> best_dist(n, std::numeric_limits<double>::infinity());
-  std::vector<double> row(n);
+  std::vector<double> row(n), tile(space.dims(), 0.0);
   while (seeds.size() < k) {
-    space.DistanceRow(seeds.back(), row.data());
+    space.PointDistances(seeds.back(), 1, 0, tile.data(), row.data());
     double total = 0.0;
     for (size_t i = 0; i < n; ++i) {
       best_dist[i] = std::min(best_dist[i], row[i] * row[i]);
@@ -97,11 +97,37 @@ void NormalizeColumns(std::vector<double>& centroids,
   ColumnNorms(centroids, norms);
 }
 
-// Spherical k-means for one k over dense centroids, seeded by the first k
-// of `seeds`.
-Clustering ClusterWithK(const CosineSpace& space,
-                        const std::vector<size_t>& seeds, size_t k_arg,
-                        size_t max_iterations) {
+// The start every k shares: the seeds as the normalized columns of a
+// term-major dims x width matrix, their norms, and every point's
+// distances to them (point i's at dist[i * width, i * width + width)).
+// Normalizing a column and a point's dot product with it read only that
+// column, so the first k columns, norms and distances are bit for bit
+// those of the first k seeds alone.
+struct Start {
+  size_t width = 0;
+  std::vector<double> columns, norms, dist;
+};
+
+Start StartFrom(const CosineSpace& space, const std::vector<size_t>& seeds) {
+  Start start;
+  start.width = seeds.size();
+  start.columns.assign(space.dims() * start.width, 0.0);
+  for (size_t c = 0; c < start.width; ++c) {
+    space.AddTo(seeds[c], start.columns.data(), start.width, c);
+  }
+  start.norms.resize(start.width);
+  NormalizeColumns(start.columns, std::vector<size_t>(start.width, 1),
+                   start.norms);
+  start.dist.resize(space.size() * start.width);
+  space.CentroidDistances(0, space.size(), start.columns.data(),
+                          start.norms.data(), start.width, start.dist.data());
+  return start;
+}
+
+// Spherical k-means for one k over dense centroids, started from the first
+// k columns of `start`.
+Clustering ClusterWithK(const CosineSpace& space, const Start& start,
+                        size_t k_arg, size_t max_iterations) {
   Clustering result;
   const size_t n = space.size();
   result.assignment.assign(n, 0);
@@ -118,12 +144,15 @@ Clustering ClusterWithK(const CosineSpace& space,
     return result;
   }
 
-  std::vector<double> centroids(space.dims() * k, 0.0);
+  QEC_CHECK_LE(k, start.width);
+  std::vector<double> centroids(space.dims() * k);
+  for (size_t row = 0; row < space.dims(); ++row) {
+    std::copy_n(&start.columns[row * start.width], k, &centroids[row * k]);
+  }
   std::vector<double> next(centroids.size());
-  std::vector<size_t> counts(k, 1);
-  std::vector<double> norms(k), dist(k);
-  for (size_t c = 0; c < k; ++c) space.AddTo(seeds[c], centroids.data(), k, c);
-  NormalizeColumns(centroids, counts, norms);
+  std::vector<size_t> counts(k);
+  std::vector<double> norms(start.norms.begin(), start.norms.begin() + k);
+  std::vector<double> dist(n * k);
 
   // At least one assignment pass, so every point has a label.
   std::vector<int> assignment(n, -1);
@@ -131,15 +160,21 @@ Clustering ClusterWithK(const CosineSpace& space,
   for (size_t iter = 0; iter < passes; ++iter) {
     QEC_COUNTER_INC("cluster/kmeans_iterations");
     bool changed = false;
-    // Assignment step.
-    for (size_t i = 0; i < n; ++i) {
-      space.CentroidDistances(i, centroids.data(), norms.data(), k,
+    // Assignment step; the first pass reads the shared start's distances.
+    const double* d = start.dist.data();
+    size_t stride = start.width;
+    if (iter > 0) {
+      space.CentroidDistances(0, n, centroids.data(), norms.data(), k,
                               dist.data());
+      d = dist.data();
+      stride = k;
+    }
+    for (size_t i = 0; i < n; ++i, d += stride) {
       int best = 0;
       double best_d = std::numeric_limits<double>::infinity();
       for (size_t c = 0; c < k; ++c) {
-        if (dist[c] < best_d) {
-          best_d = dist[c];
+        if (d[c] < best_d) {
+          best_d = d[c];
           best = static_cast<int>(c);
         }
       }
@@ -183,7 +218,8 @@ Clustering ClusterWithK(const CosineSpace& space,
 }  // namespace
 
 Clustering KMeans::Cluster(const std::vector<SparseVector>& points) const {
-  return Cluster(CosineSpace(points));
+  const TermRows rows = RowsOf(points);
+  return Cluster(CosineSpace(rows));
 }
 
 Clustering KMeans::Cluster(const CosineSpace& space) const {
@@ -192,24 +228,25 @@ Clustering KMeans::Cluster(const CosineSpace& space) const {
   const size_t k_max = std::min(options_.k == 0 ? size_t{1} : options_.k, n);
   const bool auto_k = options_.auto_k && n > 2 && k_max > 1;
   // Every k restarts the same Rng, so the seeds for k are the first k of
-  // one sequence, drawn once for the largest 1 < k < n tried.
+  // one sequence, drawn once for the largest 1 < k < n tried; their
+  // columns and first distances are computed once too (Start).
   const size_t seeded = auto_k ? std::min(k_max, n - 1) : k_max < n ? k_max : 0;
   Rng rng(options_.seed);
-  const std::vector<size_t> seeds = seeded > 1
-                                        ? SeedPlusPlus(space, seeded, rng)
-                                        : std::vector<size_t>{};
+  const Start start = StartFrom(
+      space, seeded > 1 ? SeedPlusPlus(space, seeded, rng)
+                        : std::vector<size_t>{});
   const size_t iterations = options_.max_iterations;
-  if (!auto_k) return ClusterWithK(space, seeds, k_max, iterations);
+  if (!auto_k) return ClusterWithK(space, start, k_max, iterations);
   // Try every k up to the bound and keep the best mean silhouette, all
   // candidates scored in one pass. Ties and the all-neutral case prefer the
   // smaller k.
   std::vector<Clustering> candidates;
   for (size_t k = 2; k <= k_max; ++k) {
-    Clustering candidate = ClusterWithK(space, seeds, k, iterations);
+    Clustering candidate = ClusterWithK(space, start, k, iterations);
     if (candidate.num_clusters >= 2) candidates.push_back(std::move(candidate));
   }
   const std::vector<double> scores = MeanSilhouettes(space, candidates);
-  Clustering best = ClusterWithK(space, seeds, 1, iterations);
+  Clustering best = ClusterWithK(space, start, 1, iterations);
   double best_score = 0.0;  // k = 1 is the neutral baseline
   for (size_t c = 0; c < candidates.size(); ++c) {
     if (scores[c] > best_score + 1e-12) {
@@ -237,7 +274,7 @@ std::vector<double> MeanSilhouettes(const CosineSpace& space,
     if (clustering.num_clusters >= 2) scored.push_back(c);
   }
 
-  std::vector<double> row(n), sum;
+  std::vector<double> sum;
   std::vector<uint32_t> slot_of;
   std::vector<size_t> first, cluster_size;
   for (size_t begin = 0, end = 0; begin < scored.size(); begin = end) {
@@ -264,23 +301,20 @@ std::vector<double> MeanSilhouettes(const CosineSpace& space,
       }
     }
     // sum[i * slots + s] = distance sum from point i to slot s's points
-    // other than i. Row i adds d(i, j), j > i, to i's sums and to j's, so
-    // every sum receives its terms in ascending point order.
+    // other than i. Pair (i, j), i < j, adds d(i, j) to i's sums and to
+    // j's in ascending (i, j) order, so every sum receives its terms in
+    // ascending point order.
     sum.assign(n * slots, 0.0);
-    for (size_t i = 0; i + 1 < n; ++i) {
-      space.DistanceRowAbove(i, row.data());
+    space.ForEachPair([&](size_t i, size_t j, double d) {
       double* sum_i = &sum[i * slots];
+      double* sum_j = &sum[j * slots];
       const uint32_t* slot_i = &slot_of[i * m];
-      for (size_t j = i + 1; j < n; ++j) {
-        const double d = row[j];
-        double* sum_j = &sum[j * slots];
-        const uint32_t* slot_j = &slot_of[j * m];
-        for (size_t q = 0; q < m; ++q) {
-          sum_i[slot_j[q]] += d;
-          sum_j[slot_i[q]] += d;
-        }
+      const uint32_t* slot_j = &slot_of[j * m];
+      for (size_t q = 0; q < m; ++q) {
+        sum_i[slot_j[q]] += d;
+        sum_j[slot_i[q]] += d;
       }
-    }
+    });
     for (size_t q = 0; q < m; ++q) {
       double& score = total[scored[begin + q]];
       for (size_t i = 0; i < n; ++i) {
@@ -307,7 +341,8 @@ std::vector<double> MeanSilhouettes(const CosineSpace& space,
 
 double MeanSilhouette(const std::vector<SparseVector>& points,
                       const Clustering& clustering) {
-  return MeanSilhouettes(CosineSpace(points), {&clustering, 1})[0];
+  const TermRows rows = RowsOf(points);
+  return MeanSilhouettes(CosineSpace(rows), {&clustering, 1})[0];
 }
 
 }  // namespace qec::cluster

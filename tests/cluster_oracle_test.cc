@@ -533,7 +533,7 @@ const Source kOtherSources[] = {
     {"Random", RandomVectors},
     {"Duplicates", Duplicates},
 };
-const size_t kSizesTo108[] = {0, 1, 2, 3, 30, 108};
+const size_t kSizesTo108[] = {0, 1, 2, 3, 7, 8, 9, 16, 17, 30, 108};
 
 // ------------------------------------------------------------------- tests
 

@@ -101,8 +101,8 @@ std::vector<SparseVector> WikipediaPoints() {
 }
 
 // Signed random weights over 30 terms, with zero vectors and duplicates;
-// term 30, held by about 70% of the points with either sign, takes the
-// dense-column path of DistanceRowAbove.
+// term 30, held by about 70% of the points with either sign, puts a
+// product of each sign into most pairs' dot products.
 std::vector<SparseVector> RandomPoints() {
   Rng rng(16);
   std::vector<SparseVector> points;
@@ -131,25 +131,46 @@ std::vector<std::vector<SparseVector>> KernelInputs() {
   return {ShoppingPoints(), WikipediaPoints(), RandomPoints()};
 }
 
-TEST(CosineSpaceTest, DistanceRowAboveMatchesBothFullRows) {
+TEST(CosineSpaceTest, PointBlocksMatchBothSidesAndSparseDot) {
   for (const auto& points : KernelInputs()) {
-    const CosineSpace space(points);
+    const TermRows rows = RowsOf(points);
+    const CosineSpace space(rows);
     const size_t n = space.size();
     ASSERT_GT(n, 1u);
-    std::vector<std::vector<double>> full(n, std::vector<double>(n));
-    for (size_t i = 0; i < n; ++i) space.DistanceRow(i, full[i].data());
-    const double sentinel = -123.25;
-    std::vector<double> above(n);
-    for (size_t i = 0; i < n; ++i) {
-      std::fill(above.begin(), above.end(), sentinel);
-      space.DistanceRowAbove(i, above.data());
-      for (size_t j = 0; j <= i; ++j) {
-        ASSERT_TRUE(SameBits(above[j], sentinel)) << i << " wrote " << j;
+    // Blocks of every width load each point as a column once; the tile
+    // must be all +0.0 again after every call.
+    for (size_t width : {size_t{1}, size_t{3}, kPointBlock}) {
+      std::vector<std::vector<double>> d(n, std::vector<double>(n));
+      std::vector<double> tile(space.dims() * width, 0.0), out(n * width);
+      for (size_t first = 0; first < n; first += width) {
+        const size_t count = std::min(width, n - first);
+        space.PointDistances(first, count, 0, tile.data(), out.data());
+        for (double x : tile) ASSERT_TRUE(SameBits(x, 0.0)) << first;
+        for (size_t j = 0; j < n; ++j) {
+          for (size_t c = 0; c < count; ++c) d[j][first + c] = out[j * count + c];
+        }
       }
-      for (size_t j = i + 1; j < n; ++j) {
-        ASSERT_TRUE(SameBits(above[j], full[i][j])) << i << "," << j;
-        ASSERT_TRUE(SameBits(above[j], full[j][i])) << i << "," << j;
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t j = 0; j < n; ++j) {
+          ASSERT_TRUE(SameBits(d[i][j], d[j][i])) << i << "," << j;
+          const double norms = points[i].Norm() * points[j].Norm();
+          const double sparse =
+              norms == 0.0 ? 1.0 : 1.0 - points[i].Dot(points[j]) / norms;
+          ASSERT_TRUE(SameBits(d[i][j], sparse))
+              << "width " << width << " " << i << "," << j;
+        }
       }
+      if (width != kPointBlock) continue;
+      // ForEachPair visits every pair i < j once, in ascending (i, j)
+      // order, with the same distance.
+      size_t next_i = 0, next_j = 1;
+      space.ForEachPair([&](size_t i, size_t j, double dist) {
+        ASSERT_EQ(i, next_i);
+        ASSERT_EQ(j, next_j);
+        ASSERT_TRUE(SameBits(dist, d[i][j])) << i << "," << j;
+        if (++next_j == n) next_j = ++next_i + 1;
+      });
+      EXPECT_EQ(next_i, n - 1);
     }
   }
 }
@@ -157,7 +178,8 @@ TEST(CosineSpaceTest, DistanceRowAboveMatchesBothFullRows) {
 TEST(CosineSpaceTest, CentroidDistancesMatchColumnByColumnReference) {
   Rng rng(8);
   for (const auto& points : KernelInputs()) {
-    const CosineSpace space(points);
+    const TermRows rows = RowsOf(points);
+    const CosineSpace space(rows);
     // Local term ids are the ranks of the points' distinct TermIds.
     std::vector<TermId> terms;
     for (const SparseVector& p : points) {
@@ -174,10 +196,12 @@ TEST(CosineSpaceTest, CentroidDistancesMatchColumnByColumnReference) {
       std::vector<double> norms(k);
       for (double& x : norms) x = 0.5 + rng.UniformDouble();
       norms[k - 1] = 0.0;  // a zero centroid is at distance 1
-      std::vector<double> out(k);
-      for (size_t i = 0; i < points.size(); ++i) {
-        space.CentroidDistances(i, centroids.data(), norms.data(), k,
-                                out.data());
+      // One call over the points after the first: out[(i - 1) * k + c].
+      std::vector<double> all((points.size() - 1) * k);
+      space.CentroidDistances(1, points.size(), centroids.data(), norms.data(),
+                              k, all.data());
+      for (size_t i = 1; i < points.size(); ++i) {
+        const double* out = &all[(i - 1) * k];
         const double norm_i = points[i].Norm();
         for (size_t c = 0; c < k; ++c) {
           double dot = 0.0;
@@ -213,8 +237,9 @@ TEST(MeanSilhouettesTest, PassesSplitAtTheBudgetMatchSingleScores) {
       c.assignment.push_back(static_cast<int>(rng.UniformInt(100)));
     }
   }
+  const TermRows rows = RowsOf(points);
   const std::vector<double> scores =
-      MeanSilhouettes(CosineSpace(points), clusterings);
+      MeanSilhouettes(CosineSpace(rows), clusterings);
   ASSERT_EQ(scores.size(), clusterings.size());
   for (size_t c = 0; c < clusterings.size(); ++c) {
     EXPECT_TRUE(SameBits(scores[c], MeanSilhouette(points, clusterings[c])))
@@ -341,6 +366,19 @@ TEST(KMeansTest, ZeroIterationsStillAssignsEveryPoint) {
   }
   EXPECT_EQ(zero.assignment, one.assignment);
   EXPECT_EQ(zero.num_clusters, one.num_clusters);
+  // Auto-k: every k's only pass reads the shared start's distances.
+  const Clustering auto_zero =
+      KMeans({.k = 4, .max_iterations = 0, .auto_k = true}).Cluster(points);
+  const Clustering auto_one =
+      KMeans({.k = 4, .max_iterations = 1, .auto_k = true}).Cluster(points);
+  ASSERT_EQ(auto_zero.assignment.size(), points.size());
+  ASSERT_GE(auto_zero.num_clusters, 2u);
+  for (int a : auto_zero.assignment) {
+    EXPECT_GE(a, 0);
+    EXPECT_LT(static_cast<size_t>(a), auto_zero.num_clusters);
+  }
+  EXPECT_EQ(auto_zero.assignment, auto_one.assignment);
+  EXPECT_EQ(auto_zero.num_clusters, auto_one.num_clusters);
 }
 
 TEST(KMeansTest, MembersPartitionInput) {

@@ -306,17 +306,18 @@ bool SameBits(double a, double b) {
 }
 
 // A cluster::CosineSpace over the universe's term rows equals the one
-// over its results' SparseVectors bit for bit: norms, every full and
-// upper distance row, centroid distances and centroid sums. Norms and full
-// rows are also checked against SparseVector::Norm and SparseVector::Dot,
-// which share no code with the space.
+// over its results' SparseVectors bit for bit: norms, every point-block
+// distance, centroid distances and centroid sums. Norms and point-block
+// distances are also checked against SparseVector::Norm and
+// SparseVector::Dot, which share no code with the space.
 void ExpectSameSpaceAsSparseVectors(const ResultUniverse& u) {
   std::vector<cluster::SparseVector> points;
   for (size_t i = 0; i < u.size(); ++i) {
     points.push_back(
         cluster::SparseVector::FromDocument(u.corpus().Get(u.doc_at(i))));
   }
-  const cluster::CosineSpace want(points);
+  const cluster::TermRows rows = cluster::RowsOf(points);
+  const cluster::CosineSpace want(rows);
   const cluster::CosineSpace got(u.term_rows());
   const size_t n = want.size();
   ASSERT_EQ(got.size(), n);
@@ -325,11 +326,13 @@ void ExpectSameSpaceAsSparseVectors(const ResultUniverse& u) {
     ASSERT_TRUE(SameBits(got.norm(i), points[i].Norm())) << i;
     ASSERT_TRUE(SameBits(got.norm(i), want.norm(i))) << i;
   }
-  const double sentinel = -7.5;
-  std::vector<double> a(n), b(n);
+  // Point i's distances to every point, with i as a one-point block; the
+  // upper half again from the blocks of ForEachPair.
+  std::vector<double> tile(want.dims(), 0.0), a(n), b(n);
+  std::vector<std::vector<double>> full(n);
   for (size_t i = 0; i < n; ++i) {
-    got.DistanceRow(i, a.data());
-    want.DistanceRow(i, b.data());
+    got.PointDistances(i, 1, 0, tile.data(), a.data());
+    want.PointDistances(i, 1, 0, tile.data(), b.data());
     for (size_t j = 0; j < n; ++j) {
       ASSERT_TRUE(SameBits(a[j], b[j])) << i << "," << j;
       const double norms = points[i].Norm() * points[j].Norm();
@@ -337,14 +340,15 @@ void ExpectSameSpaceAsSparseVectors(const ResultUniverse& u) {
           norms == 0.0 ? 1.0 : 1.0 - points[i].Dot(points[j]) / norms;
       ASSERT_TRUE(SameBits(a[j], sparse)) << i << "," << j;
     }
-    std::fill(a.begin(), a.end(), sentinel);
-    std::fill(b.begin(), b.end(), sentinel);
-    got.DistanceRowAbove(i, a.data());
-    want.DistanceRowAbove(i, b.data());
-    for (size_t j = 0; j < n; ++j) {
-      ASSERT_TRUE(SameBits(a[j], b[j])) << i << "," << j;
-    }
+    full[i] = a;
   }
+  size_t pairs = 0;
+  got.ForEachPair([&](size_t i, size_t j, double d) {
+    ASSERT_TRUE(SameBits(d, full[i][j])) << i << "," << j;
+    ASSERT_TRUE(SameBits(d, full[j][i])) << i << "," << j;
+    ++pairs;
+  });
+  EXPECT_EQ(pairs, n * (n - 1) / 2);
   Rng rng(21);
   for (size_t k : {size_t{1}, size_t{3}, size_t{5}, size_t{9}}) {
     std::vector<double> centroids(want.dims() * k);
@@ -353,14 +357,14 @@ void ExpectSameSpaceAsSparseVectors(const ResultUniverse& u) {
     }
     std::vector<double> norms(k);
     for (double& x : norms) x = 0.5 + rng.UniformDouble();
-    std::vector<double> da(k), db(k);
+    std::vector<double> da(n * k), db(n * k);
+    got.CentroidDistances(0, n, centroids.data(), norms.data(), k, da.data());
+    want.CentroidDistances(0, n, centroids.data(), norms.data(), k, db.data());
+    for (size_t x = 0; x < n * k; ++x) {
+      ASSERT_TRUE(SameBits(da[x], db[x])) << "k=" << k << " at " << x;
+    }
     std::vector<double> sum_a(centroids.size(), 0.0), sum_b(sum_a);
     for (size_t i = 0; i < n; ++i) {
-      got.CentroidDistances(i, centroids.data(), norms.data(), k, da.data());
-      want.CentroidDistances(i, centroids.data(), norms.data(), k, db.data());
-      for (size_t c = 0; c < k; ++c) {
-        ASSERT_TRUE(SameBits(da[c], db[c])) << "k=" << k << " point " << i;
-      }
       got.AddTo(i, sum_a.data(), k, i % k);
       want.AddTo(i, sum_b.data(), k, i % k);
     }
