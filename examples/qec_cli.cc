@@ -540,7 +540,7 @@ int CmdExplain(const std::vector<std::string>& args) {
 
 // abtest: offline A/B replay — scores a primary and a shadow arm over a
 // query workload through the same ShadowEvaluator the server samples
-// with, then prints the tallies the ABTEST verb would report.
+// with, then prints the tallies the admin /abtest route would report.
 int CmdAbtest(const std::vector<std::string>& args) {
   if (args.empty()) return Usage();
   qec::core::ExpansionAlgorithm primary_algo =
@@ -874,8 +874,7 @@ int CmdServe(const std::vector<std::string>& args) {
   std::fprintf(stderr,
                "serving %zu documents with %zu workers (queue %zu, cache "
                "%s, shadow %s); one request per line: EXPAND [k=N] [algo=A] "
-               "[--] <query> | EXPLAIN <query> | PING | STATS | METRICS | "
-               "SLOWLOG [n] | ABTEST [n]\n",
+               "[--] <query> | EXPLAIN <query> | PING | STATS\n",
                data->corpus->NumDocs(),
                server.num_workers(), options.queue_capacity,
                options.enable_expansion_cache ? "on" : "off",
@@ -1007,11 +1006,10 @@ std::string ReadAllStdin() {
   return out;
 }
 
-// Lints a Prometheus/OpenMetrics exposition (a /metrics scrape, a METRICS
-// verb response, or a saved scrape): parse, histogram
-// invariants (cumulative buckets, +Inf, _count, exemplar-within-bucket),
-// then the qec naming conventions. Exit 0 with a summary line on success,
-// 1 with the first violation on stderr otherwise.
+// Lints a Prometheus/OpenMetrics exposition (a live or saved /metrics
+// scrape): parse, histogram invariants (cumulative buckets, +Inf, _count,
+// exemplar-within-bucket), then the qec naming conventions. Exit 0 with a
+// summary line on success, 1 with the first violation on stderr otherwise.
 int CmdMetricsLint(const std::vector<std::string>& args) {
   if (args.size() > 1) return Usage();
   std::string source = "<stdin>";

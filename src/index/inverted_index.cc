@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -34,51 +33,6 @@ void InvertedIndex::Rebuild() {
     const auto& counts = doc.term_counts();
     for (size_t i = 0; i < terms.size(); ++i) {
       postings_[terms[i]].push_back(Posting{d, counts[i]});
-    }
-  }
-  ComputeDocNorms();
-}
-
-void InvertedIndex::RebuildParallel(size_t num_threads) {
-  const size_t n = corpus_->NumDocs();
-  const size_t threads = std::max<size_t>(1, std::min(num_threads, n));
-  if (threads <= 1) {
-    Rebuild();
-    return;
-  }
-  const size_t vocab_size = corpus_->analyzer().vocabulary().size();
-  // Each worker scans a contiguous DocId shard into its own partial index;
-  // shards are then concatenated per term. Shard s covers ids
-  // [s * n / threads, (s+1) * n / threads), ascending — so per-term
-  // concatenation in shard order preserves DocId order exactly.
-  std::vector<std::vector<std::vector<Posting>>> partials(
-      threads, std::vector<std::vector<Posting>>(vocab_size));
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (size_t s = 0; s < threads; ++s) {
-    pool.emplace_back([&, s] {
-      const DocId begin = static_cast<DocId>(s * n / threads);
-      const DocId end = static_cast<DocId>((s + 1) * n / threads);
-      for (DocId d = begin; d < end; ++d) {
-        const doc::Document& doc = corpus_->Get(d);
-        const auto& terms = doc.term_set();
-        const auto& counts = doc.term_counts();
-        for (size_t i = 0; i < terms.size(); ++i) {
-          partials[s][terms[i]].push_back(Posting{d, counts[i]});
-        }
-      }
-    });
-  }
-  for (auto& th : pool) th.join();
-
-  postings_.assign(vocab_size, {});
-  for (TermId t = 0; t < vocab_size; ++t) {
-    size_t total = 0;
-    for (size_t s = 0; s < threads; ++s) total += partials[s][t].size();
-    postings_[t].reserve(total);
-    for (size_t s = 0; s < threads; ++s) {
-      postings_[t].insert(postings_[t].end(), partials[s][t].begin(),
-                          partials[s][t].end());
     }
   }
   ComputeDocNorms();

@@ -44,12 +44,6 @@ class InvertedIndex {
   /// Rebuilds from scratch (e.g. after documents were appended).
   void Rebuild();
 
-  /// Rebuild with `num_threads` workers: documents are scanned in disjoint
-  /// shards whose partial posting lists are merged in DocId order, so the
-  /// result is byte-identical to the serial Rebuild(). Worthwhile from a
-  /// few thousand documents up.
-  void RebuildParallel(size_t num_threads);
-
   const doc::Corpus& corpus() const { return *corpus_; }
 
   /// Installs the external-id mapping of a cluster-reordered corpus:

@@ -161,9 +161,8 @@ class MetricsRegistry {
 
 // Hot-path instrumentation macros. `name` must be a per-call-site constant:
 // the registry handle is resolved once and cached in a function-local
-// static. Define QEC_DISABLE_METRICS (or QEC_DISABLE_TRACING, which implies
-// it) to compile them out entirely.
-#if !defined(QEC_DISABLE_METRICS) && !defined(QEC_DISABLE_TRACING)
+// static. Define QEC_DISABLE_TRACING to compile them out entirely.
+#ifndef QEC_DISABLE_TRACING
 
 #define QEC_COUNTER_ADD(name, delta)                            \
   do {                                                          \
@@ -218,7 +217,7 @@ class MetricsRegistry {
     (void)sizeof(trace_id);                            \
   } while (0)
 
-#endif  // QEC_DISABLE_METRICS / QEC_DISABLE_TRACING
+#endif  // QEC_DISABLE_TRACING
 
 #define QEC_COUNTER_INC(name) QEC_COUNTER_ADD(name, 1)
 

@@ -25,7 +25,8 @@ struct BuildInfo {
   std::string git;
   bool popcount = false;
   bool tracing = false;
-  /// Runtime-dispatched bitset-kernel tier ("scalar" or "avx2").
+  /// Bitset-kernel tier. Always "scalar" (the only tier); kept as a field
+  /// and label for existing scrapers.
   std::string kernel_tier;
 };
 
@@ -34,10 +35,10 @@ BuildInfo GetBuildInfo();
 /// The `qec_build_info` gauge (its `# TYPE` line plus one sample of value
 /// 1) carrying build metadata as labels: library version, `git describe`
 /// output when the build tree had git available, the popcount/tracing
-/// compile flags, and the runtime-dispatched bitset-kernel tier
-/// (`kernel="scalar"|"avx2"`). Emitted at the top of every WritePrometheus
-/// exposition so dashboards can correlate a regression with the build that
-/// shipped it.
+/// compile flags, and the bitset-kernel tier (`kernel="scalar"`, the only
+/// tier, kept for existing scrapers). Emitted at the top of every
+/// WritePrometheus exposition so dashboards can correlate a regression with
+/// the build that shipped it.
 std::string PrometheusBuildInfo();
 
 /// Persistent sweep-pool counters (`qec_sweep_pool_{runs,spawns,reuses}_total`)
@@ -53,9 +54,8 @@ std::string PrometheusSweepPool();
 /// Buckets whose histogram recorded a traced observation carry an
 /// OpenMetrics exemplar: ` # {trace_id="<16-hex>"} <value> <unix seconds>`
 /// appended to the `_bucket` line, linking the bucket to its
-/// flight-recorder record. The output ends with a `# EOF` line so stream
-/// consumers (the METRICS protocol verb and the admin /metrics route) can
-/// find the end.
+/// flight-recorder record. The output ends with a `# EOF` line, as
+/// OpenMetrics requires of the admin /metrics route's body.
 std::string WritePrometheus(const MetricsSnapshot& snapshot);
 
 /// WritePrometheus over the full live registry, plus the `qec_process_*`

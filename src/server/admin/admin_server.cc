@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "common/sweep_pool.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/process_collector.h"
@@ -115,8 +114,6 @@ std::string AdminServer::Route(const HttpRequest& request) {
 std::string AdminServer::StatuszJson() const {
   const obs::BuildInfo build = obs::GetBuildInfo();
   const obs::ProcessStats process = obs::SampleProcessStats();
-  const common::SweepPool::Stats pool =
-      common::SweepPool::Instance().GetStats();
   const double uptime_seconds =
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - start_time_)
@@ -140,11 +137,6 @@ std::string AdminServer::StatuszJson() const {
     out += ", \"open_fds\": " + std::to_string(process.open_fds);
     out += "}";
   }
-  out += ", \"sweep_pool\": {";
-  out += "\"runs\": " + std::to_string(pool.runs);
-  out += ", \"spawns\": " + std::to_string(pool.spawns);
-  out += ", \"reuses\": " + std::to_string(pool.reuses);
-  out += "}";
   // StatsJsonLine is already a JSON object (admission, cache, shadow
   // stats); embed it verbatim rather than re-modeling its schema here.
   out += ", \"server\": " + server_->StatsJsonLine();

@@ -37,9 +37,9 @@ struct AdminServerOptions {
 ///   GET /healthz        liveness: 200 while the process runs
 ///   GET /readyz         readiness: 503 the moment drain begins (before
 ///                       the query listener closes), 200 otherwise
-///   GET /statusz        build info, uptime, kernel tier, process, sweep
-///                       pool, server and net stats as JSON
-///   GET /slowlog?n=K    the flight recorder's slowest requests
+///   GET /statusz        build info, uptime, kernel tier, process, server
+///                       (STATS, sweep pool included) and net stats as JSON
+///   GET /slowlog?n=K    the flight recorder's K most recent records
 ///   GET /abtest?n=K     shadow A/B tallies
 ///
 /// Unknown paths 404; known paths with a non-GET method 405. Every route

@@ -21,7 +21,7 @@ namespace qec::server::net {
 
 namespace {
 
-#if !defined(QEC_DISABLE_METRICS) && !defined(QEC_DISABLE_TRACING)
+#ifndef QEC_DISABLE_TRACING
 constexpr bool kMetricsEnabled = true;
 #else
 constexpr bool kMetricsEnabled = false;

@@ -76,40 +76,6 @@ Result<ServeRequest> ParseRequestLine(std::string_view line) {
     request.verb = ServeRequest::Verb::kStats;
     return request;
   }
-  if (verb == "metrics") {
-    request.verb = ServeRequest::Verb::kMetrics;
-    return request;
-  }
-  if (verb == "slowlog") {
-    request.verb = ServeRequest::Verb::kSlowlog;
-    if (tokens.size() > 2) {
-      return Status::InvalidArgument("SLOWLOG takes at most one count");
-    }
-    if (tokens.size() == 2) {
-      uint64_t n = 0;
-      if (!ParseSize(tokens[1], &n) || n == 0) {
-        return Status::InvalidArgument("malformed SLOWLOG count '" +
-                                       tokens[1] + "'");
-      }
-      request.slowlog_count = static_cast<size_t>(n);
-    }
-    return request;
-  }
-  if (verb == "abtest") {
-    request.verb = ServeRequest::Verb::kAbtest;
-    if (tokens.size() > 2) {
-      return Status::InvalidArgument("ABTEST takes at most one count");
-    }
-    if (tokens.size() == 2) {
-      uint64_t n = 0;
-      if (!ParseSize(tokens[1], &n)) {
-        return Status::InvalidArgument("malformed ABTEST count '" +
-                                       tokens[1] + "'");
-      }
-      request.abtest_count = static_cast<size_t>(n);
-    }
-    return request;
-  }
   if (verb != "expand" && verb != "explain") {
     return Status::InvalidArgument("unknown verb '" + tokens[0] + "'");
   }

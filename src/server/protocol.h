@@ -21,9 +21,6 @@ namespace qec::server {
 ///   EXPLAIN [key=value ...] [--] <query words>
 ///   PING
 ///   STATS
-///   METRICS
-///   SLOWLOG [n]
-///   ABTEST [n]
 ///
 /// Recognized EXPAND options: k=N (max clusters), algo=iskr|pebc|fmeasure,
 /// topk=N (results used), minimize=0|1, weights=0|1, threads=N (per-request
@@ -31,17 +28,16 @@ namespace qec::server {
 /// caller-assigned trace id; the server generates one otherwise). A literal
 /// `--` token ends option parsing so query words containing '=' stay query
 /// words. EXPLAIN accepts the same options and runs the query through both
-/// the primary and the shadow arm with per-term diagnostics; ABTEST reports
-/// the running shadow tallies plus the most recent [n] comparisons.
+/// the primary and the shadow arm with per-term diagnostics. Every request
+/// gets exactly one response line. The operator views (`/metrics`,
+/// `/slowlog`, `/abtest`, `/statusz`) are served over HTTP by the admin
+/// plane (server/admin/admin_server.h), not on this protocol.
 struct ServeRequest {
   enum class Verb {
     kExpand,
     kExplain,
     kPing,
     kStats,
-    kMetrics,
-    kSlowlog,
-    kAbtest,
   };
 
   Verb verb = Verb::kExpand;
@@ -50,12 +46,6 @@ struct ServeRequest {
   /// Caller-propagated trace id (the `trace=` option); 0 = the server
   /// assigns a fresh one at submission.
   uint64_t trace_id = 0;
-
-  /// SLOWLOG only: maximum records to return.
-  size_t slowlog_count = 16;
-
-  /// ABTEST only: maximum recent comparisons to return.
-  size_t abtest_count = 16;
 
   /// Per-request overrides of the server's base expander options; unset
   /// fields inherit the server configuration.

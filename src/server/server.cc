@@ -8,7 +8,6 @@
 #include "common/threading.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/prometheus.h"
 
 namespace qec::server {
 
@@ -55,7 +54,7 @@ void RecordStageTails(const StageTimings& stages) {
 void RecordStageHistograms(const StageTimings& stages, uint64_t trace_id) {
   // Traced records attach the request's trace id as a bucket exemplar, so
   // a slow bucket on the scrape links straight to its flight-recorder
-  // record (SLOWLOG / EXPLAIN by trace id).
+  // record (/slowlog, or EXPLAIN by trace id).
   QEC_HISTOGRAM_RECORD_TRACED("server/stage/queue_wait_ns",
                               stages[Stage::kQueueWait], trace_id);
   QEC_HISTOGRAM_RECORD_TRACED("server/stage/cache_lookup_ns",
@@ -463,7 +462,7 @@ void QecServer::RunShadow(ShadowJob job) {
       job.primary_expansion_ns, outcome->set_score,
       outcome->phases.expansion_ns());
 
-  // Flight-record the comparison so SLOWLOG interleaves quality verdicts
+  // Flight-record the comparison so /slowlog interleaves quality verdicts
   // with the requests they describe (same trace id as the foreground
   // request). Work counters are the shadow arm's.
   obs::RequestRecord record;
@@ -587,8 +586,9 @@ std::string QecServer::StatsJsonLine() const {
   out += ",\"queue_depth\":" + std::to_string(queue_depth());
   out += ",\"queue_capacity\":" + std::to_string(options_.queue_capacity);
   out += ",\"workers\":" + std::to_string(num_workers());
-  // Runtime-dispatched bitset-kernel tier and persistent sweep-pool
-  // counters — steady state is zero new spawns per STATS interval.
+  // Bitset-kernel tier (always "scalar"; kept as a field for existing
+  // readers) and persistent sweep-pool counters — steady state is zero new
+  // spawns per STATS interval.
   out += ",\"kernel\":" +
          obs::json::Quote(qec::simd::ActiveTierName());
   const common::SweepPool::Stats pool =
@@ -691,15 +691,6 @@ std::string QecServer::ControlResponse(const ServeRequest& request) const {
       return "{\"status\":\"ok\",\"pong\":true}";
     case ServeRequest::Verb::kStats:
       return StatsJsonLine();
-    case ServeRequest::Verb::kMetrics: {
-      std::string out = obs::PrometheusSnapshot();
-      if (!out.empty() && out.back() == '\n') out.pop_back();
-      return out;
-    }
-    case ServeRequest::Verb::kSlowlog:
-      return SlowlogJsonLine(request.slowlog_count);
-    case ServeRequest::Verb::kAbtest:
-      return AbtestJsonLine(request.abtest_count);
     case ServeRequest::Verb::kExplain:
       // Synchronous and cache-bypassing by design: a diagnostic verb, and
       // a pipelined EXPLAIN stalls only its own connection.

@@ -49,7 +49,7 @@ struct ServerOptions {
   /// they can fill the admission queue deterministically, then call
   /// Start().
   bool start_workers = true;
-  /// Ring size of the always-on flight recorder (SLOWLOG). Every request
+  /// Ring size of the always-on flight recorder (/slowlog). Every request
   /// that reaches the pool leaves a record; the ring keeps the most recent
   /// ones.
   size_t flight_recorder_capacity = 256;
@@ -112,7 +112,7 @@ struct ServerStats {
 /// server/{queue_wait_ns,request_latency_ns} histograms, per-stage
 /// server/stage/{queue_wait,cache_lookup,expansion,serialize}_ns
 /// histograms with exact gt_{1,10,100}ms tail counters, and an always-on
-/// flight recorder of completed requests (SLOWLOG; errors and slow
+/// flight recorder of completed requests (/slowlog; errors and slow
 /// requests auto-dump to ServerOptions::slowlog_dump_path as JSONL).
 class QecServer {
  public:
@@ -166,11 +166,12 @@ class QecServer {
   const ServerOptions& options() const { return options_; }
   ServerStats stats() const;
 
-  /// One-line JSON for the STATS verb: queue state, totals, cache stats,
-  /// uptime, flight-recorder counts.
+  /// One-line JSON for the STATS verb (embedded in the admin /statusz
+  /// route): queue state, totals, cache stats, uptime, flight-recorder
+  /// counts.
   std::string StatsJsonLine() const;
 
-  /// One-line JSON for the SLOWLOG verb: up to `max` most recent flight-
+  /// JSON body of the admin /slowlog route: up to `max` most recent flight-
   /// recorder records, newest first. A `max` beyond the ring capacity is
   /// clamped, and the response reports the clamp (`requested`,
   /// `clamped_to`).
@@ -182,16 +183,16 @@ class QecServer {
   /// expansion cache (cached outcomes carry no per-term rows).
   std::string ExplainJsonLine(const ServeRequest& request) const;
 
-  /// One-line JSON for the ABTEST verb: shadow tallies + up to `max`
+  /// JSON body of the admin /abtest route: shadow tallies + up to `max`
   /// recent comparisons. Answers even when shadowing is disabled (all
   /// tallies zero).
   std::string AbtestJsonLine(size_t max) const;
 
-  /// The response to a control verb — any verb but EXPAND — computed
-  /// synchronously on the calling thread. Both transports (NetServer and
-  /// qec_cli's stdin loop) answer through it, so they agree byte for
-  /// byte. METRICS is multi-line Prometheus text ending in "# EOF",
-  /// without the final newline: the transport's line writer adds it.
+  /// The one-line response to a control verb — PING, STATS or EXPLAIN —
+  /// computed synchronously on the calling thread, without the final
+  /// newline (the transport's line writer adds it). Both transports
+  /// (NetServer and qec_cli's stdin loop) answer through it, so they agree
+  /// byte for byte.
   std::string ControlResponse(const ServeRequest& request) const;
 
   /// Pending shadow runs (the low-priority queue).

@@ -35,7 +35,7 @@ struct ShadowEvaluatorOptions {
   /// budget re-measuring the same comparison.
   bool dedupe = true;
   size_t dedupe_capacity = 512;
-  /// Most recent comparisons kept for the ABTEST verb.
+  /// Most recent comparisons kept for the admin /abtest route.
   size_t history_capacity = 64;
 };
 
@@ -125,7 +125,7 @@ class ShadowEvaluator {
   /// Up to `max` most recent comparisons, newest first.
   std::vector<ShadowComparison> Recent(size_t max) const;
 
-  /// One-line JSON for the ABTEST verb: options, tallies, win rates, mean
+  /// JSON body of the admin /abtest route: options, tallies, win rates, mean
   /// per-arm scores, and up to `max` recent comparisons.
   std::string AbtestJsonLine(size_t max) const;
 

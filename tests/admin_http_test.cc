@@ -420,7 +420,7 @@ TEST_F(AdminHttpFixture, MetricsExemplarRoundTripAndLint) {
   const Status naming = obs::LintPrometheusNaming(*families);
   EXPECT_TRUE(naming.ok()) << naming.ToString();
 
-#if !defined(QEC_DISABLE_METRICS) && !defined(QEC_DISABLE_TRACING)
+#ifndef QEC_DISABLE_TRACING
   // The request-latency histogram carries at least one exemplar whose
   // trace id is a 16-hex-digit string and whose value fits its bucket.
   // Histogram macros compile out with instrumentation, so only an

@@ -373,7 +373,7 @@ TEST_F(NetServerFixture, ShutdownDrainsOwedResponses) {
   EXPECT_EQ(net->stats().active_connections, 0u);
 }
 
-TEST_F(NetServerFixture, StatsAndMetricsOverTcp) {
+TEST_F(NetServerFixture, StatsOverTcp) {
   QecServer server(index_);
   auto net = StartNet(&server);
   TestClient client(net->port());
@@ -387,17 +387,29 @@ TEST_F(NetServerFixture, StatsAndMetricsOverTcp) {
   const std::string stats = client.ReadLine();
   EXPECT_NE(stats.find("\"submitted\":"), std::string::npos) << stats;
   EXPECT_EQ(stats.find("\"submitted\":0"), std::string::npos) << stats;
+}
 
-  // METRICS streams multi-line Prometheus text ending in "# EOF".
-  ASSERT_TRUE(client.Send("METRICS\n"));
-  bool saw_counter = false;
-  for (;;) {
-    const std::string line = client.ReadLine();
-    ASSERT_FALSE(line.empty() && client.ReadEof()) << "EOF before # EOF";
-    if (line.rfind("qec_", 0) == 0) saw_counter = true;
-    if (line == "# EOF") break;
-  }
-  EXPECT_TRUE(saw_counter);
+TEST_F(NetServerFixture, OperatorViewVerbsGetOneErrorLineEach) {
+  QecServer server(index_);
+  auto net = StartNet(&server);
+  TestClient client(net->port());
+  ASSERT_TRUE(client.connected());
+
+  // The operator views live on the admin plane only: each old verb is one
+  // unknown-verb line, and the connection keeps serving behind it.
+  ASSERT_TRUE(client.Send("METRICS\nPING\nSLOWLOG 5\nABTEST\nPING\n"));
+  EXPECT_EQ(client.ReadLine(),
+            "{\"status\":\"error\",\"code\":\"InvalidArgument\","
+            "\"message\":\"unknown verb 'METRICS'\"}");
+  EXPECT_EQ(client.ReadLine(), "{\"status\":\"ok\",\"pong\":true}");
+  EXPECT_EQ(client.ReadLine(),
+            "{\"status\":\"error\",\"code\":\"InvalidArgument\","
+            "\"message\":\"unknown verb 'SLOWLOG'\"}");
+  EXPECT_EQ(client.ReadLine(),
+            "{\"status\":\"error\",\"code\":\"InvalidArgument\","
+            "\"message\":\"unknown verb 'ABTEST'\"}");
+  EXPECT_EQ(client.ReadLine(), "{\"status\":\"ok\",\"pong\":true}");
+  EXPECT_EQ(net->stats().parse_errors, 3u);
 }
 
 TEST_F(NetServerFixture, HalfClosedPeerWithOwedResponseDoesNotSpin) {

@@ -73,23 +73,19 @@ TEST(ProtocolTest, FirstQueryWordEndsOptions) {
   EXPECT_FALSE(r->max_clusters.has_value());
 }
 
-TEST(ProtocolTest, ParsesMetricsAndSlowlog) {
-  auto metrics = ParseRequestLine("METRICS");
-  ASSERT_TRUE(metrics.ok());
-  EXPECT_EQ(metrics->verb, ServeRequest::Verb::kMetrics);
-
-  auto slowlog = ParseRequestLine("slowlog");
-  ASSERT_TRUE(slowlog.ok());
-  EXPECT_EQ(slowlog->verb, ServeRequest::Verb::kSlowlog);
-  EXPECT_EQ(slowlog->slowlog_count, 16u);
-
-  auto counted = ParseRequestLine("SLOWLOG 5");
-  ASSERT_TRUE(counted.ok());
-  EXPECT_EQ(counted->slowlog_count, 5u);
-
-  EXPECT_FALSE(ParseRequestLine("SLOWLOG 0").ok());
-  EXPECT_FALSE(ParseRequestLine("SLOWLOG bogus").ok());
-  EXPECT_FALSE(ParseRequestLine("SLOWLOG 1 2").ok());
+TEST(ProtocolTest, OperatorViewVerbsAreUnknown) {
+  // The operator views are served over HTTP only (/metrics, /slowlog,
+  // /abtest), so their old verbs parse as any other unknown verb.
+  for (const char* line :
+       {"METRICS", "metrics", "Metrics", "SLOWLOG", "slowlog", "SLOWLOG 5",
+        "SLOWLOG 0", "SLOWLOG -3", "SlowLog bogus", "SLOWLOG 1 2", "ABTEST",
+        "abtest 5", "ABTEST five", "AbTest 1e3"}) {
+    auto r = ParseRequestLine(line);
+    ASSERT_FALSE(r.ok()) << line;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_NE(r.status().message().find("unknown verb"), std::string::npos)
+        << line << ": " << r.status().message();
+  }
 }
 
 TEST(ProtocolTest, ParsesTraceOption) {
@@ -157,8 +153,6 @@ TEST(ProtocolTest, SizeOptionsParseStrictly) {
   // Values past UINT64_MAX must be rejected, not silently wrapped.
   EXPECT_FALSE(
       ParseRequestLine("EXPAND deadline_ms=99999999999999999999 apple").ok());
-  EXPECT_FALSE(ParseRequestLine("SLOWLOG -3").ok());
-  EXPECT_FALSE(ParseRequestLine("ABTEST 1e3").ok());
 
   auto ok = ParseRequestLine("EXPAND deadline_ms=500 topk=20 apple");
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
@@ -696,7 +690,7 @@ TEST_F(ServerFixture, FlightRecorderSeesEveryCompletedRequest) {
 }
 
 // The acceptance scenario: a request that dies of DeadlineExceeded must be
-// visible twice — in the SLOWLOG response and in the auto-dumped JSONL.
+// visible twice — in the /slowlog body and in the auto-dumped JSONL.
 TEST_F(ServerFixture, DeadlineExceededLandsInSlowlogAndDumpFile) {
   const std::string dump_path = "/tmp/qec_server_test_slowlog.jsonl";
   std::remove(dump_path.c_str());
@@ -716,7 +710,7 @@ TEST_F(ServerFixture, DeadlineExceededLandsInSlowlogAndDumpFile) {
   ASSERT_EQ(response.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(response.trace_id, 0xfeedULL);
 
-  // 1. The SLOWLOG verb surfaces the record with its trace id and status.
+  // 1. The /slowlog body surfaces the record with its trace id and status.
   auto slowlog = obs::json::Parse(server.SlowlogJsonLine(8));
   ASSERT_TRUE(slowlog.ok()) << server.SlowlogJsonLine(8);
   ASSERT_TRUE(slowlog->Find("records")->is_array());
@@ -811,7 +805,7 @@ TEST_F(ServerFixture, StatsJsonCarriesUptimeHitRatioAndSlowlogCounts) {
   EXPECT_EQ(slowlog->Find("capacity")->number, 256.0);
 }
 
-// --------------------------------------------------- EXPLAIN / ABTEST --
+// ----------------------------------------------- EXPLAIN / shadow A/B --
 
 TEST(ProtocolTest, ParsesExplainWithOptions) {
   auto r = ParseRequestLine("EXPLAIN k=3 algo=iskr canon products");
@@ -825,19 +819,6 @@ TEST(ProtocolTest, ParsesExplainWithOptions) {
 TEST(ProtocolTest, ExplainNeedsQueryWords) {
   auto r = ParseRequestLine("EXPLAIN k=3");
   EXPECT_FALSE(r.ok());
-}
-
-TEST(ProtocolTest, ParsesAbtestCount) {
-  auto bare = ParseRequestLine("ABTEST");
-  ASSERT_TRUE(bare.ok());
-  EXPECT_EQ(bare->verb, ServeRequest::Verb::kAbtest);
-  EXPECT_EQ(bare->abtest_count, 16u);
-
-  auto counted = ParseRequestLine("abtest 5");
-  ASSERT_TRUE(counted.ok());
-  EXPECT_EQ(counted->abtest_count, 5u);
-
-  EXPECT_FALSE(ParseRequestLine("ABTEST five").ok());
 }
 
 TEST_F(ServerFixture, SlowlogClampsOversizedRequests) {
@@ -1108,7 +1089,7 @@ TEST_F(ServerFixture, StatsJsonCarriesShadowBlock) {
   EXPECT_EQ(shadow->Find("algo")->string, "PEBC");
 }
 
-#if !defined(QEC_DISABLE_METRICS) && !defined(QEC_DISABLE_TRACING)
+#ifndef QEC_DISABLE_TRACING
 TEST_F(ServerFixture, StageHistogramsFillAndExposeAsPrometheus) {
   obs::MetricsRegistry::Global().ResetAll();
   QecServer server(index_);
@@ -1138,7 +1119,7 @@ TEST_F(ServerFixture, StageHistogramsFillAndExposeAsPrometheus) {
   }
   EXPECT_TRUE(found_expansion);
 }
-#endif  // !QEC_DISABLE_METRICS && !QEC_DISABLE_TRACING
+#endif  // QEC_DISABLE_TRACING
 
 }  // namespace
 }  // namespace qec::server

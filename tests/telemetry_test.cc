@@ -414,7 +414,7 @@ TEST(PrometheusBuildInfoTest, LeadsEveryExposition) {
 
 // --------------------------------------------------------- shadow metrics --
 
-#if !defined(QEC_DISABLE_METRICS) && !defined(QEC_DISABLE_TRACING)
+#ifndef QEC_DISABLE_TRACING
 TEST(ShadowMetricsTest, ComparisonsFeedPrometheusFamilies) {
   MetricsRegistry::Global().ResetAll();
   server::ShadowEvaluatorOptions options;
@@ -457,7 +457,7 @@ TEST(ShadowMetricsTest, ComparisonsFeedPrometheusFamilies) {
   EXPECT_TRUE(saw_primary_hist);
   EXPECT_TRUE(saw_shadow_hist);
 }
-#endif  // !QEC_DISABLE_METRICS && !QEC_DISABLE_TRACING
+#endif  // QEC_DISABLE_TRACING
 
 }  // namespace
 }  // namespace qec::obs
