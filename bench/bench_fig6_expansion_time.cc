@@ -17,7 +17,6 @@
 #include <cstdio>
 
 #include "common/string_util.h"
-#include "common/stopwatch.h"
 #include "eval/harness.h"
 #include "eval/obs_report.h"
 #include "eval/table_printer.h"
@@ -46,7 +45,10 @@ void RunDataset(const qec::eval::DatasetBundle& bundle, size_t top_k,
   for (const auto& wq : bundle.queries) {
     auto qc = qec::eval::PrepareQueryCase(bundle, wq.text, top_k);
     if (!qc.ok()) continue;
-    clustering_total += qc->clustering_seconds;
+    clustering_total +=
+        static_cast<double>(qc->phases[qec::core::Phase::kVectorize] +
+                            qc->phases[qec::core::Phase::kCluster]) /
+        1e9;
     ++n;
     std::vector<std::string> row = {wq.id};
     for (size_t m = 0; m < methods.size(); ++m) {

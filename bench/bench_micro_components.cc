@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/cosine_space.h"
 #include "cluster/kmeans.h"
 #include "common/dynamic_bitset.h"
 #include "common/random.h"
@@ -145,6 +146,25 @@ void BM_MeanSilhouette(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MeanSilhouette)->Arg(108)->Arg(300)->Arg(390);
+
+// Auto-k's scoring step alone: BM_KMeansAutoK's k = 2..5 candidates (fixed
+// k from the same seed) scored from cluster sums.
+void BM_MeanSilhouettesFromSums(benchmark::State& state) {
+  const auto vectors = ShoppingVectors(static_cast<size_t>(state.range(0)));
+  std::vector<qec::cluster::Clustering> candidates;
+  for (size_t k = 2; k <= 5; ++k) {
+    qec::cluster::KMeansOptions options;
+    options.k = k;
+    candidates.push_back(qec::cluster::KMeans(options).Cluster(vectors));
+  }
+  const qec::cluster::TermRows rows = qec::cluster::RowsOf(vectors);
+  const qec::cluster::CosineSpace space(rows);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        qec::cluster::MeanSilhouettesFromSums(space, candidates));
+  }
+}
+BENCHMARK(BM_MeanSilhouettesFromSums)->Arg(108)->Arg(300)->Arg(390);
 
 void BM_UniverseBuild(benchmark::State& state) {
   const auto& bundle = WikiBundle();

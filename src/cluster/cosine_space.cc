@@ -120,9 +120,10 @@ void CosineSpace::CentroidDistances(size_t first, size_t last,
   }
 }
 
-void CosineSpace::AddTo(size_t i, double* columns, size_t k, size_t c) const {
+void CosineSpace::AddTo(size_t i, double* columns, size_t k, size_t c,
+                        double scale) const {
   for (uint32_t e = rows_.begin[i]; e < rows_.begin[i + 1]; ++e) {
-    columns[size_t{rows_.term[e]} * k + c] += rows_.weight[e];
+    columns[size_t{rows_.term[e]} * k + c] += rows_.weight[e] * scale;
   }
 }
 

@@ -109,8 +109,11 @@ class CosineSpace {
                          const double* column_norms, size_t k,
                          double* out) const;
 
-  /// Adds point i into column c of a dims() x k term-major matrix.
-  void AddTo(size_t i, double* columns, size_t k, size_t c) const;
+  /// Adds point i, each weight multiplied by `scale`, into column c of a
+  /// dims() x k term-major matrix. A scale of 1.0 adds the weights as they
+  /// are, bit for bit.
+  void AddTo(size_t i, double* columns, size_t k, size_t c,
+             double scale = 1.0) const;
 
   /// Point-to-point distances through CentroidDistances: points
   /// [first, first + count), count <= kPointBlock, are added as the columns

@@ -63,6 +63,14 @@ std::vector<size_t> SeedPlusPlus(const CosineSpace& space, size_t k,
   return seeds;
 }
 
+// Checks that `clustering` labels each of n points below its num_clusters.
+void CheckLabels(const Clustering& clustering, size_t n) {
+  QEC_CHECK_EQ(clustering.assignment.size(), n);
+  for (int a : clustering.assignment) {  // a negative label wraps too
+    QEC_CHECK_LT(static_cast<size_t>(a), clustering.num_clusters);
+  }
+}
+
 // norms[c] = Euclidean norm of column c of a term-major dims x k matrix,
 // in one row-major pass; each column adds its squares in ascending term
 // order.
@@ -237,15 +245,16 @@ Clustering KMeans::Cluster(const CosineSpace& space) const {
                         : std::vector<size_t>{});
   const size_t iterations = options_.max_iterations;
   if (!auto_k) return ClusterWithK(space, start, k_max, iterations);
-  // Try every k up to the bound and keep the best mean silhouette, all
-  // candidates scored in one pass. Ties and the all-neutral case prefer the
-  // smaller k.
+  // Try every k up to the bound and keep the best mean silhouette, scored
+  // from cluster sums. A candidate must beat the best so far by 1e-12, far
+  // above the sum form's distance from the pairwise scores, so ties and the
+  // all-neutral case prefer the smaller k.
   std::vector<Clustering> candidates;
   for (size_t k = 2; k <= k_max; ++k) {
     Clustering candidate = ClusterWithK(space, start, k, iterations);
     if (candidate.num_clusters >= 2) candidates.push_back(std::move(candidate));
   }
-  const std::vector<double> scores = MeanSilhouettes(space, candidates);
+  const std::vector<double> scores = MeanSilhouettesFromSums(space, candidates);
   Clustering best = ClusterWithK(space, start, 1, iterations);
   double best_score = 0.0;  // k = 1 is the neutral baseline
   for (size_t c = 0; c < candidates.size(); ++c) {
@@ -267,10 +276,7 @@ std::vector<double> MeanSilhouettes(const CosineSpace& space,
   std::vector<size_t> scored;
   for (size_t c = 0; c < clusterings.size(); ++c) {
     const Clustering& clustering = clusterings[c];
-    QEC_CHECK_EQ(clustering.assignment.size(), n);
-    for (int a : clustering.assignment) {  // a negative label wraps too
-      QEC_CHECK_LT(static_cast<size_t>(a), clustering.num_clusters);
-    }
+    CheckLabels(clustering, n);
     if (clustering.num_clusters >= 2) scored.push_back(c);
   }
 
@@ -337,6 +343,64 @@ std::vector<double> MeanSilhouettes(const CosineSpace& space,
     for (double& score : total) score /= static_cast<double>(n);
   }
   return total;
+}
+
+std::vector<double> MeanSilhouettesFromSums(
+    const CosineSpace& space, std::span<const Clustering> clusterings) {
+  // Mean distances at or below this are rounding noise of the identity.
+  constexpr double kSumRounding = 1e-12;
+  const size_t n = space.size();
+  std::vector<double> scores(clusterings.size(), 0.0);
+  std::vector<double> sums, norms, dist;
+  std::vector<size_t> cluster_size;
+  for (size_t q = 0; q < clusterings.size(); ++q) {
+    const Clustering& clustering = clusterings[q];
+    CheckLabels(clustering, n);
+    const size_t k = clustering.num_clusters;
+    if (k < 2) continue;  // neutral
+    // Column c of the term-major dims x k `sums` is C_c, the sum of the
+    // unit vectors of cluster c's points; a zero-norm point adds nothing.
+    sums.assign(space.dims() * k, 0.0);
+    cluster_size.assign(k, 0);
+    for (size_t i = 0; i < n; ++i) {
+      const size_t c = static_cast<size_t>(clustering.assignment[i]);
+      ++cluster_size[c];
+      if (space.norm(i) > 0.0) {
+        space.AddTo(i, sums.data(), k, c, 1.0 / space.norm(i));
+      }
+    }
+    norms.resize(k);
+    ColumnNorms(sums, norms);
+    dist.resize(n * k);
+    space.CentroidDistances(0, n, sums.data(), norms.data(), k, dist.data());
+    double& score = scores[q];
+    for (size_t i = 0; i < n; ++i) {
+      const size_t own = static_cast<size_t>(clustering.assignment[i]);
+      if (cluster_size[own] <= 1) continue;  // singleton scores 0
+      // The distance sum from point i to cluster c is |c| - x̂_i·C_c, and
+      // x̂_i·C_c = (1 - d)·|C_c| for i's kernel distance d to column c
+      // (0 when either is zero). Its own cluster drops i's own term,
+      // x̂_i·x̂_i: 1, or 0 for a zero-norm point.
+      const double* d = &dist[i * k];
+      const double self = space.norm(i) > 0.0 ? 1.0 : 0.0;
+      const double a =
+          (static_cast<double>(cluster_size[own] - 1) -
+           ((1.0 - d[own]) * norms[own] - self)) /
+          static_cast<double>(cluster_size[own] - 1);
+      double b = std::numeric_limits<double>::infinity();
+      for (size_t c = 0; c < k; ++c) {
+        if (c == own || cluster_size[c] == 0) continue;
+        const double size = static_cast<double>(cluster_size[c]);
+        b = std::min(b, (size - (1.0 - d[c]) * norms[c]) / size);
+      }
+      // Both means within the identity's rounding of 0 (i's copies on
+      // both sides): the pairwise form gets a = b there, and so 0.
+      const double denom = std::max(a, b);
+      score += denom > kSumRounding ? (b - a) / denom : 0.0;
+    }
+    score /= static_cast<double>(n);
+  }
+  return scores;
 }
 
 double MeanSilhouette(const std::vector<SparseVector>& points,

@@ -22,10 +22,12 @@ struct KMeansOptions {
   /// PRNG seed for k-means++ seeding.
   uint64_t seed = 42;
   /// When true, cluster for every k in [1, k] and keep the k with the best
-  /// mean silhouette score (k=1 scores a neutral 0, chosen only when no
-  /// multi-cluster split beats it). This honours the paper's reading of k
-  /// as a user-specified *upper bound* on granularity: 25 canon products in
-  /// 4 natural groups should yield 4 clusters, not a forced 5-way split.
+  /// mean silhouette score, computed from cluster sums
+  /// (MeanSilhouettesFromSums); a k must beat the best smaller k by 1e-12,
+  /// and k=1 scores a neutral 0, chosen only when no multi-cluster split
+  /// beats it. This honours the paper's reading of k as a user-specified
+  /// *upper bound* on granularity: 25 canon products in 4 natural groups
+  /// should yield 4 clusters, not a forced 5-way split.
   bool auto_k = false;
 };
 
@@ -75,6 +77,19 @@ double MeanSilhouette(const std::vector<SparseVector>& points,
 /// further passes. No pairwise matrix is held.
 std::vector<double> MeanSilhouettes(const CosineSpace& space,
                                     std::span<const Clustering> clusterings);
+
+/// MeanSilhouettes computed from cluster sums: O(nnz * k) per clustering
+/// instead of a pass over all pairs. With x̂ = x / ‖x‖ (0 for a zero-norm
+/// point) and C_S the sum of x̂ over cluster S, the distance sum from point
+/// i to S is |S| - x̂_i·C_S, less i's own term x̂_i·x̂_i when i is in S. One
+/// CentroidDistances call per clustering yields every x̂_i·C_S. Equal to
+/// MeanSilhouettes in real arithmetic but not bit for bit: on search
+/// results the scores differ by at most ~1e-14. A point whose own and
+/// nearest other mean distances are both below 1e-12 (copies of it on both
+/// sides) scores 0, as the pairwise form scores exact copies. KMeans
+/// auto-k scores its candidates with it.
+std::vector<double> MeanSilhouettesFromSums(
+    const CosineSpace& space, std::span<const Clustering> clusterings);
 
 }  // namespace qec::cluster
 

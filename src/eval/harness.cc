@@ -1,5 +1,6 @@
 #include "eval/harness.h"
 
+#include <optional>
 #include <utility>
 
 #include "baselines/cluster_summarization.h"
@@ -8,6 +9,7 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "core/metrics.h"
+#include "core/phases.h"
 
 #include <sys/stat.h>
 
@@ -84,14 +86,17 @@ Result<QueryCase> PrepareQueryCase(const DatasetBundle& bundle,
   qc.universe =
       std::make_unique<core::ResultUniverse>(*bundle.corpus, results);
 
-  Stopwatch watch;
+  // Consecutive phases: the emplace closes the vectorize timer.
+  std::optional<core::PhaseTimer> timer;
+  timer.emplace(qc.phases, core::Phase::kVectorize);
+  const cluster::CosineSpace space(qc.universe->term_rows());
+  timer.emplace(qc.phases, core::Phase::kCluster);
   cluster::KMeansOptions kopts;
   kopts.k = max_clusters;
   kopts.seed = seed;
   kopts.auto_k = auto_k;  // max_clusters is an upper bound (Sec. 1)
-  qc.clustering = cluster::KMeans(kopts).Cluster(
-      cluster::CosineSpace(qc.universe->term_rows()));
-  qc.clustering_seconds = watch.ElapsedSeconds();
+  qc.clustering = cluster::KMeans(kopts).Cluster(space);
+  timer.reset();
   return qc;
 }
 

@@ -10,6 +10,7 @@
 #include "baselines/suggestion.h"
 #include "cluster/kmeans.h"
 #include "common/status.h"
+#include "core/phases.h"
 #include "core/query_expander.h"
 #include "core/result_universe.h"
 #include "datagen/shopping.h"
@@ -53,13 +54,17 @@ struct QueryCase {
   std::vector<TermId> user_terms;
   std::unique_ptr<core::ResultUniverse> universe;
   cluster::Clustering clustering;
-  double clustering_seconds = 0.0;
+  /// The vectorize and cluster phases of that clustering; the other phases
+  /// stay 0.
+  core::EnginePhases phases;
 };
 
 /// Retrieves the top-K results of `query_text`, builds the universe, and
 /// clusters it. Fails if the query retrieves nothing. `auto_k` selects the
-/// cluster count by silhouette within [1, max_clusters] (O(n^2) — disable
-/// for large scalability runs, where the paper uses plain k-means).
+/// cluster count by silhouette within [1, max_clusters], running k-means
+/// once per k (disable for large scalability runs, where the paper uses
+/// plain k-means). The vectorize and cluster phases are timed into
+/// QueryCase::phases.
 Result<QueryCase> PrepareQueryCase(const DatasetBundle& bundle,
                                    std::string_view query_text,
                                    size_t top_k = 30, size_t max_clusters = 5,

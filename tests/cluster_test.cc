@@ -448,5 +448,272 @@ TEST(MeanSilhouetteDeathTest, LabelOutOfRangeDies) {
   EXPECT_DEATH(MeanSilhouette(points, c), "Check failed");
 }
 
+// ------------------------------------------------- Silhouette from sums
+
+// The PaperScale shopping catalog (products_per_family = 30, as fig6 and
+// the pipeline benchmark use) and its index.
+struct ShoppingCatalog {
+  ShoppingCatalog()
+      : corpus(datagen::ShoppingGenerator(Options()).Generate()),
+        index(corpus) {}
+  static datagen::ShoppingOptions Options() {
+    datagen::ShoppingOptions options;
+    options.products_per_family = 30;
+    return options;
+  }
+  doc::Corpus corpus;
+  index::InvertedIndex index;
+};
+
+const ShoppingCatalog& Catalog() {
+  static const auto* catalog = new ShoppingCatalog();
+  return *catalog;
+}
+
+// All results of each Table 1 shopping query (QS1-QS10), in rank order.
+std::vector<std::vector<SparseVector>> ShoppingQueryResults() {
+  const ShoppingCatalog& catalog = Catalog();
+  std::vector<std::vector<SparseVector>> lists;
+  for (const auto& q : datagen::ShoppingQueries()) {
+    lists.push_back(Vectorize(
+        catalog.corpus,
+        catalog.index.Search(catalog.corpus.analyzer().AnalyzeReadOnly(q.text),
+                             0)));
+  }
+  return lists;
+}
+
+// The first n results of the catalog term with the most results.
+std::vector<SparseVector> ShoppingAllResults(size_t n) {
+  const ShoppingCatalog& catalog = Catalog();
+  TermId best = 0;
+  for (TermId t = 0; t < catalog.corpus.analyzer().vocabulary().size(); ++t) {
+    if (catalog.index.DocumentFrequency(t) >
+        catalog.index.DocumentFrequency(best)) {
+      best = t;
+    }
+  }
+  std::vector<SparseVector> points =
+      Vectorize(catalog.corpus, catalog.index.Search({best}, 0));
+  EXPECT_GE(points.size(), n);
+  points.resize(std::min(n, points.size()));
+  return points;
+}
+
+// The top-30 list of each Wikipedia Table 1 query (QW1-QW10).
+std::vector<std::vector<SparseVector>> WikipediaLists() {
+  const doc::Corpus corpus = datagen::WikipediaGenerator().Generate();
+  const index::InvertedIndex index(corpus);
+  std::vector<std::vector<SparseVector>> lists;
+  for (const auto& q : datagen::WikipediaQueries()) {
+    lists.push_back(Vectorize(
+        corpus, index.Search(corpus.analyzer().AnalyzeReadOnly(q.text), 30)));
+  }
+  return lists;
+}
+
+// Signed one-term points over three terms with weights 1, 2 or 4: every
+// unit vector and every cluster sum is exact, and so, on these points, is
+// every distance sum of either silhouette form; the two must agree bit for
+// bit.
+std::vector<SparseVector> OneTermDuplicates() {
+  Rng rng(7);
+  std::vector<SparseVector> points;
+  while (points.size() < 120) {
+    const auto t = static_cast<TermId>(rng.UniformInt(3));
+    const double w = static_cast<double>(1 << rng.UniformInt(3));
+    points.push_back(V({{t, rng.Bernoulli(0.3) ? -w : w}}));
+  }
+  return points;
+}
+
+// The k-means clustering and two random labelings of `n` points for each
+// k in 2..8 and 12 (12 takes CentroidDistances' generic path). The first
+// labeling draws each label from [0, k); the second has k + 1 clusters:
+// point 0 alone in cluster k - 1, cluster k empty, the rest drawn from
+// [0, k - 1).
+std::vector<Clustering> Labelings(const std::vector<SparseVector>& points,
+                                  uint64_t seed) {
+  const size_t n = points.size();
+  Rng rng(seed);
+  std::vector<Clustering> labelings;
+  for (size_t k : {2, 3, 4, 5, 6, 7, 8, 12}) {
+    labelings.push_back(KMeans(KMeansOptions{.k = k}).Cluster(points));
+    Clustering drawn, shaped;
+    drawn.num_clusters = k;
+    shaped.num_clusters = k + 1;
+    for (size_t i = 0; i < n; ++i) {
+      drawn.assignment.push_back(static_cast<int>(rng.UniformInt(k)));
+      shaped.assignment.push_back(
+          static_cast<int>(i == 0 ? k - 1 : rng.UniformInt(k - 1)));
+    }
+    labelings.push_back(std::move(drawn));
+    labelings.push_back(std::move(shaped));
+  }
+  return labelings;
+}
+
+// Scores every labeling of `points` in both forms and returns the largest
+// absolute difference.
+double MaxSumFormError(const std::vector<SparseVector>& points,
+                       uint64_t seed) {
+  const TermRows rows = RowsOf(points);
+  const CosineSpace space(rows);
+  const std::vector<Clustering> labelings = Labelings(points, seed);
+  const std::vector<double> pairwise = MeanSilhouettes(space, labelings);
+  const std::vector<double> sums = MeanSilhouettesFromSums(space, labelings);
+  EXPECT_EQ(sums.size(), labelings.size());
+  double max_error = 0.0;
+  for (size_t c = 0; c < labelings.size(); ++c) {
+    max_error = std::max(max_error, std::abs(sums[c] - pairwise[c]));
+  }
+  return max_error;
+}
+
+TEST(SumSilhouetteTest, MatchesPairwiseWithin1e12) {
+  for (size_t n : {108, 300, 390}) {
+    EXPECT_LE(MaxSumFormError(ShoppingAllResults(n), n), 1e-12)
+        << "shopping n=" << n;
+  }
+  const auto wikipedia = WikipediaLists();
+  for (size_t q = 0; q < wikipedia.size(); ++q) {
+    EXPECT_LE(MaxSumFormError(wikipedia[q], q), 1e-12) << "wikipedia " << q;
+  }
+  EXPECT_LE(MaxSumFormError(RandomPoints(), 16), 1e-12) << "random";
+}
+
+TEST(SumSilhouetteTest, CopiesOnBothSidesScoreAsPairwise) {
+  // Exact copies of one point in two clusters: both of a copy's mean
+  // distances are rounding noise, which the pairwise form reads as a = b
+  // (score 0). A third cluster holds other points.
+  Rng rng(5);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::pair<TermId, double>> entries;
+    for (size_t e = 0, nnz = 1 + rng.UniformInt(40); e < nnz; ++e) {
+      entries.emplace_back(static_cast<TermId>(rng.UniformInt(100)),
+                           0.1 + 3.0 * rng.UniformDouble());
+    }
+    const SparseVector copy(std::move(entries));
+    std::vector<SparseVector> points;
+    Clustering c;
+    c.num_clusters = 3;
+    for (int label : {0, 1}) {
+      for (size_t i = 0, m = 1 + rng.UniformInt(60); i < m; ++i) {
+        points.push_back(copy);
+        c.assignment.push_back(label);
+      }
+    }
+    for (TermId t : {200, 201, 202}) {
+      points.push_back(V({{t, 1.0}, {t + 10, 2.0}}));
+      c.assignment.push_back(2);
+    }
+    const TermRows rows = RowsOf(points);
+    const CosineSpace space(rows);
+    EXPECT_NEAR(MeanSilhouettesFromSums(space, {&c, 1})[0],
+                MeanSilhouettes(space, {&c, 1})[0], 1e-12)
+        << trial;
+  }
+}
+
+TEST(SumSilhouetteTest, ExactOnOneTermDuplicates) {
+  const std::vector<SparseVector> points = OneTermDuplicates();
+  const TermRows rows = RowsOf(points);
+  const CosineSpace space(rows);
+  const std::vector<Clustering> labelings = Labelings(points, 3);
+  const std::vector<double> pairwise = MeanSilhouettes(space, labelings);
+  const std::vector<double> sums = MeanSilhouettesFromSums(space, labelings);
+  for (size_t c = 0; c < labelings.size(); ++c) {
+    EXPECT_EQ(sums[c], pairwise[c]) << c;
+  }
+}
+
+TEST(SumSilhouetteTest, NeutralCases) {
+  const std::vector<SparseVector> points = ThreeObviousGroups();
+  const TermRows rows = RowsOf(points);
+  const CosineSpace space(rows);
+  Clustering one, singletons;
+  one.assignment.assign(points.size(), 0);
+  one.num_clusters = 1;
+  for (size_t i = 0; i < points.size(); ++i) {
+    singletons.assignment.push_back(static_cast<int>(i));
+  }
+  singletons.num_clusters = points.size();
+  const Clustering both[] = {one, singletons};
+  EXPECT_EQ(MeanSilhouettesFromSums(space, both),
+            (std::vector<double>{0.0, 0.0}));
+  const TermRows none = RowsOf({});
+  EXPECT_EQ(MeanSilhouettesFromSums(CosineSpace(none), {}),
+            std::vector<double>{});
+}
+
+TEST(SumSilhouetteTest, ZeroVectorsAreAtDistanceOne) {
+  // As MeanSilhouetteTest.ZeroVectorsAreAtDistanceOne: every distance is
+  // 1, so every point scores 0.
+  const std::vector<SparseVector> points = {SparseVector(), SparseVector(),
+                                            V({{1, 1.0}}), V({{2, 1.0}})};
+  const TermRows rows = RowsOf(points);
+  Clustering c;
+  c.assignment = {0, 0, 1, 1};
+  c.num_clusters = 2;
+  EXPECT_EQ(MeanSilhouettesFromSums(CosineSpace(rows), {&c, 1})[0], 0.0);
+}
+
+TEST(SumSilhouetteDeathTest, LabelOutOfRangeDies) {
+  const std::vector<SparseVector> points = ThreeObviousGroups();
+  const TermRows rows = RowsOf(points);
+  Clustering c = KMeans(KMeansOptions{.k = 3}).Cluster(points);
+  c.assignment.back() = 3;
+  EXPECT_DEATH(MeanSilhouettesFromSums(CosineSpace(rows), {&c, 1}),
+               "Check failed");
+}
+
+// Auto-k as a pairwise-scored reference does it, for n > 2 points:
+// fixed-k k-means for every k in 2..k_max (the seed sequence auto-k
+// shares), scored by the pairwise MeanSilhouettes; a candidate replaces the
+// best so far only if it beats it by 1e-12, and k = 1 scores a neutral 0.
+Clustering PairwiseAutoK(const std::vector<SparseVector>& points,
+                         size_t k_max) {
+  std::vector<Clustering> candidates;
+  for (size_t k = 2; k <= std::min(k_max, points.size()); ++k) {
+    Clustering candidate = KMeans(KMeansOptions{.k = k}).Cluster(points);
+    if (candidate.num_clusters >= 2) candidates.push_back(std::move(candidate));
+  }
+  const TermRows rows = RowsOf(points);
+  const std::vector<double> scores =
+      MeanSilhouettes(CosineSpace(rows), candidates);
+  Clustering best = KMeans(KMeansOptions{.k = 1}).Cluster(points);
+  double best_score = 0.0;
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    if (scores[c] > best_score + 1e-12) {
+      best_score = scores[c];
+      best = std::move(candidates[c]);
+    }
+  }
+  return best;
+}
+
+TEST(SumSilhouetteTest, AutoKChoosesWhatPairwiseScoresChoose) {
+  std::vector<std::pair<std::string, std::vector<SparseVector>>> inputs;
+  const auto shopping = ShoppingQueryResults();
+  for (size_t q = 0; q < shopping.size(); ++q) {
+    inputs.emplace_back("QS" + std::to_string(q + 1), shopping[q]);
+  }
+  const auto wikipedia = WikipediaLists();
+  for (size_t q = 0; q < wikipedia.size(); ++q) {
+    inputs.emplace_back("QW" + std::to_string(q + 1), wikipedia[q]);
+  }
+  for (const auto& [name, points] : inputs) {
+    ASSERT_GT(points.size(), 2u) << name;
+    for (size_t k_max : {5, 8}) {
+      const Clustering got =
+          KMeans(KMeansOptions{.k = k_max, .auto_k = true}).Cluster(points);
+      const Clustering want = PairwiseAutoK(points, k_max);
+      EXPECT_EQ(got.num_clusters, want.num_clusters)
+          << name << " k_max=" << k_max;
+      EXPECT_EQ(got.assignment, want.assignment) << name << " k_max=" << k_max;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace qec::cluster

@@ -179,6 +179,15 @@ TEST(HarnessTest, PrepareQueryCaseBuildsSharedState) {
   EXPECT_GT(qc->universe->size(), 0u);
   EXPECT_GE(qc->clustering.num_clusters, 1u);
   EXPECT_LE(qc->clustering.num_clusters, 5u);
+  // Only the vectorize and cluster phases are timed.
+  EXPECT_GT(qc->phases[core::Phase::kCluster], 0u);
+  for (size_t p = 0; p < core::kNumPhases; ++p) {
+    const auto phase = static_cast<core::Phase>(p);
+    if (phase == core::Phase::kVectorize || phase == core::Phase::kCluster) {
+      continue;
+    }
+    EXPECT_EQ(qc->phases[phase], 0u) << core::kPhaseNames[p];
+  }
 }
 
 TEST(HarnessTest, PrepareQueryCaseRejectsUnknown) {
