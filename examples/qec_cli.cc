@@ -2,16 +2,14 @@
 // ingestion, snapshot persistence, search, and cluster-based query
 // expansion.
 //
-//   qec_cli index-build   <snap.qsnap> [--reorder=cluster]
+//   qec_cli index-build   <snap.qsnap>
 //                  <file...|shopping|wikipedia|clustered:D:C[:SEED]>
 //                  build corpus + inverted index, write one checksummed
-//                  snapshot (docs/FORMATS.md) that serves without a rebuild;
-//                  --reorder=cluster permutes doc ids so same-cluster
-//                  documents are contiguous (smaller INDX, byte-identical
-//                  expansion) and records the permutation as a PERM section
+//                  snapshot (docs/FORMATS.md) that serves without a rebuild
 //   qec_cli index-inspect <snap.qsnap>   print version, section TOC, CRCs,
-//                  permutation presence/identity, and corpus statistics
-//                  (reads only the STAT and PERM sections)
+//                  permutation presence/identity (PERM, only in snapshots
+//                  of older cluster-reordering builds), and corpus
+//                  statistics (reads only the STAT and PERM sections)
 //   qec_cli search <data> <query words>...               top-10 search
 //   qec_cli expand <data> [-a iskr|pebc|fmeasure] [-k N]
 //                  [--sweep-threads=N] <query>...
@@ -74,7 +72,6 @@
 #include "server/net/net_server.h"
 #include "server/protocol.h"
 #include "server/server.h"
-#include "cluster/doc_reorder.h"
 #include "datagen/clustered.h"
 #include "datagen/shopping.h"
 #include "datagen/wikipedia.h"
@@ -91,7 +88,7 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  qec_cli index-build   <snap.qsnap> [--reorder=cluster] "
+      "  qec_cli index-build   <snap.qsnap> "
       "<file...|shopping|wikipedia|clustered:D:C[:SEED]>\n"
       "  qec_cli index-inspect <snap.qsnap>\n"
       "  qec_cli search <data> <query words>...\n"
@@ -215,17 +212,10 @@ qec::Result<qec::storage::Snapshot> LoadCorpusAndIndex(const std::string& arg) {
 }
 
 int CmdIndexBuild(const std::vector<std::string>& args) {
-  bool reorder = false;
   std::string snapshot_path;
   std::vector<std::string> inputs;
   for (const std::string& arg : args) {
-    if (arg == "--reorder=cluster") {
-      reorder = true;
-    } else if (qec::StartsWith(arg, "--reorder=")) {
-      std::fprintf(stderr, "index-build: unknown reorder mode in %s\n",
-                   arg.c_str());
-      return 2;
-    } else if (qec::StartsWith(arg, "--")) {
+    if (qec::StartsWith(arg, "--")) {
       return Usage();
     } else if (snapshot_path.empty()) {
       snapshot_path = arg;
@@ -239,36 +229,16 @@ int CmdIndexBuild(const std::vector<std::string>& args) {
     std::fprintf(stderr, "%s\n", corpus.status().ToString().c_str());
     return 1;
   }
-  qec::Status s = qec::Status::Ok();
-  bool identity = true;
-  if (reorder) {
-    // Permute doc ids so same-cluster documents are contiguous: the
-    // delta+varbyte codec then sees gap-1 runs inside each topical posting
-    // list (smaller INDX). The permutation rides along as a PERM section,
-    // so loads tie-break ranked results on the original ids and expansion
-    // output stays byte-identical to the unreordered snapshot.
-    const std::vector<qec::DocId> order =
-        qec::cluster::ComputeClusterOrder(*corpus);
-    identity = qec::cluster::IsIdentityOrder(order);
-    qec::doc::Corpus reordered = qec::cluster::ReorderCorpus(*corpus, order);
-    qec::index::InvertedIndex index(reordered);
-    s = qec::storage::WriteSnapshot(index, order, snapshot_path);
-  } else {
-    qec::index::InvertedIndex index(*corpus);
-    s = qec::storage::WriteSnapshot(index, snapshot_path);
-  }
+  qec::index::InvertedIndex index(*corpus);
+  qec::Status s = qec::storage::WriteSnapshot(index, snapshot_path);
   if (!s.ok()) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
   }
   auto stats = corpus->Stats();
-  std::printf(
-      "wrote snapshot %s: %zu documents, %zu terms, format v%u%s\n",
-      snapshot_path.c_str(), stats.num_docs, stats.num_distinct_terms,
-      qec::storage::kSnapshotFormatVersion,
-      !reorder ? ""
-               : (identity ? ", cluster reorder (identity)"
-                           : ", cluster reordered"));
+  std::printf("wrote snapshot %s: %zu documents, %zu terms, format v%u\n",
+              snapshot_path.c_str(), stats.num_docs, stats.num_distinct_terms,
+              qec::storage::kSnapshotFormatVersion);
   return 0;
 }
 

@@ -334,6 +334,7 @@ std::vector<double> MeanSilhouettes(const CosineSpace& space,
           if (s == own || cluster_size[s] == 0) continue;
           b = std::min(b, sum_i[s] / static_cast<double>(cluster_size[s]));
         }
+        if (std::isinf(b)) continue;  // no other non-empty cluster: 0
         const double denom = std::max(a, b);
         score += denom > 0.0 ? (b - a) / denom : 0.0;
       }
@@ -393,6 +394,7 @@ std::vector<double> MeanSilhouettesFromSums(
         const double size = static_cast<double>(cluster_size[c]);
         b = std::min(b, (size - (1.0 - d[c]) * norms[c]) / size);
       }
+      if (std::isinf(b)) continue;  // no other non-empty cluster: 0
       // Both means within the identity's rounding of 0 (i's copies on
       // both sides): the pairwise form gets a = b there, and so 0.
       const double denom = std::max(a, b);

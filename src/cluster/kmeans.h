@@ -63,9 +63,10 @@ class KMeans {
 };
 
 /// Mean silhouette coefficient of `clustering` over `points` under cosine
-/// distance, in [-1, 1]. Points in singleton clusters score 0; a
-/// single-cluster clustering scores 0 (neutral). `clustering` must label
-/// every point with a label below its num_clusters (checked).
+/// distance, in [-1, 1]. Points in singleton clusters score 0, and so do
+/// points with no other non-empty cluster (all points under one label of
+/// several); a single-cluster clustering scores 0 (neutral). `clustering`
+/// must label every point with a label below its num_clusters (checked).
 double MeanSilhouette(const std::vector<SparseVector>& points,
                       const Clustering& clustering);
 

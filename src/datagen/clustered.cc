@@ -1,6 +1,5 @@
 #include "datagen/clustered.h"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,11 +51,7 @@ doc::Corpus ClusteredGenerator::Generate() const {
   std::vector<TermId> terms;
   terms.reserve(options_.terms_per_doc);
   for (size_t i = 0; i < options_.num_docs; ++i) {
-    const size_t cluster =
-        options_.interleave ? i % options_.num_clusters
-                            : i * options_.num_clusters /
-                                  std::max<size_t>(options_.num_docs, 1);
-    const std::vector<TermId>& topic = topics[cluster];
+    const std::vector<TermId>& topic = topics[i % options_.num_clusters];
     terms.clear();
     for (size_t t = 0; t < options_.terms_per_doc; ++t) {
       if (rng.Bernoulli(options_.topic_fraction)) {

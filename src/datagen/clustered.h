@@ -23,18 +23,15 @@ struct ClusteredOptions {
   /// Probability that a term draw comes from the document's topic pool
   /// rather than the shared background vocabulary.
   double topic_fraction = 0.6;
-  /// When true (the default), documents of different clusters are
-  /// interleaved round-robin in doc-id order, so same-cluster documents
-  /// sit ~num_clusters apart — the worst case for delta+varbyte posting
-  /// gaps, and exactly what `index-build --reorder=cluster` undoes.
-  bool interleave = true;
 };
 
 /// Fast synthetic corpus with planted cluster structure, built directly in
 /// TermId space (no tokenization), so multi-million-doc corpora generate in
 /// seconds. Topic terms are cluster-exclusive: a cluster's posting lists
-/// touch only its own documents, which makes the cluster-aware doc-id
-/// reorder shrink the INDX section measurably. Deterministic for a fixed
+/// touch only its own documents. Documents are assigned to clusters
+/// round-robin in doc-id order (doc i belongs to cluster i % num_clusters),
+/// so same-cluster documents sit num_clusters apart and every topical
+/// posting list spans the whole id range. Deterministic for a fixed
 /// options struct.
 class ClusteredGenerator {
  public:

@@ -46,13 +46,14 @@ class InvertedIndex {
 
   const doc::Corpus& corpus() const { return *corpus_; }
 
-  /// Installs the external-id mapping of a cluster-reordered corpus:
-  /// `ids[internal]` is the doc id the document had before reordering
-  /// (the QECSNAP `PERM` section). Ranked-search score ties then break on
-  /// external ids, so result order — and everything downstream, expansion
-  /// included — is byte-identical to an unpermuted index. Empty = identity.
-  /// `ids` must be empty or a permutation of [0, NumDocs) (the snapshot
-  /// reader validates before calling; direct callers get a size check).
+  /// Installs the external-id mapping of a reordered corpus: `ids[internal]`
+  /// is the doc id the document had before reordering (the QECSNAP `PERM`
+  /// section, which only snapshots from older builds carry). Ranked-search
+  /// score ties then break on external ids, so result order — and
+  /// everything downstream, expansion included — is byte-identical to an
+  /// unpermuted index. Empty = identity. `ids` must be empty or a
+  /// permutation of [0, NumDocs) (the snapshot reader validates before
+  /// calling; direct callers get a size check).
   void SetExternalIds(std::vector<DocId> ids);
 
   /// The external (pre-reorder) id of internal doc `doc`.

@@ -58,34 +58,42 @@ uint64_t Histogram::BucketUpperBound(size_t i) {
   return (uint64_t{1} << i) - 1;
 }
 
-double Histogram::Percentile(double q) const {
-  // Work from a consistent local copy (concurrent Record()s may land
-  // between loads; percentiles are estimates either way).
-  uint64_t buckets[kNumBuckets];
+std::vector<double> Histogram::Percentiles(std::initializer_list<double> qs,
+                                           BucketCounts* buckets) const {
+  // Every percentile reads the same local copy: concurrent Record()s may
+  // land between the bucket loads, but never between two percentiles.
+  BucketCounts copy;
   uint64_t total = 0;
   for (size_t i = 0; i < kNumBuckets; ++i) {
-    buckets[i] = buckets_[i].load(std::memory_order_relaxed);
-    total += buckets[i];
+    copy[i] = buckets_[i].load(std::memory_order_relaxed);
+    total += copy[i];
   }
-  if (total == 0) return 0.0;
-  q = std::clamp(q, 0.0, 100.0);
-  const double target = q / 100.0 * static_cast<double>(total);
-  double cumulative = 0.0;
-  for (size_t i = 0; i < kNumBuckets; ++i) {
-    if (buckets[i] == 0) continue;
-    const double next = cumulative + static_cast<double>(buckets[i]);
-    if (next >= target) {
-      const double lower =
-          i == 0 ? 0.0 : static_cast<double>(BucketUpperBound(i - 1)) + 1.0;
-      const double upper = static_cast<double>(BucketUpperBound(i));
-      const double frac =
-          std::clamp((target - cumulative) / static_cast<double>(buckets[i]),
-                     0.0, 1.0);
-      return lower + frac * (upper - lower);
+  if (buckets != nullptr) *buckets = copy;
+  if (total == 0) return std::vector<double>(qs.size(), 0.0);
+  std::vector<double> out;
+  out.reserve(qs.size());
+  for (double q : qs) {
+    q = std::clamp(q, 0.0, 100.0);
+    const double target = q / 100.0 * static_cast<double>(total);
+    double cumulative = 0.0;
+    double value = static_cast<double>(max());
+    for (size_t i = 0; i < kNumBuckets; ++i) {
+      if (copy[i] == 0) continue;
+      const double next = cumulative + static_cast<double>(copy[i]);
+      if (next >= target) {
+        const double lower =
+            i == 0 ? 0.0 : static_cast<double>(BucketUpperBound(i - 1)) + 1.0;
+        const double upper = static_cast<double>(BucketUpperBound(i));
+        const double frac = std::clamp(
+            (target - cumulative) / static_cast<double>(copy[i]), 0.0, 1.0);
+        value = lower + frac * (upper - lower);
+        break;
+      }
+      cumulative = next;
     }
-    cumulative = next;
+    out.push_back(value);
   }
-  return static_cast<double>(max());
+  return out;
 }
 
 void Histogram::Reset() {
@@ -152,11 +160,15 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     hs.sum = h->sum();
     hs.min = h->min();
     hs.max = h->max();
-    hs.p50 = h->Percentile(50.0);
-    hs.p95 = h->Percentile(95.0);
-    hs.p99 = h->Percentile(99.0);
+    // Percentiles and bucket counts come from one read of the buckets, so
+    // a snapshot taken while records arrive is self-consistent.
+    Histogram::BucketCounts counts;
+    const std::vector<double> p = h->Percentiles({50.0, 95.0, 99.0}, &counts);
+    hs.p50 = p[0];
+    hs.p95 = p[1];
+    hs.p99 = p[2];
     for (size_t i = 0; i < Histogram::kNumBuckets; ++i) {
-      uint64_t n = h->BucketCount(i);
+      const uint64_t n = counts[i];
       if (n == 0) continue;
       hs.buckets.emplace_back(Histogram::BucketUpperBound(i), n);
       Exemplar ex = h->BucketExemplar(i);

@@ -1,8 +1,10 @@
 #ifndef QEC_OBS_METRICS_H_
 #define QEC_OBS_METRICS_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -80,8 +82,17 @@ class Histogram {
   /// Inclusive upper bound of bucket i.
   static uint64_t BucketUpperBound(size_t i);
 
+  using BucketCounts = std::array<uint64_t, kNumBuckets>;
+
+  /// Estimated percentiles, one per q in `qs` (each in [0, 100]; 0 when
+  /// empty). All of them come from one copy of the bucket counts, so they
+  /// are monotone in q even while Record()s land. When `buckets` is
+  /// non-null it receives that copy.
+  std::vector<double> Percentiles(std::initializer_list<double> qs,
+                                  BucketCounts* buckets = nullptr) const;
+
   /// Estimated q-th percentile (q in [0, 100]); 0 when empty.
-  double Percentile(double q) const;
+  double Percentile(double q) const { return Percentiles({q})[0]; }
 
   void Reset();
 

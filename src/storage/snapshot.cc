@@ -178,13 +178,7 @@ std::string SerializeSnapshot(const index::InvertedIndex& index,
 
 Status WriteSnapshot(const index::InvertedIndex& index,
                      const std::string& path) {
-  return WriteSnapshot(index, {}, path);
-}
-
-Status WriteSnapshot(const index::InvertedIndex& index,
-                     const std::vector<DocId>& external_ids,
-                     const std::string& path) {
-  std::string blob = SerializeSnapshot(index, external_ids);
+  std::string blob = SerializeSnapshot(index);
   std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
       std::fopen(path.c_str(), "wb"), &std::fclose);
   if (f == nullptr) {

@@ -37,8 +37,10 @@ inline constexpr std::string_view kSnapshotMagic = "QECSNAP1";
 inline constexpr std::string_view kSnapshotFooterMagic = "QECSNAPF";
 
 /// Section ids, in the order SerializeSnapshot writes them. PERM is only
-/// present in snapshots of cluster-reordered corpora; readers that predate
-/// it skip unknown sections, so no format-version bump is needed.
+/// present in snapshots written by older builds that cluster-reordered doc
+/// ids; it is still read and validated, but no build tool writes it any
+/// more. Readers that predate it skip unknown sections, so it needed no
+/// format-version bump.
 inline constexpr std::string_view kSectionMeta = "META";   // analyzer options
 inline constexpr std::string_view kSectionVocab = "VOCA";  // term strings
 inline constexpr std::string_view kSectionDocs = "DOCS";   // documents
@@ -60,10 +62,10 @@ struct Snapshot {
   std::unique_ptr<doc::Corpus> corpus;
   std::unique_ptr<index::InvertedIndex> index;
   doc::CorpusStats stats;
-  /// Doc-id permutation of a cluster-reordered snapshot: external_ids[i]
-  /// is the id document i carried before reordering. Empty = identity
-  /// (no PERM section). Load() also installs it on `index`, so ranked
-  /// searches tie-break on external ids.
+  /// Doc-id permutation of a snapshot written with a PERM section:
+  /// external_ids[i] is the id document i carried before reordering.
+  /// Empty = identity (no PERM section). Load() also installs it on
+  /// `index`, so ranked searches tie-break on external ids.
   std::vector<DocId> external_ids;
 };
 
@@ -72,17 +74,15 @@ std::string SerializeSnapshot(const index::InvertedIndex& index);
 
 /// Like above, additionally persisting a doc-id permutation as a `PERM`
 /// section (per-section CRC like the rest). `external_ids` must be empty
-/// (no PERM section written) or NumDocs entries.
+/// (no PERM section written) or NumDocs entries. This is the only PERM
+/// encoder: no tool writes PERM any more, so it exists as the reference
+/// blob that the reader's permutation and corruption tests load and
+/// mutate.
 std::string SerializeSnapshot(const index::InvertedIndex& index,
                               const std::vector<DocId>& external_ids);
 
 /// Serializes and writes to `path` (Internal on I/O failure).
 Status WriteSnapshot(const index::InvertedIndex& index,
-                     const std::string& path);
-
-/// Writes a reordered snapshot carrying the doc-id permutation.
-Status WriteSnapshot(const index::InvertedIndex& index,
-                     const std::vector<DocId>& external_ids,
                      const std::string& path);
 
 /// Lazy section-level reader. Open() parses only the header, footer, and

@@ -248,6 +248,7 @@ double MeanSilhouette(const std::vector<Vec>& points,
       if (c == own || cluster_size[c] == 0) continue;
       b = std::min(b, dist_sum[c] / static_cast<double>(cluster_size[c]));
     }
+    if (std::isinf(b)) continue;  // no other non-empty cluster: scores 0
     const double denom = std::max(a, b);
     total += denom > 0.0 ? (b - a) / denom : 0.0;
   }
@@ -627,6 +628,13 @@ TEST_P(ClusterOracleTest, SilhouetteOfArbitraryLabelingsMatchesOracle) {
     }
     ExpectSameSilhouette(labels, name_ + " labels k=" + std::to_string(k));
   }
+  // Two clusters declared, one used: no point has a nearest other cluster,
+  // so every point scores 0, like a singleton.
+  Clustering one_used;
+  one_used.num_clusters = 2;
+  one_used.assignment.assign(n, 0);
+  ExpectSameSilhouette(one_used, name_ + " one of two clusters used");
+  EXPECT_EQ(MeanSilhouette(points_, one_used), 0.0) << name_;
 }
 
 // Bounds n and n + 3 make auto-k run k-means for every k < n. At n = 300

@@ -638,9 +638,13 @@ TEST(SumSilhouetteTest, NeutralCases) {
     singletons.assignment.push_back(static_cast<int>(i));
   }
   singletons.num_clusters = points.size();
-  const Clustering both[] = {one, singletons};
-  EXPECT_EQ(MeanSilhouettesFromSums(space, both),
-            (std::vector<double>{0.0, 0.0}));
+  // Two clusters declared, one used: no point has another non-empty
+  // cluster, so each scores 0 like a singleton.
+  Clustering one_of_two = one;
+  one_of_two.num_clusters = 2;
+  const Clustering all[] = {one, singletons, one_of_two};
+  EXPECT_EQ(MeanSilhouettesFromSums(space, all),
+            (std::vector<double>{0.0, 0.0, 0.0}));
   const TermRows none = RowsOf({});
   EXPECT_EQ(MeanSilhouettesFromSums(CosineSpace(none), {}),
             std::vector<double>{});

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
+#include "datagen/clustered.h"
 #include "datagen/shopping.h"
 #include "datagen/wikipedia.h"
 #include "datagen/workload.h"
@@ -222,6 +224,36 @@ TEST(WorkloadTest, RocketsSuggestionsAllSpace) {
       EXPECT_NE(k, "nba");
       EXPECT_NE(k, "houston");
     }
+  }
+}
+
+// --------------------------------------------------------------- Clustered
+
+TEST(ClusteredGeneratorTest, InterleavesClustersAndIsDeterministic) {
+  ClusteredOptions options;
+  options.num_docs = 200;
+  options.num_clusters = 8;
+  doc::Corpus a = ClusteredGenerator(options).Generate();
+  doc::Corpus b = ClusteredGenerator(options).Generate();
+  ASSERT_EQ(a.NumDocs(), options.num_docs);
+  for (DocId d = 0; d < a.NumDocs(); ++d) {
+    EXPECT_EQ(a.Get(d).terms(), b.Get(d).terms());
+  }
+  // Round-robin interleave: every topic term of doc d ("c<k>t<j>") comes
+  // from cluster d % num_clusters, so adjacent docs never share a topic.
+  const auto& vocab = a.analyzer().vocabulary();
+  for (DocId d = 0; d < a.NumDocs(); ++d) {
+    std::string prefix = "c";
+    prefix += std::to_string(d % options.num_clusters);
+    prefix += 't';
+    size_t topic_terms = 0;
+    for (TermId t : a.Get(d).terms()) {
+      const std::string term(vocab.TermString(t));
+      if (term[0] != 'c') continue;
+      ++topic_terms;
+      EXPECT_EQ(term.rfind(prefix, 0), 0u) << "doc " << d << ": " << term;
+    }
+    EXPECT_GT(topic_terms, 0u) << "doc " << d;
   }
 }
 

@@ -197,5 +197,41 @@ TEST_F(IndexTest, RebuildPicksUpNewDocuments) {
             (std::vector<DocId>{d4}));
 }
 
+// ------------------------------------------------------------ external ids
+// The mapping a snapshot's PERM section installs (see storage_test's
+// SnapshotPermTest): ranked searches tie-break on external ids.
+
+TEST(ExternalIdTest, RankedSearchTiesBreakOnExternalIds) {
+  // Two identical documents tie on score; with external ids installed the
+  // ranked order must follow the ORIGINAL ids, not the permuted ones.
+  doc::Corpus corpus;
+  corpus.AddTextDocument("first", "apple pie");
+  corpus.AddTextDocument("second", "apple pie");
+  index::InvertedIndex index(corpus);
+  // Pretend this corpus is a reordering that swapped the two documents.
+  index.SetExternalIds({1, 0});
+  EXPECT_EQ(index.ExternalId(0), 1u);
+  EXPECT_EQ(index.ExternalId(1), 0u);
+
+  TermId apple = corpus.analyzer().vocabulary().Lookup("apple");
+  ASSERT_NE(apple, kInvalidTermId);
+  for (const auto& results :
+       {index.Search({apple}), index.SearchVsm({apple}),
+        index.SearchBm25({apple})}) {
+    ASSERT_EQ(results.size(), 2u);
+    // Internal doc 1 carries external id 0, so it ranks first.
+    EXPECT_EQ(results[0].doc, 1u);
+    EXPECT_EQ(results[1].doc, 0u);
+  }
+}
+
+TEST(ExternalIdTest, EmptyMappingIsIdentity) {
+  doc::Corpus corpus;
+  corpus.AddTextDocument("only", "apple");
+  index::InvertedIndex index(corpus);
+  EXPECT_TRUE(index.external_ids().empty());
+  EXPECT_EQ(index.ExternalId(0), 0u);
+}
+
 }  // namespace
 }  // namespace qec

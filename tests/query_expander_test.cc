@@ -9,6 +9,7 @@
 #include "cluster/hac.h"
 #include "core/candidates.h"
 #include "core/query_expander.h"
+#include "datagen/clustered.h"
 #include "datagen/shopping.h"
 #include "doc/corpus.h"
 #include "index/inverted_index.h"
@@ -527,6 +528,35 @@ TEST_F(EngineFixture, ExplainTermsDoNotChangeExpansionResults) {
     for (size_t i = 0; i < a->queries.size(); ++i) {
       EXPECT_EQ(a->queries[i].terms, b->queries[i].terms)
           << AlgorithmName(algorithm);
+    }
+  }
+}
+
+TEST(SweepThreadsTest, ThreadedSweepsMatchSerialExactly) {
+  datagen::ClusteredOptions options;
+  options.num_docs = 400;
+  options.num_clusters = 4;
+  doc::Corpus corpus = datagen::ClusteredGenerator(options).Generate();
+  index::InvertedIndex index(corpus);
+  for (auto algorithm :
+       {core::ExpansionAlgorithm::kIskr, core::ExpansionAlgorithm::kPebc,
+        core::ExpansionAlgorithm::kFMeasure}) {
+    core::QueryExpanderOptions serial;
+    serial.algorithm = algorithm;
+    core::QueryExpanderOptions threaded = serial;
+    threaded.sweep.threads = 4;
+    core::QueryExpander a(index, serial);
+    core::QueryExpander b(index, threaded);
+    auto ra = a.ExpandText("c0t0");
+    auto rb = b.ExpandText("c0t0");
+    ASSERT_TRUE(ra.ok()) << ra.status().ToString();
+    ASSERT_TRUE(rb.ok()) << rb.status().ToString();
+    ASSERT_EQ(ra->set_score, rb->set_score);  // exact
+    ASSERT_EQ(ra->queries.size(), rb->queries.size());
+    for (size_t i = 0; i < ra->queries.size(); ++i) {
+      EXPECT_EQ(ra->queries[i].terms, rb->queries[i].terms);
+      EXPECT_EQ(ra->queries[i].value_recomputations,
+                rb->queries[i].value_recomputations);
     }
   }
 }

@@ -11,9 +11,9 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "cluster/doc_reorder.h"
 #include "common/crc32.h"
 #include "common/random.h"
 #include "core/query_expander.h"
@@ -57,11 +57,18 @@ TEST(SnapshotCrc32Test, DetectsSingleBitFlips) {
 
 // ------------------------------------------------------------ test corpora
 
+/// TextCorpus()'s documents as {title, body}.
+constexpr std::pair<const char*, const char*> kTextDocs[] = {
+    {"apple store", "apple store opens with iphone"},
+    {"apple orchard", "apple orchard fruit cider apple"},
+    {"java island", "java island volcano coffee"},
+};
+
 doc::Corpus TextCorpus() {
   doc::Corpus corpus;
-  corpus.AddTextDocument("apple store", "apple store opens with iphone");
-  corpus.AddTextDocument("apple orchard", "apple orchard fruit cider apple");
-  corpus.AddTextDocument("java island", "java island volcano coffee");
+  for (const auto& [title, body] : kTextDocs) {
+    corpus.AddTextDocument(title, body);
+  }
   return corpus;
 }
 
@@ -720,22 +727,26 @@ std::string Fingerprint(const core::ExpansionOutcome& outcome) {
 
 // ----------------------------------------------------------- PERM section
 
-/// A snapshot of a cluster-reordered corpus: documents permuted by a
-/// handcrafted (non-identity) order, serialized with the PERM section.
-struct ReorderedFixture {
+/// A snapshot of a permuted corpus, as older builds wrote with doc-id
+/// reordering: TextCorpus()'s documents added in a handcrafted
+/// (non-identity) order, serialized with the PERM section.
+struct PermutedFixture {
   std::vector<DocId> order = {2, 0, 1};
   std::string blob;
   doc::Corpus original = TextCorpus();
 
-  ReorderedFixture() {
-    doc::Corpus reordered = cluster::ReorderCorpus(original, order);
-    index::InvertedIndex index(reordered);
+  PermutedFixture() {
+    doc::Corpus permuted;
+    for (DocId d : order) {
+      permuted.AddTextDocument(kTextDocs[d].first, kTextDocs[d].second);
+    }
+    index::InvertedIndex index(permuted);
     blob = SerializeSnapshot(index, order);
   }
 };
 
 TEST(SnapshotPermTest, RoundTripInstallsExternalIds) {
-  ReorderedFixture fx;
+  PermutedFixture fx;
   auto snapshot = DeserializeSnapshot(fx.blob);
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   EXPECT_EQ(snapshot->external_ids, fx.order);
@@ -748,7 +759,7 @@ TEST(SnapshotPermTest, RoundTripInstallsExternalIds) {
 }
 
 TEST(SnapshotPermTest, PermIsTheLastTocSection) {
-  ReorderedFixture fx;
+  PermutedFixture fx;
   auto reader = SnapshotReader::Open(fx.blob);
   ASSERT_TRUE(reader.ok());
   ASSERT_EQ(reader->sections().size(), 6u);
@@ -775,7 +786,7 @@ TEST(SnapshotPermTest, AbsentPermIsNotFoundAndIdentity) {
 }
 
 TEST(SnapshotPermTest, EveryPermByteFlipIsRejected) {
-  ReorderedFixture fx;
+  PermutedFixture fx;
   auto reader = SnapshotReader::Open(fx.blob);
   ASSERT_TRUE(reader.ok());
   auto perm_info = reader->Section(kSectionPerm);
@@ -793,7 +804,7 @@ TEST(SnapshotPermTest, EveryPermByteFlipIsRejected) {
 /// semantic validation layer past the CRCs.
 void ExpectForgedPermRejected(const std::function<void(std::string&)>& edit,
                               const std::string& what) {
-  ReorderedFixture fx;
+  PermutedFixture fx;
   std::string forged = ForgeSection(fx.blob, kSectionPerm, edit);
   auto forged_reader = SnapshotReader::Open(forged);
   ASSERT_TRUE(forged_reader.ok()) << what;
@@ -832,10 +843,12 @@ TEST(SnapshotPermTest, DuplicateIdIsCorruption) {
 
 TEST(SnapshotPermTest, FileRoundTripCarriesThePermutation) {
   const std::string path = "/tmp/qec_storage_perm_test.qsnap";
-  ReorderedFixture fx;
-  doc::Corpus reordered = cluster::ReorderCorpus(fx.original, fx.order);
-  index::InvertedIndex index(reordered);
-  ASSERT_TRUE(WriteSnapshot(index, fx.order, path).ok());
+  PermutedFixture fx;
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(fx.blob.data(), 1, fx.blob.size(), f),
+            fx.blob.size());
+  std::fclose(f);
   auto snapshot = ReadSnapshot(path);
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   EXPECT_EQ(snapshot->external_ids, fx.order);
