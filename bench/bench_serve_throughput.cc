@@ -586,7 +586,7 @@ int RunNetMode(const qec::index::InvertedIndex& index,
   // check).
   for (const auto& query : qec::datagen::ShoppingQueries()) {
     auto request = qec::server::ParseRequestLine("EXPAND " + query.text);
-    if (request.ok()) server.Execute(*request);
+    if (request.ok()) server.Submit(*std::move(request)).get();
   }
 
   const size_t identity_n = std::min<size_t>(workload.size(), 128);

@@ -72,6 +72,7 @@
 #include "server/net/net_server.h"
 #include "server/protocol.h"
 #include "server/server.h"
+#include "server/shadow_evaluator.h"
 #include "datagen/clustered.h"
 #include "datagen/shopping.h"
 #include "datagen/wikipedia.h"
@@ -444,11 +445,7 @@ int CmdExplain(const std::vector<std::string>& args) {
     }
   }
   if (i >= args.size()) return Usage();
-  if (shadow_algo == options.algorithm) {
-    shadow_algo = options.algorithm == qec::core::ExpansionAlgorithm::kPebc
-                      ? qec::core::ExpansionAlgorithm::kIskr
-                      : qec::core::ExpansionAlgorithm::kPebc;
-  }
+  shadow_algo = qec::server::SecondArm(options.algorithm, shadow_algo);
 
   auto data = LoadCorpusAndIndex(args[0]);
   if (!data.ok()) {
@@ -500,9 +497,9 @@ int CmdExplain(const std::vector<std::string>& args) {
   }
   std::printf("%s", table.ToString().c_str());
   if (scores[0] >= 0.0 && scores[1] >= 0.0) {
-    const double d = scores[0] - scores[1];
     std::printf("winner: %s (primary %.3f vs shadow %.3f)\n",
-                d > 1e-9 ? "primary" : (d < -1e-9 ? "shadow" : "tie"),
+                std::string(qec::server::ArmWinner(scores[0], scores[1]))
+                    .c_str(),
                 scores[0], scores[1]);
   }
   return scores[0] < 0.0 && scores[1] < 0.0 ? 1 : 0;

@@ -19,13 +19,13 @@ void LineHandler::Handle(std::string_view line, Responder& responder) {
     responder.Complete(slot, ResponseToJsonLine(bad));
     return;
   }
-  if (parsed->verb != ServeRequest::Verb::kExpand) {
+  if (IsImmediateVerb(parsed->verb)) {
     Flush();
     observe_(Event::kControl);
     responder.Complete(slot, server_->ControlResponse(*parsed));
     return;
   }
-  observe_(Event::kExpand);
+  observe_(Event::kQueued);
   batch_.push_back({*std::move(parsed), responder.CompleteLater(slot)});
 }
 

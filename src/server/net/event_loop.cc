@@ -145,6 +145,4 @@ void EventLoop::DrainPosted() {
   for (Task& task : tasks) task();
 }
 
-size_t EventLoop::num_fds() const { return handlers_.size(); }
-
 }  // namespace qec::server::net

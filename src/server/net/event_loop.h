@@ -66,9 +66,6 @@ class EventLoop {
   /// epoll error.
   int RunOnce(int timeout_ms);
 
-  /// Number of registered fds (excluding the internal wakeup eventfd).
-  size_t num_fds() const;
-
  private:
   void DrainPosted();
 

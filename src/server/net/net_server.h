@@ -39,7 +39,9 @@ struct NetServerStats {
   uint64_t rejected_over_capacity = 0;
   uint64_t closed = 0;
   uint64_t lines = 0;
+  /// Lines handed to the worker pool: EXPAND and EXPLAIN.
   uint64_t expand_requests = 0;
+  /// Lines answered on the loop thread: PING and STATS.
   uint64_t immediate_requests = 0;
   uint64_t parse_errors = 0;
   uint64_t batches = 0;
@@ -55,12 +57,11 @@ struct NetServerStats {
 /// hands lines to the shared LineHandler, and writes).
 ///
 /// Pipelining: a connection may send any number of request lines without
-/// waiting; responses come back in request order. All EXPAND lines decoded
-/// from one readable burst are admitted as one batch, so a burst for one
-/// hot cluster runs back to back on cache-warm state. Control verbs,
-/// EXPLAIN included, are answered on the loop thread but still occupy an
-/// in-order slot, so `EXPAND…\nPING\n` answers in that order; a pipelined
-/// EXPLAIN stalls only its own connection's reads.
+/// waiting; responses come back in request order. All EXPAND and EXPLAIN
+/// lines decoded from one readable burst are admitted as one batch, so a
+/// burst for one hot cluster runs back to back on cache-warm state. PING
+/// and STATS are answered on the loop thread but still occupy an in-order
+/// slot, so `EXPAND…\nPING\n` answers in that order.
 ///
 /// Shutdown is a graceful drain: stop accepting, stop reading, let
 /// in-flight expansions complete and flush, then close — bounded by
@@ -108,7 +109,7 @@ class NetServer {
   /// front of `rbuf` becomes one request; `scan_pos` is the prefix already
   /// searched, so a partial frame is not rescanned on the next read.
   /// Enforces the max-line guard on terminated and unterminated frames,
-  /// then admits the burst's EXPANDs as one batch.
+  /// then admits the burst's EXPANDs and EXPLAINs as one batch.
   void ReadLines(Connection& connection, std::string& rbuf, size_t& scan_pos);
   /// Tallies one handler event into stats() and the net/* metrics.
   void Count(LineHandler::Event event);
@@ -120,7 +121,7 @@ class NetServer {
   std::atomic<uint64_t> immediate_requests_{0};
   std::atomic<uint64_t> parse_errors_{0};
   std::atomic<uint64_t> batches_{0};
-  /// Fed by the loop thread; buffers the current burst's EXPANDs.
+  /// Fed by the loop thread; buffers the current burst's queued lines.
   LineHandler handler_;
 
   /// Last member: destroyed (and its loop thread joined) first, while the

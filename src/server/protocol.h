@@ -65,6 +65,13 @@ struct ServeRequest {
   std::shared_ptr<std::atomic<bool>> cancel;
 };
 
+/// True for PING and STATS, the O(1) verbs answered at once through
+/// QecServer::ControlResponse; EXPAND and EXPLAIN run on the worker pool.
+inline bool IsImmediateVerb(ServeRequest::Verb verb) {
+  return verb == ServeRequest::Verb::kPing ||
+         verb == ServeRequest::Verb::kStats;
+}
+
 /// Parses one request line. InvalidArgument on unknown verbs, malformed
 /// options, or an EXPAND with no query words.
 Result<ServeRequest> ParseRequestLine(std::string_view line);
@@ -107,8 +114,8 @@ struct ServeResponse {
   /// stage histograms and the flight recorder carry the real value.
   StageTimings stages;
   /// The rendered response line: by the worker inside the timed serialize
-  /// stage, or by the admission path for a rejection. Set on every
-  /// response from QecServer::Submit/SubmitBatch; empty from Execute().
+  /// stage (EXPLAIN: its expansion stage), or by the admission path for a
+  /// rejection. Set on every response from QecServer::Submit/SubmitBatch.
   std::string json_line;
   /// The outcome-dependent tail of the JSON line (clusters, set_score, the
   /// queries array). Invariant for a given outcome, so the expansion cache

@@ -66,24 +66,33 @@ void RecordStageHistograms(const StageTimings& stages, uint64_t trace_id) {
   RecordStageTails(stages);
 }
 
+/// The slow-request threshold in nanoseconds; 0 and one past the range of
+/// uint64 nanoseconds (whose product would wrap) mean no request is slow.
+uint64_t SlowThresholdNs(uint64_t threshold_ms) {
+  constexpr uint64_t kMaxMs = std::numeric_limits<uint64_t>::max() / 1'000'000;
+  return threshold_ms != 0 && threshold_ms <= kMaxMs
+             ? threshold_ms * 1'000'000
+             : std::numeric_limits<uint64_t>::max();
+}
+
 }  // namespace
 
 QecServer::QecServer(const index::InvertedIndex& index, ServerOptions options)
     : index_(&index),
       options_(std::move(options)),
+      slow_threshold_ns_(SlowThresholdNs(options_.slow_request_threshold_ms)),
       start_time_(Clock::now()),
       recorder_(options_.flight_recorder_capacity) {
   pool_size_ = ResolveThreadCount(options_.num_threads,
                                   std::numeric_limits<size_t>::max());
   if (options_.enable_expansion_cache) {
     cache_ = std::make_unique<ShardedLruCache<std::string, ServeResponse>>(
-        options_.expansion_cache_capacity, options_.expansion_cache_shards);
+        options_.expansion_cache_capacity);
   }
   if (options_.shadow_sample_rate > 0.0) {
     ShadowEvaluatorOptions shadow_options;
     shadow_options.sample_rate = options_.shadow_sample_rate;
     shadow_options.algorithm = options_.shadow_algorithm;
-    shadow_options.seed = options_.shadow_seed;
     shadow_options.dedupe = options_.shadow_dedupe;
     shadow_ = std::make_unique<ShadowEvaluator>(shadow_options);
   }
@@ -187,10 +196,11 @@ void QecServer::SubmitBatch(std::vector<AsyncRequest> batch) {
   for (auto& entry : batch) {
     Pending pending = MakePending(std::move(entry.request));
     pending.callback = std::move(entry.on_done);
-    if (pending.request.verb != ServeRequest::Verb::kExpand) {
+    if (IsImmediateVerb(pending.request.verb)) {
       to_reject.emplace_back(
           std::move(pending),
-          Status::InvalidArgument("only EXPAND goes through the request queue"));
+          Status::InvalidArgument(
+              "only EXPAND and EXPLAIN go through the request queue"));
       continue;
     }
     to_admit.push_back(std::move(pending));
@@ -277,22 +287,29 @@ void QecServer::Process(Pending pending) {
     QEC_COUNTER_INC("server/shed_deadline");
     response.status =
         Status::DeadlineExceeded("deadline passed while request was queued");
+  } else if (request.verb == ServeRequest::Verb::kExplain) {
+    // Both arms and their line are one expansion stage, outside the
+    // expansion cache and the shadow sampler.
+    StageTimer timer(context, Stage::kExpansion);
+    response.json_line = ExplainJsonLine(request);
   } else {
-    response = Execute(request, &context);
+    response = Expand(request, &context);
     MaybeScheduleShadow(request, response, &context);
   }
 
-  // Render the wire line here, inside the timed serialize stage. The
-  // stages_ms the line itself carries therefore shows serialize as 0; the
-  // response struct, the stage histograms, and the flight recorder all get
-  // the real value.
+  // Render the wire line here, inside the timed serialize stage, unless
+  // EXPLAIN already did. The stages_ms the line itself carries therefore
+  // shows serialize as 0; the response struct, the stage histograms, and
+  // the flight recorder all get the real value.
   response.trace_id = context.trace_id;
   response.queue_seconds = ToSeconds(dequeue_time - context.submit_time);
   response.total_seconds = ToSeconds(Clock::now() - context.submit_time);
   response.stages = context.stages;
   {
     StageTimer timer(context, Stage::kSerialize);
-    response.json_line = ResponseToJsonLine(response);
+    if (response.json_line.empty()) {
+      response.json_line = ResponseToJsonLine(response);
+    }
   }
   response.stages = context.stages;
 
@@ -302,8 +319,7 @@ void QecServer::Process(Pending pending) {
   QEC_HISTOGRAM_RECORD_TRACED("server/request_latency_ns", total_ns,
                               context.trace_id);
   RecordStageHistograms(context.stages, context.trace_id);
-  if (options_.slow_request_threshold_ms != 0 &&
-      total_ns >= options_.slow_request_threshold_ms * 1'000'000ULL) {
+  if (total_ns >= slow_threshold_ns_) {
     slow_requests_.fetch_add(1, std::memory_order_relaxed);
     QEC_COUNTER_INC("server/slow_requests");
   }
@@ -313,28 +329,9 @@ void QecServer::Process(Pending pending) {
   pending.callback(std::move(response));
 }
 
-ServeResponse QecServer::Execute(const ServeRequest& request) {
-  RequestContext context;
-  context.trace_id =
-      request.trace_id != 0 ? request.trace_id : GenerateTraceId();
-  context.submit_time = Clock::now();
-  ServeResponse response = Execute(request, &context);
-  MaybeScheduleShadow(request, response, &context);
-  response.trace_id = context.trace_id;
-  response.stages = context.stages;
-  response.total_seconds = ToSeconds(Clock::now() - context.submit_time);
-  return response;
-}
-
-ServeResponse QecServer::Execute(const ServeRequest& request,
-                                 RequestContext* context) {
+ServeResponse QecServer::Expand(const ServeRequest& request,
+                                RequestContext* context) {
   ServeResponse response;
-  if (request.verb != ServeRequest::Verb::kExpand) {
-    response.status =
-        Status::InvalidArgument("only EXPAND requests are executable");
-    return response;
-  }
-
   const core::QueryExpanderOptions effective = EffectiveOptions(request);
   std::string key;
   if (cache_ != nullptr) {
@@ -536,8 +533,7 @@ void QecServer::RecordFlight(const ServeRequest& request,
   const bool dump_worthy =
       code == StatusCode::kDeadlineExceeded ||
       code == StatusCode::kUnavailable || code == StatusCode::kCorruption ||
-      (options_.slow_request_threshold_ms != 0 &&
-       total_ns >= options_.slow_request_threshold_ms * 1'000'000ULL);
+      total_ns >= slow_threshold_ns_;
   if (dump_worthy) recorder_.Dump(record);
 }
 
@@ -686,19 +682,11 @@ std::string QecServer::AbtestJsonLine(size_t max) const {
 }
 
 std::string QecServer::ControlResponse(const ServeRequest& request) const {
-  switch (request.verb) {
-    case ServeRequest::Verb::kPing:
-      return "{\"status\":\"ok\",\"pong\":true}";
-    case ServeRequest::Verb::kStats:
-      return StatsJsonLine();
-    case ServeRequest::Verb::kExplain:
-      // Synchronous and cache-bypassing by design: a diagnostic verb, and
-      // a pipelined EXPLAIN stalls only its own connection.
-      return ExplainJsonLine(request);
-    case ServeRequest::Verb::kExpand:
-      break;  // served through the worker pool, never here
+  if (request.verb == ServeRequest::Verb::kPing) {
+    return "{\"status\":\"ok\",\"pong\":true}";
   }
-  ServeResponse bad;
+  if (request.verb == ServeRequest::Verb::kStats) return StatsJsonLine();
+  ServeResponse bad;  // EXPAND and EXPLAIN run on the worker pool
   bad.status = Status::Internal("unhandled verb");
   return ResponseToJsonLine(bad);
 }
@@ -711,14 +699,8 @@ std::string QecServer::ExplainJsonLine(const ServeRequest& request) const {
   core::QueryExpanderOptions primary = EffectiveOptions(request);
   primary.explain_terms = true;
   core::QueryExpanderOptions secondary = primary;
-  secondary.algorithm = options_.shadow_algorithm;
-  if (secondary.algorithm == primary.algorithm) {
-    // EXPLAIN always shows two arms; when the configured shadow arm
-    // coincides with the primary, fall back to its natural counterpart.
-    secondary.algorithm = primary.algorithm == core::ExpansionAlgorithm::kPebc
-                              ? core::ExpansionAlgorithm::kIskr
-                              : core::ExpansionAlgorithm::kPebc;
-  }
+  secondary.algorithm =
+      SecondArm(primary.algorithm, options_.shadow_algorithm);
 
   // Both arms run the expander directly: EXPLAIN measures the algorithms,
   // never the cache, and cached outcomes carry no per-term rows anyway.
@@ -775,10 +757,7 @@ std::string QecServer::ExplainJsonLine(const ServeRequest& request) const {
 
   std::string winner;
   if (primary_outcome.ok() && shadow_outcome.ok()) {
-    const double d = primary_outcome->set_score - shadow_outcome->set_score;
-    const double epsilon =
-        shadow_ != nullptr ? shadow_->options().tie_epsilon : 1e-9;
-    winner = d > epsilon ? "primary" : (d < -epsilon ? "shadow" : "tie");
+    winner = ArmWinner(primary_outcome->set_score, shadow_outcome->set_score);
   } else if (primary_outcome.ok()) {
     winner = "primary";
   } else if (shadow_outcome.ok()) {

@@ -41,7 +41,6 @@ struct ServerOptions {
   /// algorithm, options fingerprint) — see docs/SERVING.md.
   bool enable_expansion_cache = true;
   size_t expansion_cache_capacity = 1024;
-  size_t expansion_cache_shards = 8;
   /// Enable the per-request ResultUniverse set-algebra memo
   /// (QueryExpanderOptions::memoize_set_algebra) on cache misses.
   bool enable_set_algebra_cache = true;
@@ -54,7 +53,8 @@ struct ServerOptions {
   /// ones.
   size_t flight_recorder_capacity = 256;
   /// Requests whose total latency reaches this many milliseconds are
-  /// auto-dumped to `slowlog_dump_path` (0 = only failed requests dump).
+  /// auto-dumped to `slowlog_dump_path` (0, or a threshold past the range
+  /// of uint64 nanoseconds = no request is slow; only failed ones dump).
   uint64_t slow_request_threshold_ms = 0;
   /// JSONL append file for flight-recorder dumps: requests that end in
   /// DeadlineExceeded/Unavailable/Corruption or exceed
@@ -64,12 +64,11 @@ struct ServerOptions {
   /// Shadow A/B execution (docs/OBSERVABILITY.md): fraction of successful
   /// foreground EXPANDs re-run through `shadow_algorithm` off the critical
   /// path and scored against the foreground arm. 0 disables the shadow
-  /// layer entirely.
+  /// layer entirely. The sampling RNG has a fixed seed, so a replayed
+  /// workload samples the same requests.
   double shadow_sample_rate = 0.0;
   core::ExpansionAlgorithm shadow_algorithm =
       core::ExpansionAlgorithm::kPebc;
-  /// Seed of the (deterministic) shadow sampling RNG.
-  uint64_t shadow_seed = 42;
   /// Bounded low-priority queue of pending shadow runs: workers drain it
   /// only when the foreground queue is empty, and sampled shadows are shed
   /// (never queued foreground work) when either queue is full.
@@ -100,7 +99,9 @@ struct ServerStats {
 
 /// Concurrent serving layer over one immutable InvertedIndex: a worker
 /// pool fed by a bounded admission queue, with graceful shedding, per-
-/// request deadlines/cancellation, and an expansion-result LRU cache. The
+/// request deadlines/cancellation, and an expansion-result LRU cache.
+/// Every request that runs the engine (EXPAND and EXPLAIN) runs on the
+/// pool; only PING and STATS are answered on the caller's thread. The
 /// index (and its corpus) must outlive the server; because they are
 /// immutable for the server's lifetime, cached responses never need
 /// invalidation — rebuild the index and restart the server to pick up new
@@ -139,19 +140,14 @@ class QecServer {
   /// Admits a pipelined burst under a single queue-lock acquisition and one
   /// worker wakeup, so co-arriving requests for one hot cluster run back to
   /// back on cache-warm state instead of interleaving with unrelated work.
-  /// The only admission path: a non-EXPAND is rejected with
-  /// InvalidArgument and an EXPAND past a full queue or at shutdown with
-  /// Unavailable, each callback invoked before SubmitBatch returns.
+  /// The only admission path, for EXPAND and EXPLAIN alike: a PING or
+  /// STATS is rejected with InvalidArgument, and a request past a full
+  /// queue or at shutdown with Unavailable, each callback invoked before
+  /// SubmitBatch returns.
   void SubmitBatch(std::vector<AsyncRequest> batch);
 
   /// A batch of one whose future resolves with the response.
   std::future<ServeResponse> Submit(ServeRequest request);
-
-  /// Runs a request synchronously on the calling thread, bypassing the
-  /// queue (still uses — and fills — the expansion cache). Stage timings
-  /// and the trace id land in the returned response; the queue_wait stage
-  /// is 0 by definition on this path.
-  ServeResponse Execute(const ServeRequest& request);
 
   /// Spawns the worker pool if it is not already running.
   void Start();
@@ -178,9 +174,11 @@ class QecServer {
   std::string SlowlogJsonLine(size_t max) const;
 
   /// One-line JSON for the EXPLAIN verb: runs `request` through both the
-  /// primary arm (its effective options) and the shadow arm with per-term
-  /// diagnostics, synchronously on the calling thread and bypassing the
-  /// expansion cache (cached outcomes carry no per-term rows).
+  /// primary arm (its effective options) and the second arm (SecondArm of
+  /// the shadow algorithm) with per-term diagnostics, on the calling
+  /// thread and bypassing the expansion cache (cached outcomes carry no
+  /// per-term rows). A queued EXPLAIN's `json_line` is this line, rendered
+  /// by a worker in the expansion stage.
   std::string ExplainJsonLine(const ServeRequest& request) const;
 
   /// JSON body of the admin /abtest route: shadow tallies + up to `max`
@@ -188,11 +186,10 @@ class QecServer {
   /// tallies zero).
   std::string AbtestJsonLine(size_t max) const;
 
-  /// The one-line response to a control verb — PING, STATS or EXPLAIN —
-  /// computed synchronously on the calling thread, without the final
-  /// newline (the transport's line writer adds it). Both transports
-  /// (NetServer and qec_cli's stdin loop) answer through it, so they agree
-  /// byte for byte.
+  /// The one-line response to an immediate verb — PING or STATS, both
+  /// O(1) — computed on the calling thread, without the final newline (the
+  /// transport's line writer adds it). Both transports (NetServer and
+  /// qec_cli's stdin loop) answer through it, so they agree byte for byte.
   std::string ControlResponse(const ServeRequest& request) const;
 
   /// Pending shadow runs (the low-priority queue).
@@ -241,10 +238,9 @@ class QecServer {
   void WorkerLoop();
   /// Processes one dequeued request end to end and invokes its callback.
   void Process(Pending pending);
-  /// Core of Execute: runs the request against `context`, accumulating the
-  /// cache_lookup and expansion stages into it. The worker pool calls this
-  /// with the request's queued context.
-  ServeResponse Execute(const ServeRequest& request, RequestContext* context);
+  /// Runs an EXPAND against `context`, accumulating the cache_lookup and
+  /// expansion stages into it.
+  ServeResponse Expand(const ServeRequest& request, RequestContext* context);
   /// Samples a completed foreground EXPAND; enqueues a ShadowJob (low
   /// priority, sheddable) when selected and sets context->shadow_sampled.
   void MaybeScheduleShadow(const ServeRequest& request,
@@ -264,6 +260,9 @@ class QecServer {
 
   const index::InvertedIndex* index_;
   ServerOptions options_;
+  /// options_.slow_request_threshold_ms in nanoseconds; UINT64_MAX when no
+  /// request counts as slow.
+  const uint64_t slow_threshold_ns_;
   size_t pool_size_;
   Clock::time_point start_time_;
 

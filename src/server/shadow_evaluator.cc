@@ -1,7 +1,6 @@
 #include "server/shadow_evaluator.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "obs/json.h"
@@ -9,6 +8,19 @@
 #include "server/request_context.h"
 
 namespace qec::server {
+
+core::ExpansionAlgorithm SecondArm(core::ExpansionAlgorithm primary,
+                                   core::ExpansionAlgorithm shadow) {
+  if (shadow != primary) return shadow;
+  return primary == core::ExpansionAlgorithm::kPebc
+             ? core::ExpansionAlgorithm::kIskr
+             : core::ExpansionAlgorithm::kPebc;
+}
+
+std::string_view ArmWinner(double primary_score, double shadow_score) {
+  const double d = primary_score - shadow_score;
+  return d > 1e-9 ? "primary" : (d < -1e-9 ? "shadow" : "tie");
+}
 
 // The sampling stream must not run in lockstep with other components
 // seeded from the same popular constant (a workload generator seeded 42
@@ -19,9 +31,9 @@ namespace qec::server {
 ShadowEvaluator::ShadowEvaluator(ShadowEvaluatorOptions options)
     : options_(std::move(options)),
       rng_(options_.seed ^ 0x73686164'6f772e71ULL) {
-  if (options_.dedupe && options_.dedupe_capacity > 0) {
+  if (options_.dedupe) {
     dedupe_ = std::make_unique<ShardedLruCache<std::string, bool>>(
-        options_.dedupe_capacity, /*num_shards=*/4);
+        /*capacity=*/512, /*num_shards=*/4);
   }
 }
 
@@ -53,13 +65,7 @@ ShadowComparison ShadowEvaluator::Compare(
   c.shadow_score = shadow_score;
   c.primary_expansion_ns = primary_expansion_ns;
   c.shadow_expansion_ns = shadow_expansion_ns;
-  if (std::abs(primary_score - shadow_score) <= options_.tie_epsilon) {
-    c.winner = "tie";
-  } else if (primary_score > shadow_score) {
-    c.winner = "primary";
-  } else {
-    c.winner = "shadow";
-  }
+  c.winner = std::string(ArmWinner(primary_score, shadow_score));
 
   QEC_COUNTER_INC("shadow/sampled");
   QEC_COUNTER_INC("shadow/executed");

@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/random.h"
@@ -28,13 +29,10 @@ struct ShadowEvaluatorOptions {
   /// (seed, sample_rate), so replays reproduce exactly which requests were
   /// shadowed.
   uint64_t seed = 42;
-  /// Scores within this of each other count as a tie rather than a win.
-  double tie_epsilon = 1e-9;
-  /// Skip shadowing a (query, options) pair seen recently: under Zipfian
-  /// traffic the head queries would otherwise soak up the entire shadow
-  /// budget re-measuring the same comparison.
+  /// Skip shadowing a (query, options) pair among the last 512 seen: under
+  /// Zipfian traffic the head queries would otherwise soak up the entire
+  /// shadow budget re-measuring the same comparison.
   bool dedupe = true;
-  size_t dedupe_capacity = 512;
   /// Most recent comparisons kept for the admin /abtest route.
   size_t history_capacity = 64;
 };
@@ -53,9 +51,17 @@ struct ShadowComparison {
   /// search, clustering or candidate selection), on a cache hit too.
   uint64_t primary_expansion_ns = 0;
   uint64_t shadow_expansion_ns = 0;
-  /// "primary", "shadow", or "tie".
+  /// "primary", "shadow", or "tie" (ArmWinner).
   std::string winner;
 };
+
+/// The second arm of a two-arm comparison: `shadow`, or the primary's
+/// counterpart (ISKR for PEBC, else PEBC) when `shadow` equals `primary`.
+core::ExpansionAlgorithm SecondArm(core::ExpansionAlgorithm primary,
+                                   core::ExpansionAlgorithm shadow);
+
+/// The arm with the higher set score, or "tie" within 1e-9.
+std::string_view ArmWinner(double primary_score, double shadow_score);
 
 /// Monotonic per-arm tallies since construction.
 struct ShadowTallies {
@@ -128,8 +134,6 @@ class ShadowEvaluator {
   /// JSON body of the admin /abtest route: options, tallies, win rates, mean
   /// per-arm scores, and up to `max` recent comparisons.
   std::string AbtestJsonLine(size_t max) const;
-
-  const ShadowEvaluatorOptions& options() const { return options_; }
 
  private:
   ShadowEvaluatorOptions options_;

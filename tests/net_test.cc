@@ -146,6 +146,18 @@ double CpuShareWhileSleeping(int window_ms) {
   return (cpu_ms() - cpu_start) / wall_ms;
 }
 
+/// `line` without the values of its "expansion_ms" fields: EXPLAIN times
+/// each arm, so two renderings of one request differ only there.
+std::string MaskExpansionMs(std::string line) {
+  const std::string key = "\"expansion_ms\":";
+  for (size_t pos = line.find(key); pos != std::string::npos;
+       pos = line.find(key, pos + key.size())) {
+    const size_t begin = pos + key.size();
+    line.erase(begin, line.find_first_of(",}", begin) - begin);
+  }
+  return line;
+}
+
 // -------------------------------------------------------------- fixture --
 
 class NetServerFixture : public ::testing::Test {
@@ -236,7 +248,7 @@ TEST_F(NetServerFixture, PipelinedBurstAnswersInOrder) {
   for (size_t i = 0; i < kBurst; ++i) {
     auto parsed = ParseRequestLine("EXPAND " + query(i));
     ASSERT_TRUE(parsed.ok());
-    const ServeResponse direct = server.Execute(*parsed);
+    const ServeResponse direct = server.Submit(*parsed).get();
     ASSERT_TRUE(direct.status.ok());
     expected_tails.push_back(RenderOutcomeTail(direct.outcome));
   }
@@ -259,6 +271,41 @@ TEST_F(NetServerFixture, PipelinedBurstAnswersInOrder) {
   const NetServerStats stats = net->stats();
   EXPECT_EQ(stats.expand_requests, kBurst);
   EXPECT_GE(stats.batches, 1u);
+}
+
+// EXPLAIN runs on the worker pool, never on the loop thread: with no
+// workers it stays owed while another connection's PING is answered.
+TEST_F(NetServerFixture, ExplainWaitsForWorkersWhilePingIsAnswered) {
+  ServerOptions server_options;
+  server_options.start_workers = false;
+  QecServer server(index_, server_options);
+  auto net = StartNet(&server);
+  TestClient a(net->port());
+  TestClient b(net->port());
+  ASSERT_TRUE(a.connected());
+  ASSERT_TRUE(b.connected());
+
+  const std::string line = "EXPLAIN " + query(0);
+  ASSERT_TRUE(a.Send(line + "\n"));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (net->stats().expand_requests < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(net->stats().expand_requests, 1u);
+  ASSERT_TRUE(b.Send("PING\n"));
+  EXPECT_EQ(b.ReadLine(), "{\"status\":\"ok\",\"pong\":true}");
+  EXPECT_EQ(server.queue_depth(), 1u);
+  char byte;
+  EXPECT_EQ(::recv(a.fd(), &byte, 1, MSG_DONTWAIT), -1);
+
+  server.Start();
+  auto parsed = ParseRequestLine(line);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(MaskExpansionMs(a.ReadLine()),
+            MaskExpansionMs(server.ExplainJsonLine(*parsed)));
+  EXPECT_EQ(net->stats().immediate_requests, 1u);
 }
 
 TEST_F(NetServerFixture, MalformedLineGetsErrorAndStreamContinues) {

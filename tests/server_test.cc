@@ -320,9 +320,27 @@ class ServerFixture : public ::testing::Test {
     return r;
   }
 
+  static ServeRequest Explain(const std::string& query) {
+    ServeRequest r = Expand(query);
+    r.verb = ServeRequest::Verb::kExplain;
+    return r;
+  }
+
   doc::Corpus corpus_;
   index::InvertedIndex index_;
 };
+
+/// `line` without the values of its "expansion_ms" fields: EXPLAIN times
+/// each arm, so two renderings of one request differ only there.
+std::string MaskExpansionMs(std::string line) {
+  const std::string key = "\"expansion_ms\":";
+  for (size_t pos = line.find(key); pos != std::string::npos;
+       pos = line.find(key, pos + key.size())) {
+    const size_t begin = pos + key.size();
+    line.erase(begin, line.find_first_of(",}", begin) - begin);
+  }
+  return line;
+}
 
 void ExpectSameOutcome(const core::ExpansionOutcome& a,
                        const core::ExpansionOutcome& b) {
@@ -459,13 +477,13 @@ TEST_F(ServerFixture, SubmitBatchCompletesEveryCallback) {
     ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
                             [&] { return done == queries.size(); }));
   }
+  EXPECT_EQ(server.stats().submitted, queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     ASSERT_TRUE(responses[i].status.ok())
         << i << ": " << responses[i].status.ToString();
     ExpectSameOutcome(responses[i].outcome,
-                      server.Execute(Expand(queries[i])).outcome);
+                      server.Submit(Expand(queries[i])).get().outcome);
   }
-  EXPECT_EQ(server.stats().submitted, queries.size());
 }
 
 TEST_F(ServerFixture, SubmitBatchShedsOverflowBeforeReturning) {
@@ -795,6 +813,16 @@ TEST_F(ServerFixture, SlowRequestThresholdCountsAndDumps) {
   std::remove(dump_path.c_str());
 }
 
+// A threshold past the range of uint64 nanoseconds means no request is
+// slow: 2^58 ms in nanoseconds wraps to 0, which would count every one.
+TEST_F(ServerFixture, SlowThresholdPastRangeMeansNoRequestIsSlow) {
+  ServerOptions options;
+  options.slow_request_threshold_ms = uint64_t{1} << 58;
+  QecServer server(index_, options);
+  ASSERT_TRUE(server.Submit(Expand("canon products")).get().status.ok());
+  EXPECT_EQ(server.stats().slow_requests, 0u);
+}
+
 TEST_F(ServerFixture, StatsJsonCarriesUptimeHitRatioAndSlowlogCounts) {
   QecServer server(index_);
   server.Submit(Expand("canon products")).get();
@@ -948,21 +976,23 @@ TEST_F(ServerFixture, ShadowNeverMutatesForegroundResponsesOrCache) {
 
 TEST_F(ServerFixture, ShadowJobsShedWhenLowPriorityQueueIsFull) {
   ServerOptions options;
+  options.num_threads = 1;
   options.start_workers = false;
   options.shadow_sample_rate = 1.0;
   options.shadow_queue_capacity = 2;
   QecServer server(index_, options);
   const std::vector<std::string> queries = {"canon products", "tv", "printer",
                                             "memory", "hp products"};
+  std::vector<std::future<ServeResponse>> futures;
   for (const std::string& query : queries) {
-    // The synchronous path executes foreground work on this thread and
-    // schedules the shadow; with no workers the low-priority queue fills.
-    ASSERT_TRUE(server.Execute(Expand(query)).status.ok());
+    futures.push_back(server.Submit(Expand(query)));
   }
-  ShadowTallies t = server.shadow_tallies();
-  EXPECT_EQ(server.shadow_queue_depth(), 2u);
-  EXPECT_EQ(t.shed, 3u);
+  // The one worker drains the whole foreground queue before it may run a
+  // shadow, so the low-priority queue fills after two and sheds the rest.
   server.Start();
+  for (auto& future : futures) ASSERT_TRUE(future.get().status.ok());
+  ShadowTallies t = server.shadow_tallies();
+  EXPECT_EQ(t.shed, 3u);
   for (int i = 0; i < 200 && server.shadow_tallies().executed < 2; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
@@ -1057,6 +1087,59 @@ TEST_F(ServerFixture, ExplainJsonLineCarriesBothArmsAndTermDetails) {
   // The two arms differ (primary default vs its natural counterpart).
   EXPECT_NE(parsed->Find("primary")->Find("algo")->string,
             parsed->Find("shadow")->Find("algo")->string);
+}
+
+// EXPLAIN is admitted like EXPAND: a worker renders ExplainJsonLine in the
+// expansion stage, outside the expansion cache and the shadow sampler, and
+// the flight recorder keeps it under its trace id.
+TEST_F(ServerFixture, ExplainRunsOnThePoolAndLeavesOneFlightRecord) {
+  ServerOptions options;
+  options.shadow_sample_rate = 1.0;
+  QecServer server(index_, options);
+  ServeRequest request = Explain("canon products");
+  request.trace_id = 0xe7ULL;
+  const ServeResponse response = server.Submit(request).get();
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  EXPECT_EQ(response.trace_id, 0xe7ULL);
+  EXPECT_GT(response.stages[Stage::kExpansion], 0u);
+  EXPECT_EQ(MaskExpansionMs(response.json_line),
+            MaskExpansionMs(server.ExplainJsonLine(request)));
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.expansion_cache.hits + stats.expansion_cache.misses, 0u);
+  EXPECT_EQ(server.shadow_tallies().sampled, 0u);
+  const auto records = server.flight_recorder().Recent(4);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].trace_id, 0xe7ULL);
+  EXPECT_EQ(records[0].status, "OK");
+  EXPECT_EQ(records[0].query, "canon products");
+  EXPECT_GT(records[0].expansion_ns, 0u);
+}
+
+TEST_F(ServerFixture, ExplainPastAFullQueueIsShed) {
+  ServerOptions options;
+  options.start_workers = false;  // nothing drains until Start()
+  options.queue_capacity = 1;
+  QecServer server(index_, options);
+  auto queued = server.Submit(Explain("canon products"));
+  const ServeResponse shed = server.Submit(Explain("tv plasma")).get();
+  EXPECT_EQ(shed.status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(server.stats().shed_queue_full, 1u);
+  server.Start();
+  EXPECT_TRUE(queued.get().status.ok());
+}
+
+TEST_F(ServerFixture, ExplainWithExpiredDeadlineIsShed) {
+  ServerOptions options;
+  options.start_workers = false;
+  QecServer server(index_, options);
+  ServeRequest request = Explain("canon products");
+  request.deadline_ms = 1;
+  auto future = server.Submit(std::move(request));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  server.Start();
+  EXPECT_EQ(future.get().status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(server.stats().shed_deadline, 1u);
 }
 
 TEST_F(ServerFixture, AbtestJsonLineAnswersEnabledAndDisabled) {
