@@ -1,5 +1,6 @@
 // Microbenchmarks (google-benchmark) for the individual components: index
-// build and search, k-means clustering (fixed and auto-k), the silhouette,
+// build and ranked search (a Wikipedia term and a serving-corpus topic
+// term), k-means clustering (fixed and auto-k), the silhouette,
 // result-universe construction, the three expansion algorithms, bitset
 // algebra, and XML parsing.
 //
@@ -76,6 +77,23 @@ void BM_SearchTopK(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SearchTopK);
+
+// A topic term of the 100k-doc serving corpus (`clustered:100000:64`, the
+// pipebench serve_open_zipf snapshot): ~950 matches ranked to the server's
+// default top 30.
+void BM_SearchTopKTopicTerm(benchmark::State& state) {
+  static const auto* corpus =
+      new qec::doc::Corpus(qec::datagen::ClusteredGenerator().Generate());
+  static const auto* index = new qec::index::InvertedIndex(*corpus);
+  const auto terms = corpus->analyzer().AnalyzeReadOnly("c48t8");
+  for (auto _ : state) {
+    auto results = index->Search(terms, 30);
+    benchmark::DoNotOptimize(results);
+  }
+  state.counters["matches"] =
+      static_cast<double>(index->DocumentFrequency(terms.at(0)));
+}
+BENCHMARK(BM_SearchTopKTopicTerm);
 
 void BM_KMeansCluster(benchmark::State& state) {
   const auto& bundle = WikiBundle();

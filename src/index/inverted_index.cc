@@ -17,7 +17,7 @@ InvertedIndex::InvertedIndex(const doc::Corpus& corpus,
                              std::vector<std::vector<Posting>> postings,
                              AdoptPostingsTag)
     : corpus_(&corpus), postings_(std::move(postings)) {
-  ComputeDocNorms();
+  ComputeWeights();
 }
 
 InvertedIndex InvertedIndex::FromPostings(
@@ -35,10 +35,17 @@ void InvertedIndex::Rebuild() {
       postings_[terms[i]].push_back(Posting{d, counts[i]});
     }
   }
-  ComputeDocNorms();
+  ComputeWeights();
 }
 
-void InvertedIndex::ComputeDocNorms() {
+void InvertedIndex::ComputeWeights() {
+  const double n = static_cast<double>(corpus_->NumDocs());
+  idf_.resize(postings_.size());
+  for (TermId t = 0; t < postings_.size(); ++t) {
+    const size_t df = postings_[t].size();
+    idf_[t] = df == 0 ? std::log(1.0 + n)
+                      : std::log(1.0 + n / static_cast<double>(df));
+  }
   // TF-IDF document norms for VSM scoring (needs df, so a second pass).
   doc_norms_.assign(corpus_->NumDocs(), 0.0);
   for (DocId d = 0; d < corpus_->NumDocs(); ++d) {
@@ -69,10 +76,83 @@ const std::vector<Posting>& InvertedIndex::Postings(TermId term) const {
 }
 
 double InvertedIndex::Idf(TermId term) const {
-  const double n = static_cast<double>(corpus_->NumDocs());
-  const size_t df = DocumentFrequency(term);
-  if (df == 0) return std::log(1.0 + n);
-  return std::log(1.0 + n / static_cast<double>(df));
+  if (term < idf_.size()) return idf_[term];
+  return std::log(1.0 + static_cast<double>(corpus_->NumDocs()));
+}
+
+std::vector<TermId> InvertedIndex::RarestFirst(
+    const std::vector<TermId>& terms) const {
+  std::vector<TermId> sorted = terms;
+  std::sort(sorted.begin(), sorted.end(), [this](TermId a, TermId b) {
+    const size_t df_a = DocumentFrequency(a);
+    const size_t df_b = DocumentFrequency(b);
+    return df_a != df_b ? df_a < df_b : a < b;
+  });
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  return sorted;
+}
+
+std::vector<DocId> InvertedIndex::Intersect(const std::vector<TermId>& unique,
+                                            std::vector<int>* tf_rows) const {
+  // Each candidate carries a row of unique.size() term frequencies; column
+  // j is filled when unique[j]'s list is merged in, and survivors are
+  // compacted in place (row kept <= row a, so the copy never overlaps).
+  const size_t width = unique.size();
+  const std::vector<Posting>& first = Postings(unique[0]);
+  std::vector<DocId> docs(first.size());
+  std::vector<int>& tfs = *tf_rows;
+  tfs.assign(first.size() * width, 0);
+  for (size_t r = 0; r < first.size(); ++r) {
+    docs[r] = first[r].doc;
+    tfs[r * width] = first[r].tf;
+  }
+  size_t scanned = docs.size();
+  for (size_t j = 1; j < width && !docs.empty(); ++j) {
+    const std::vector<Posting>& plist = Postings(unique[j]);
+    size_t kept = 0, a = 0, b = 0;
+    while (a < docs.size() && b < plist.size()) {
+      ++scanned;
+      if (docs[a] < plist[b].doc) {
+        ++a;
+      } else if (plist[b].doc < docs[a]) {
+        ++b;
+      } else {
+        if (kept != a) {
+          docs[kept] = docs[a];
+          std::copy_n(&tfs[a * width], j, &tfs[kept * width]);
+        }
+        tfs[kept * width + j] = plist[b].tf;
+        ++kept;
+        ++a;
+        ++b;
+      }
+    }
+    docs.resize(kept);
+  }
+  tfs.resize(docs.size() * width);
+  QEC_COUNTER_INC("index/and_queries");
+  QEC_COUNTER_ADD("index/postings_scanned", scanned);
+  return docs;
+}
+
+void InvertedIndex::SelectTopK(std::vector<RankedResult>* results,
+                               size_t top_k) const {
+  // Score ties break on external ids: on a cluster-reordered corpus the
+  // ranked order (hence the expansion universe) matches the unpermuted
+  // index exactly; with no mapping installed this is the plain id order.
+  // External ids are a permutation, so this order is total and the first
+  // top_k of a partial sort are exactly those of a full sort.
+  const auto before = [this](const RankedResult& a, const RankedResult& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return ExternalId(a.doc) < ExternalId(b.doc);
+  };
+  if (top_k > 0 && top_k < results->size()) {
+    std::partial_sort(results->begin(), results->begin() + top_k,
+                      results->end(), before);
+    results->resize(top_k);
+  } else {
+    std::sort(results->begin(), results->end(), before);
+  }
 }
 
 std::vector<DocId> InvertedIndex::EvaluateAnd(
@@ -82,39 +162,8 @@ std::vector<DocId> InvertedIndex::EvaluateAnd(
     for (DocId d = 0; d < all.size(); ++d) all[d] = d;
     return all;
   }
-  // Intersect starting from the rarest term for efficiency.
-  std::vector<TermId> sorted = terms;
-  std::sort(sorted.begin(), sorted.end(), [this](TermId a, TermId b) {
-    return DocumentFrequency(a) < DocumentFrequency(b);
-  });
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-
-  size_t scanned = 0;
-  std::vector<DocId> current;
-  for (const Posting& p : Postings(sorted[0])) current.push_back(p.doc);
-  scanned += current.size();
-  for (size_t i = 1; i < sorted.size() && !current.empty(); ++i) {
-    const auto& plist = Postings(sorted[i]);
-    std::vector<DocId> next;
-    next.reserve(std::min(current.size(), plist.size()));
-    size_t a = 0, b = 0;
-    while (a < current.size() && b < plist.size()) {
-      ++scanned;
-      if (current[a] < plist[b].doc) {
-        ++a;
-      } else if (plist[b].doc < current[a]) {
-        ++b;
-      } else {
-        next.push_back(current[a]);
-        ++a;
-        ++b;
-      }
-    }
-    current = std::move(next);
-  }
-  QEC_COUNTER_INC("index/and_queries");
-  QEC_COUNTER_ADD("index/postings_scanned", scanned);
-  return current;
+  std::vector<int> tf_rows;
+  return Intersect(RarestFirst(terms), &tf_rows);
 }
 
 std::vector<DocId> InvertedIndex::EvaluateOr(
@@ -144,19 +193,38 @@ double InvertedIndex::TfIdfScore(const std::vector<TermId>& terms,
 std::vector<RankedResult> InvertedIndex::Search(
     const std::vector<TermId>& terms, size_t top_k) const {
   QEC_COUNTER_INC("index/searches");
-  std::vector<DocId> docs = EvaluateAnd(terms);
   std::vector<RankedResult> out;
-  out.reserve(docs.size());
-  for (DocId d : docs) out.push_back(RankedResult{d, TfIdfScore(terms, d)});
-  // Score ties break on external ids: on a cluster-reordered corpus the
-  // ranked order (hence the expansion universe) matches the unpermuted
-  // index exactly; with no mapping installed this is the plain id order.
-  std::sort(out.begin(), out.end(), [this](const RankedResult& a,
-                                           const RankedResult& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return ExternalId(a.doc) < ExternalId(b.doc);
-  });
-  if (top_k > 0 && out.size() > top_k) out.resize(top_k);
+  if (terms.empty()) {
+    out.reserve(corpus_->NumDocs());
+    for (DocId d = 0; d < corpus_->NumDocs(); ++d) {
+      out.push_back(RankedResult{d, 0.0});
+    }
+    SelectTopK(&out, top_k);
+    return out;
+  }
+  const std::vector<TermId> unique = RarestFirst(terms);
+  std::vector<int> tf_rows;
+  const std::vector<DocId> docs = Intersect(unique, &tf_rows);
+  // Each query term's tf column and idf, in query order with duplicates,
+  // so every score adds the same products in the same order as TfIdfScore.
+  std::vector<size_t> column(terms.size());
+  std::vector<double> idf(terms.size());
+  for (size_t i = 0; i < terms.size(); ++i) {
+    column[i] = static_cast<size_t>(
+        std::find(unique.begin(), unique.end(), terms[i]) - unique.begin());
+    idf[i] = Idf(terms[i]);
+  }
+  const size_t width = unique.size();
+  out.resize(docs.size());
+  for (size_t r = 0; r < docs.size(); ++r) {
+    const int* row = &tf_rows[r * width];
+    double score = 0.0;
+    for (size_t i = 0; i < terms.size(); ++i) {
+      score += static_cast<double>(row[column[i]]) * idf[i];
+    }
+    out[r] = RankedResult{docs[r], score};
+  }
+  SelectTopK(&out, top_k);
   return out;
 }
 
@@ -191,12 +259,7 @@ std::vector<RankedResult> InvertedIndex::SearchVsm(
     if (norm <= 0.0) continue;
     out.push_back(RankedResult{d, dot / (norm * query_norm)});
   }
-  std::sort(out.begin(), out.end(),
-            [this](const RankedResult& a, const RankedResult& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return ExternalId(a.doc) < ExternalId(b.doc);
-            });
-  if (top_k > 0 && out.size() > top_k) out.resize(top_k);
+  SelectTopK(&out, top_k);
   return out;
 }
 
@@ -238,12 +301,7 @@ std::vector<RankedResult> InvertedIndex::SearchBm25(
   std::vector<RankedResult> out;
   out.reserve(scores.size());
   for (const auto& [d, s] : scores) out.push_back(RankedResult{d, s});
-  std::sort(out.begin(), out.end(),
-            [this](const RankedResult& a, const RankedResult& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return ExternalId(a.doc) < ExternalId(b.doc);
-            });
-  if (top_k > 0 && out.size() > top_k) out.resize(top_k);
+  SelectTopK(&out, top_k);
   return out;
 }
 

@@ -71,7 +71,8 @@ class InvertedIndex {
   const std::vector<Posting>& Postings(TermId term) const;
 
   /// Smoothed inverse document frequency: log(1 + N / df). Terms absent
-  /// from the corpus get idf of log(1 + N).
+  /// from the corpus get idf of log(1 + N). Read from a table built with the
+  /// postings, so it costs no `log`.
   double Idf(TermId term) const;
 
   /// Documents containing ALL of `terms` (AND semantics, the paper's result
@@ -88,9 +89,15 @@ class InvertedIndex {
   /// tf(t, doc) * idf(t).
   double TfIdfScore(const std::vector<TermId>& terms, DocId doc) const;
 
-  /// Ranked retrieval under AND semantics: evaluates the conjunction, scores
-  /// by TF-IDF, sorts descending by score (DocId ascending tiebreak), and
-  /// truncates to `top_k` (0 = no limit).
+  /// Ranked retrieval under AND semantics, read from the posting lists
+  /// alone: intersects the distinct terms' postings rarest first, carrying
+  /// each match's term frequencies, scores every match by TF-IDF, and
+  /// returns the `top_k` best (0 = all) in descending score order with
+  /// ties on ascending ExternalId. Each score sums the query terms in their
+  /// given order, duplicates included, exactly as TfIdfScore does, so the
+  /// scores are bit-identical to it; and since the order is total, the
+  /// result equals a full sort truncated to `top_k`. An empty query
+  /// returns every document with score 0.
   std::vector<RankedResult> Search(const std::vector<TermId>& terms,
                                    size_t top_k = 0) const;
 
@@ -129,10 +136,27 @@ class InvertedIndex {
   InvertedIndex(const doc::Corpus& corpus,
                 std::vector<std::vector<Posting>> postings, AdoptPostingsTag);
 
-  void ComputeDocNorms();
+  /// Fills the idf table and the document norms from the postings.
+  void ComputeWeights();
+
+  /// The distinct `terms`, rarest first (ties on TermId, so equal terms
+  /// sit next to each other and dedupe).
+  std::vector<TermId> RarestFirst(const std::vector<TermId>& terms) const;
+
+  /// Documents holding every one of `unique` (non-empty, distinct), sorted
+  /// by DocId, merged rarest first. `tf_rows` gets one row of
+  /// unique.size() term frequencies per returned document, column j for
+  /// unique[j].
+  std::vector<DocId> Intersect(const std::vector<TermId>& unique,
+                               std::vector<int>* tf_rows) const;
+
+  /// Sorts `results` by descending score, ties on ascending ExternalId,
+  /// keeping only the first `top_k` (0 = all).
+  void SelectTopK(std::vector<RankedResult>* results, size_t top_k) const;
 
   const doc::Corpus* corpus_;
   std::vector<std::vector<Posting>> postings_;  // indexed by TermId
+  std::vector<double> idf_;        // Idf() per TermId < postings_.size()
   std::vector<double> doc_norms_;  // ||tf-idf vector|| per document
   std::vector<DocId> external_ids_;  // empty = identity
   std::vector<Posting> empty_;

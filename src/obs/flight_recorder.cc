@@ -41,6 +41,7 @@ std::string RequestRecord::ToJsonLine() const {
   std::string out = "{\"trace_id\":";
   out += json::Quote(TraceIdHex(trace_id));
   out += ",\"unix_ms\":" + std::to_string(unix_ms);
+  if (verb != "EXPAND") out += ",\"verb\":" + json::Quote(verb);
   out += ",\"query\":" + json::Quote(query);
   out += ",\"algo\":" + json::Quote(algo);
   out += ",\"status\":" + json::Quote(status);
@@ -83,6 +84,10 @@ Result<RequestRecord> RequestRecordFromJson(std::string_view line) {
     r.trace_id = std::strtoull(trace_hex.c_str(), nullptr, 16);
   }
   r.unix_ms = ReadU64(*doc, "unix_ms");
+  if (const json::Value* verb = doc->Find("verb");
+      verb != nullptr && verb->is_string()) {
+    r.verb = verb->string;
+  }
   r.query = ReadString(*doc, "query");
   r.algo = ReadString(*doc, "algo");
   r.status = ReadString(*doc, "status");

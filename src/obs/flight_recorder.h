@@ -20,6 +20,9 @@ struct RequestRecord {
   uint64_t trace_id = 0;
   /// Wall-clock completion time, milliseconds since the Unix epoch.
   uint64_t unix_ms = 0;
+  /// Protocol verb: "EXPAND" or "EXPLAIN". Serialized only when it is not
+  /// "EXPAND", so EXPAND lines keep their bytes.
+  std::string verb = "EXPAND";
   std::string query;
   std::string algo;    // "ISKR" / "PEBC" / "F-measure"
   std::string status;  // StatusCodeName: "Ok", "DeadlineExceeded", ...

@@ -508,6 +508,8 @@ void QecServer::RecordFlight(const ServeRequest& request,
   obs::RequestRecord record;
   record.trace_id = context.trace_id;
   record.unix_ms = UnixMillisNow();
+  const bool explain = request.verb == ServeRequest::Verb::kExplain;
+  if (explain) record.verb = "EXPLAIN";
   record.query = request.query;
   // Only the algorithm is needed; skip the full EffectiveOptions copy.
   record.algo = std::string(core::AlgorithmName(
@@ -525,7 +527,11 @@ void QecServer::RecordFlight(const ServeRequest& request,
   record.pebc_samples_drawn = response.outcome.pebc_stats.samples_drawn;
   record.pebc_candidates_evaluated =
       response.outcome.pebc_stats.candidates_evaluated;
-  if (response.status.ok()) record.set_score = response.outcome.set_score;
+  // EXPLAIN renders both arms into its line and keeps no outcome, so its
+  // set score stays unrecorded.
+  if (response.status.ok() && !explain) {
+    record.set_score = response.outcome.set_score;
+  }
   record.shadow_sampled = context.shadow_sampled;
   recorder_.Record(record);
 

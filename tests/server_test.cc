@@ -1114,6 +1114,21 @@ TEST_F(ServerFixture, ExplainRunsOnThePoolAndLeavesOneFlightRecord) {
   EXPECT_EQ(records[0].status, "OK");
   EXPECT_EQ(records[0].query, "canon products");
   EXPECT_GT(records[0].expansion_ns, 0u);
+  // The record says it is an EXPLAIN, and records no set score (the line
+  // carries both arms' scores instead).
+  EXPECT_EQ(records[0].verb, "EXPLAIN");
+  EXPECT_LT(records[0].set_score, 0.0);
+  const std::string line = records[0].ToJsonLine();
+  EXPECT_NE(line.find("\"verb\":\"EXPLAIN\""), std::string::npos) << line;
+  EXPECT_EQ(line.find("set_score"), std::string::npos) << line;
+
+  // An EXPAND record keeps its verb out of the line.
+  ASSERT_TRUE(server.Submit(Expand("canon products")).get().status.ok());
+  const auto after = server.flight_recorder().Recent(1);
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(after[0].verb, "EXPAND");
+  EXPECT_GE(after[0].set_score, 0.0);
+  EXPECT_EQ(after[0].ToJsonLine().find("verb"), std::string::npos);
 }
 
 TEST_F(ServerFixture, ExplainPastAFullQueueIsShed) {

@@ -226,11 +226,13 @@ RequestRecord MakeRecord(uint64_t trace_id) {
 }
 
 TEST(RequestRecordTest, JsonRoundTripsEveryField) {
-  const RequestRecord original = MakeRecord(0xdeadbeefULL);
+  RequestRecord original = MakeRecord(0xdeadbeefULL);
+  original.verb = "EXPLAIN";
   auto parsed = RequestRecordFromJson(original.ToJsonLine());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->trace_id, original.trace_id);
   EXPECT_EQ(parsed->unix_ms, original.unix_ms);
+  EXPECT_EQ(parsed->verb, original.verb);
   EXPECT_EQ(parsed->query, original.query);
   EXPECT_EQ(parsed->algo, original.algo);
   EXPECT_EQ(parsed->status, original.status);
@@ -263,8 +265,10 @@ TEST(RequestRecordTest, QualityFieldsAreOptionalInJson) {
   const std::string line = plain.ToJsonLine();
   EXPECT_EQ(line.find("shadow"), std::string::npos);
   EXPECT_EQ(line.find("set_score"), std::string::npos);
+  EXPECT_EQ(line.find("verb"), std::string::npos);
   auto parsed = RequestRecordFromJson(line);
   ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->verb, "EXPAND");
   EXPECT_FALSE(parsed->shadow_sampled);
   EXPECT_TRUE(parsed->shadow_algo.empty());
   EXPECT_DOUBLE_EQ(parsed->set_score, -1.0);
