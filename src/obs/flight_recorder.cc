@@ -84,9 +84,8 @@ Result<RequestRecord> RequestRecordFromJson(std::string_view line) {
     r.trace_id = std::strtoull(trace_hex.c_str(), nullptr, 16);
   }
   r.unix_ms = ReadU64(*doc, "unix_ms");
-  if (const json::Value* verb = doc->Find("verb");
-      verb != nullptr && verb->is_string()) {
-    r.verb = verb->string;
+  if (std::string verb = ReadString(*doc, "verb"); !verb.empty()) {
+    r.verb = std::move(verb);
   }
   r.query = ReadString(*doc, "query");
   r.algo = ReadString(*doc, "algo");

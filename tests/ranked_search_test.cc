@@ -29,18 +29,13 @@ namespace {
 using index::InvertedIndex;
 using index::RankedResult;
 
-bool RanksBefore(const InvertedIndex& index, const RankedResult& a,
-                 const RankedResult& b) {
-  if (a.score != b.score) return a.score > b.score;
-  return index.ExternalId(a.doc) < index.ExternalId(b.doc);
-}
-
 std::vector<RankedResult> SortAndTruncate(const InvertedIndex& index,
                                           std::vector<RankedResult> all,
                                           size_t top_k) {
   std::sort(all.begin(), all.end(),
             [&](const RankedResult& a, const RankedResult& b) {
-              return RanksBefore(index, a, b);
+              if (a.score != b.score) return a.score > b.score;
+              return index.ExternalId(a.doc) < index.ExternalId(b.doc);
             });
   if (top_k > 0 && all.size() > top_k) all.resize(top_k);
   return all;
