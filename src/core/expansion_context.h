@@ -53,7 +53,11 @@ struct PebcStats {
   size_t rounds = 0;
   /// Interval halvings (the zoom into the best adjacent sample pair).
   size_t intervals_zoomed = 0;
-  /// Keyword benefit/cost evaluations across all samples.
+  /// Keyword benefit/cost evaluations the sample builds consulted, across
+  /// all samples: one per candidate a sweep weighs, whether its value was
+  /// computed or read from the run's per-R(q) table (pebc.cc). It is the
+  /// algorithm's count, the same with or without the table, not the
+  /// number of kernel passes.
   size_t candidates_evaluated = 0;
   /// Elimination target (percent of U's weight) of the winning sample.
   double best_target_percent = 0.0;
@@ -96,7 +100,9 @@ struct ExpansionResult {
   /// Refinement iterations performed (algorithm-specific meaning).
   size_t iterations = 0;
   /// Number of keyword benefit/cost (or delta-F) recomputations — the
-  /// maintenance cost the paper's efficiency comparison hinges on.
+  /// maintenance cost the paper's efficiency comparison hinges on. Counts
+  /// every evaluation the algorithm consults; PEBC's reads of its per-run
+  /// table count too, so the figure is what Sec. 5.3 compares.
   size_t value_recomputations = 0;
   /// Filled by IskrExpander runs; zero otherwise.
   IskrStats iskr_stats;

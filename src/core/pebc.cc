@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <unordered_map>
 #include <vector>
 
 #include "common/logging.h"
@@ -16,9 +18,12 @@ namespace {
 
 /// Builds one sample query for a given elimination target. R(q) and the
 /// per-candidate benefit/cost evaluations live in the shared
-/// AdditionEvaluator (fused kernels, zero allocations); the strategy
-/// scratches are leased once from the universe scratch arena and reused
-/// across all Build() calls of the builder.
+/// AdditionEvaluator (fused kernels); the strategy scratches are leased
+/// once from the universe scratch arena and reused across all Build()
+/// calls of the builder. Every sample restarts at R(user query), so most
+/// sweeps of a run meet an R(q) an earlier sweep has seen: the builder
+/// keeps one table row per distinct R(q) and evaluates each (R(q), keyword)
+/// pair once per run (see Known).
 class SampleBuilder {
  public:
   SampleBuilder(const ExpansionContext& ctx, Rng& rng,
@@ -33,6 +38,10 @@ class SampleBuilder {
         blocked_(ctx.universe->AcquireScratch()) {
     total_u_weight_ = ctx_.universe->TotalWeight(ctx_.others);
     query_.reserve(16);
+    candidate_docs_.reserve(ctx_.candidates.size());
+    for (TermId k : ctx_.candidates) {
+      candidate_docs_.push_back(&ctx_.universe->DocsWithTerm(k));
+    }
   }
 
   /// Generates a query eliminating roughly `target_percent`% of U's weight
@@ -83,8 +92,52 @@ class SampleBuilder {
     return std::ranges::find(query_, k) != query_.end();
   }
 
-  size_t NumEliminatedBy(TermId k) const {
-    return eval_.retrieved().AndNotCount(ctx_.universe->DocsWithTerm(k));
+  // What adding one candidate does at one R(q): Evaluate(k) and the count
+  // of results k eliminates depend on nothing else, so a sweep at an R(q)
+  // already seen reads them instead of evaluating again. The strategies'
+  // filters (InQuery, "can k eliminate r", random-subset's subset weights)
+  // still run every sweep, and every read counts as an evaluation, exactly
+  // as if it had been recomputed.
+  struct Known {
+    BenefitCost bc;
+    size_t eliminated = 0;  // set unless bc.kills_cluster
+    bool filled = false;
+  };
+
+  // Hashes an R(q) by its words (the table key is the exact set).
+  struct RetrievedHash {
+    size_t operator()(const DynamicBitset& r) const {
+      size_t h = r.size();
+      DynamicBitset::ForEachWord(
+          [&](size_t, uint64_t w) {
+            h ^= std::hash<uint64_t>{}(w) + 0x9e3779b97f4a7c15ULL + (h << 6) +
+                 (h >> 2);
+          },
+          r);
+      return h;
+    }
+  };
+
+  // The table row of the current R(q), added unfilled on first sight.
+  // Runs on the sweeping thread before the workers start; each worker then
+  // writes only its own candidate's entry of the row.
+  Known* KnownRow() {
+    const auto [it, added] =
+        known_rows_.try_emplace(eval_.retrieved(), known_.size());
+    if (added) known_.resize(known_.size() + ctx_.candidates.size());
+    return known_.data() + it->second;
+  }
+
+  // Candidate i's entry, evaluated against the current R(q) on first use.
+  const Known& Fill(size_t i, Known& entry) const {
+    if (!entry.filled) {
+      entry.bc = eval_.Evaluate(ctx_.candidates[i]);
+      if (!entry.bc.kills_cluster) {
+        entry.eliminated = eval_.retrieved().AndNotCount(*candidate_docs_[i]);
+      }
+      entry.filled = true;
+    }
+    return entry;
   }
 
   // One candidate's sweep outcome. `eligible` is false for candidates a
@@ -100,17 +153,19 @@ class SampleBuilder {
   /// Scatter target of a sweep.
   using EntryBuffer = std::vector<CandidateEntry>;
 
-  // Evaluates `eval` (a pure function of one candidate) for every
-  // candidate via ParallelFor; the entries are merged in candidate-index
-  // order, so any SweepOptions::threads is byte-identical to serial.
+  // Evaluates `eval(i, known entry of i)` (a pure function of candidate
+  // i at the current R(q)) for every candidate via ParallelFor; the entries
+  // are merged in candidate-index order, so any SweepOptions::threads is
+  // byte-identical to serial.
   template <typename Eval>
   void SweepCandidates(const Eval& eval, EntryBuffer* out) {
     const size_t n = ctx_.candidates.size();
     out->clear();
     out->resize(n, CandidateEntry{});
     CandidateEntry* entries = out->data();
+    Known* known = KnownRow();
     common::ParallelFor(sweep_.threads, n, [&](size_t i) {
-      entries[i] = eval(ctx_.candidates[i]);
+      entries[i] = eval(i, known[i]);
     });
     for (const CandidateEntry& e : *out) *recomputations_ += e.evals;
   }
@@ -165,15 +220,15 @@ class SampleBuilder {
     if (EliminatedWeight() >= target) return;
     for (;;) {
       SweepCandidates(
-          [&](TermId k) {
+          [&](size_t i, Known& known) {
             CandidateEntry e;
-            if (InQuery(k)) return e;
-            const BenefitCost bc = eval_.Evaluate(k);
+            if (InQuery(ctx_.candidates[i])) return e;
+            const Known& kn = Fill(i, known);
             e.evals = 1;
             // Must eliminate something in U, and keep part of C.
-            if (bc.benefit <= 0.0 || bc.kills_cluster) return e;
-            e.value = ValueOf(bc.benefit, bc.cost);
-            e.eliminated = NumEliminatedBy(k);
+            if (kn.bc.benefit <= 0.0 || kn.bc.kills_cluster) return e;
+            e.value = ValueOf(kn.bc.benefit, kn.bc.cost);
+            e.eliminated = kn.eliminated;
             e.eligible = true;
             return e;
           },
@@ -212,11 +267,11 @@ class SampleBuilder {
     for (;;) {
       if (EliminatedWeight() >= target) return;
       SweepCandidates(
-          [&](TermId k) {
+          [&](size_t i, Known& known) {
             CandidateEntry e;
-            if (InQuery(k)) return e;
+            if (InQuery(ctx_.candidates[i])) return e;
             e.evals = 1;
-            const DynamicBitset& docs_k = ctx_.universe->DocsWithTerm(k);
+            const DynamicBitset& docs_k = *candidate_docs_[i];
             const DynamicBitset& retrieved = eval_.retrieved();
             // Eliminated results E = R ∩ ~docs_k, split three ways in
             // fused passes: selected (benefit), cluster and unselected-U
@@ -224,7 +279,7 @@ class SampleBuilder {
             double b = ctx_.universe->WeightOfAndNotAnd(retrieved, docs_k,
                                                         *selected_);
             if (b <= 0.0) return e;
-            const BenefitCost bc = eval_.Evaluate(k);
+            const BenefitCost& bc = Fill(i, known).bc;
             if (bc.kills_cluster) return e;
             double c = bc.cost +
                        ctx_.universe->WeightWhere(
@@ -274,20 +329,18 @@ class SampleBuilder {
           eval_.retrieved(), ctx_.others, *blocked_);
       if (indices_buf_.empty()) return;
       size_t r = indices_buf_[rng_.UniformInt(indices_buf_.size())];
-      const doc::Document& rdoc =
-          ctx_.universe->corpus().Get(ctx_.universe->doc_at(r));
       // Best benefit/cost keyword that eliminates r (i.e., r lacks k);
       // ties go to the keyword eliminating fewest results.
       SweepCandidates(
-          [&](TermId k) {
+          [&](size_t i, Known& known) {
             CandidateEntry e;
-            if (InQuery(k)) return e;
-            if (rdoc.Contains(k)) return e;  // cannot eliminate r
-            const BenefitCost bc = eval_.Evaluate(k);
-            if (bc.kills_cluster) return e;  // not counted as an evaluation
+            if (InQuery(ctx_.candidates[i])) return e;
+            if (candidate_docs_[i]->Test(r)) return e;  // cannot eliminate r
+            const Known& kn = Fill(i, known);
+            if (kn.bc.kills_cluster) return e;  // not counted as an evaluation
             e.evals = 1;
-            e.value = ValueOf(bc.benefit, bc.cost);
-            e.eliminated = NumEliminatedBy(k);
+            e.value = ValueOf(kn.bc.benefit, kn.bc.cost);
+            e.eliminated = kn.eliminated;
             e.eligible = true;
             return e;
           },
@@ -320,6 +373,13 @@ class SampleBuilder {
   ResultUniverse::ScratchBitset blocked_;
   /// S(R ∩ U) (see SyncLiveWeight).
   double live_u_weight_ = 0.0;
+  /// D(k) of each candidate, by candidate index.
+  std::vector<const DynamicBitset*> candidate_docs_;
+  /// The per-run table: a row of one Known per candidate for each distinct
+  /// R(q) swept, rows stored back to back in known_ and found by R(q)'s
+  /// exact bits in known_rows_ (the value is the row's first index).
+  std::unordered_map<DynamicBitset, size_t, RetrievedHash> known_rows_;
+  std::vector<Known> known_;
   /// Reused index buffer (random-subset shuffle, single-result pool) and
   /// swept-entry buffer (scatter-gather merge target).
   std::vector<size_t> indices_buf_;

@@ -152,6 +152,13 @@ class ResultUniverse {
   /// Total term frequency of `term` across the universe's results.
   int TotalTermFrequency(TermId term) const;
 
+  /// DocsWithTerm and TotalTermFrequency of the term with local id
+  /// `local` (DistinctTerms()[local]), without the rank lookup.
+  const DynamicBitset& DocsWithLocalTerm(size_t local) const {
+    return term_docs_[local];
+  }
+  int LocalTermFrequency(size_t local) const { return term_tf_[local]; }
+
   /// A bitset of the right size, all clear.
   DynamicBitset EmptySet() const { return DynamicBitset(size()); }
 
