@@ -648,7 +648,8 @@ void HandleStopSignal(int) {
 // Ordered stdout writer for the pipelined stdin serve loop: the TCP
 // connections' slot queue behind a mutex. The reader thread opens one slot
 // per request line and keeps reading ahead; responses complete out of order
-// on worker threads but print strictly in request order. Open() applies
+// (on worker threads, or on the reader thread for cache hits) but print
+// strictly in request order. Open() applies
 // backpressure once `window` responses are outstanding, so a piped-in
 // workload cannot trip the server's admission shedding.
 class OrderedStdout final : public qec::server::LineHandler::Responder {

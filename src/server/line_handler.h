@@ -33,7 +33,8 @@ class LineHandler {
     /// Fills `slot` with a response line (no '\n') on the feeding thread.
     virtual void Complete(uint64_t slot, std::string line) = 0;
     /// The callback that fills `slot` with a queued request's `json_line`,
-    /// from a worker thread or, for a rejection, from the flushing thread.
+    /// from a worker thread or, for a cache hit or a rejection, from the
+    /// flushing thread inside Flush().
     virtual QecServer::ResponseCallback CompleteLater(uint64_t slot) = 0;
   };
 

@@ -55,18 +55,11 @@ class ShardedLruCache {
 
   /// Returns a copy of the cached value and marks it most-recently-used,
   /// or nullopt on miss.
-  std::optional<Value> Get(const Key& key) {
-    Shard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it == shard.map.end()) {
-      ++shard.misses;
-      return std::nullopt;
-    }
-    ++shard.hits;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return it->second->second;
-  }
+  std::optional<Value> Get(const Key& key) { return Lookup(key, true); }
+
+  /// Get that leaves a miss uncounted, for a first probe whose miss is
+  /// settled by a later Get of the same key; a hit counts as usual.
+  std::optional<Value> Probe(const Key& key) { return Lookup(key, false); }
 
   /// Inserts or refreshes `key`, evicting the shard's least-recently-used
   /// entry when the shard is at capacity.
@@ -149,6 +142,19 @@ class ShardedLruCache {
     x *= 0x94d049bb133111ebULL;
     x ^= x >> 31;
     return static_cast<size_t>(x);
+  }
+
+  std::optional<Value> Lookup(const Key& key, bool count_miss) {
+    Shard& shard = ShardFor(key);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto it = shard.map.find(key);
+    if (it == shard.map.end()) {
+      if (count_miss) ++shard.misses;
+      return std::nullopt;
+    }
+    ++shard.hits;
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    return it->second->second;
   }
 
   Shard& ShardFor(const Key& key) {

@@ -18,6 +18,9 @@ Status Errno(const char* what) {
   return Status::Internal(std::string(what) + ": " + std::strerror(errno));
 }
 
+/// The loop whose RunOnce is on this thread's stack, if any.
+thread_local const EventLoop* t_running_loop = nullptr;
+
 }  // namespace
 
 EventLoop::EventLoop() {
@@ -101,8 +104,17 @@ void EventLoop::Wakeup() {
   [[maybe_unused]] ssize_t n = ::write(wakeup_fd_, &one, sizeof(one));
 }
 
+bool EventLoop::InLoopThread() const { return t_running_loop == this; }
+
 int EventLoop::RunOnce(int timeout_ms) {
   if (!status_.ok()) return -1;
+  struct Running {
+    explicit Running(const EventLoop* loop) : outer(t_running_loop) {
+      t_running_loop = loop;
+    }
+    ~Running() { t_running_loop = outer; }
+    const EventLoop* outer;
+  } running(this);
   struct epoll_event events[64];
   int n;
   do {

@@ -23,6 +23,9 @@ namespace qec::server::net {
 ///  - Post() hands a closure from any thread to the loop thread via a
 ///    mutex-guarded queue plus an eventfd wakeup — this is how worker-pool
 ///    completion callbacks re-enter the loop to write responses.
+///  - InLoopThread() tells a completion that it already runs on the loop
+///    thread (a cache hit answered inside a read handler), so it completes
+///    in place instead of posting to its own loop.
 ///  - Wakeup() is a bare eventfd write: async-signal-safe, so a SIGTERM
 ///    handler may call it directly.
 class EventLoop {
@@ -59,6 +62,11 @@ class EventLoop {
 
   /// Async-signal-safe: makes a blocked RunOnce return promptly.
   void Wakeup();
+
+  /// True when called from inside this loop's RunOnce (an fd handler or a
+  /// posted task): work meant for the loop thread may run in place rather
+  /// than be posted. Thread-safe.
+  bool InLoopThread() const;
 
   /// One reactor iteration: waits up to `timeout_ms` (-1 = indefinitely)
   /// for events, dispatches fd handlers, then drains the posted-task

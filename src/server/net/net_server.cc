@@ -9,8 +9,9 @@ namespace qec::server::net {
 
 namespace {
 
-/// One connection's responses, completed on the loop thread or posted to
-/// it from a worker.
+/// One connection's responses, completed on the loop thread: in place when
+/// the completion already runs there (a cache hit answered at admission),
+/// else posted to it from a worker.
 class ConnectionResponder final : public LineHandler::Responder {
  public:
   ConnectionResponder(Connection& connection,
@@ -31,9 +32,14 @@ class ConnectionResponder final : public LineHandler::Responder {
             slot](ServeResponse response) {
       std::string out = std::move(response.json_line);
       out += '\n';
-      loop->Post([weak, slot, out = std::move(out)]() mutable {
+      auto complete = [weak, slot, out = std::move(out)]() mutable {
         if (auto conn = weak.lock()) conn->CompleteSlot(slot, std::move(out));
-      });
+      };
+      if (loop->InLoopThread()) {
+        complete();
+      } else {
+        loop->Post(std::move(complete));
+      }
     };
   }
 

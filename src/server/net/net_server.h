@@ -39,7 +39,8 @@ struct NetServerStats {
   uint64_t rejected_over_capacity = 0;
   uint64_t closed = 0;
   uint64_t lines = 0;
-  /// Lines handed to the worker pool: EXPAND and EXPLAIN.
+  /// Lines submitted to QecServer: EXPAND and EXPLAIN (a cache hit among
+  /// them is answered at admission, on the loop thread).
   uint64_t expand_requests = 0;
   /// Lines answered on the loop thread: PING and STATS.
   uint64_t immediate_requests = 0;
@@ -54,14 +55,15 @@ struct NetServerStats {
 /// The qec line protocol over TCP: a FrontEnd whose connections are framed
 /// by '\n', in front of an existing QecServer (which must outlive it and
 /// whose worker pool does every expansion — the loop thread only frames,
-/// hands lines to the shared LineHandler, and writes).
+/// hands lines to the shared LineHandler, answers cache hits, and writes).
 ///
 /// Pipelining: a connection may send any number of request lines without
 /// waiting; responses come back in request order. All EXPAND and EXPLAIN
 /// lines decoded from one readable burst are admitted as one batch, so a
 /// burst for one hot cluster runs back to back on cache-warm state. PING
-/// and STATS are answered on the loop thread but still occupy an in-order
-/// slot, so `EXPAND…\nPING\n` answers in that order.
+/// and STATS, and EXPANDs that hit the expansion cache, are answered on
+/// the loop thread but still occupy an in-order slot, so `EXPAND…\nPING\n`
+/// answers in that order.
 ///
 /// Shutdown is a graceful drain: stop accepting, stop reading, let
 /// in-flight expansions complete and flush, then close — bounded by

@@ -103,11 +103,14 @@ struct ServeResponse {
   /// its timing fields) of the original computation.
   core::ExpansionOutcome outcome;
   bool from_cache = false;
-  /// Time spent queued before a worker picked the request up.
+  /// Time spent queued before a worker picked the request up; for a cache
+  /// hit answered at admission, its admission time (about 0).
   double queue_seconds = 0.0;
   /// Submission-to-completion wall time.
   double total_seconds = 0.0;
-  /// The request's trace id (0 when the request never entered the pool).
+  /// The request's trace id, on every response from Submit/SubmitBatch
+  /// (worker-run, cache hit at admission, or rejected); 0 on a line the
+  /// server never saw, such as a parse error.
   uint64_t trace_id = 0;
   /// Per-stage latency breakdown. The serialize stage is measured after
   /// the JSON line is rendered, so inside `json_line` it reads 0; the

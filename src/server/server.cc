@@ -66,6 +66,11 @@ void RecordStageHistograms(const StageTimings& stages, uint64_t trace_id) {
   RecordStageTails(stages);
 }
 
+bool IsCancelled(const ServeRequest& request) {
+  return request.cancel != nullptr &&
+         request.cancel->load(std::memory_order_relaxed);
+}
+
 /// The slow-request threshold in nanoseconds; 0 and one past the range of
 /// uint64 nanoseconds (whose product would wrap) mean no request is slow.
 uint64_t SlowThresholdNs(uint64_t threshold_ms) {
@@ -86,8 +91,7 @@ QecServer::QecServer(const index::InvertedIndex& index, ServerOptions options)
   pool_size_ = ResolveThreadCount(options_.num_threads,
                                   std::numeric_limits<size_t>::max());
   if (options_.enable_expansion_cache) {
-    cache_ = std::make_unique<ShardedLruCache<std::string, ServeResponse>>(
-        options_.expansion_cache_capacity);
+    cache_ = std::make_unique<ResponseCache>(options_.expansion_cache_capacity);
   }
   if (options_.shadow_sample_rate > 0.0) {
     ShadowEvaluatorOptions shadow_options;
@@ -189,8 +193,10 @@ std::future<ServeResponse> QecServer::Submit(ServeRequest request) {
 void QecServer::SubmitBatch(std::vector<AsyncRequest> batch) {
   std::vector<Pending> to_admit;
   to_admit.reserve(batch.size());
-  // Rejections are resolved outside the queue lock: callbacks may do
-  // arbitrary work (post to an event loop) and must never run under mu_.
+  // Cache hits and rejections are resolved outside the queue lock:
+  // callbacks may do arbitrary work (complete a connection's slot) and must
+  // never run under mu_.
+  std::vector<std::pair<Pending, ServeResponse>> hits;
   std::vector<std::pair<Pending, Status>> to_reject;
 
   for (auto& entry : batch) {
@@ -203,12 +209,30 @@ void QecServer::SubmitBatch(std::vector<AsyncRequest> batch) {
               "only EXPAND and EXPLAIN go through the request queue"));
       continue;
     }
+    // A cancelled request goes to the pool, which drops it as cancelled.
+    if (pending.request.verb == ServeRequest::Verb::kExpand &&
+        !IsCancelled(pending.request)) {
+      std::optional<ServeResponse> hit = Lookup(&pending, /*count_miss=*/false);
+      if (hit.has_value()) {
+        hits.emplace_back(std::move(pending), *std::move(hit));
+        continue;
+      }
+    }
     to_admit.push_back(std::move(pending));
   }
 
   size_t admitted = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    if (stopping_) {
+      for (auto& [pending, response] : hits) {
+        to_reject.emplace_back(std::move(pending),
+                               Status::Unavailable("server shutting down"));
+      }
+      hits.clear();
+    }
+    admitted_.fetch_add(hits.size(), std::memory_order_relaxed);
+    QEC_COUNTER_ADD("server/admitted", hits.size());
     for (auto& pending : to_admit) {
       if (stopping_) {
         to_reject.emplace_back(std::move(pending),
@@ -234,6 +258,15 @@ void QecServer::SubmitBatch(std::vector<AsyncRequest> batch) {
     cv_.notify_one();
   } else if (admitted > 1) {
     cv_.notify_all();
+  }
+  // Hits finish after the misses are handed to the pool, so the workers
+  // start on them while this thread renders. A hit's queue_wait is its
+  // admission time: submission until its finish, less its lookup.
+  for (auto& [pending, response] : hits) {
+    const uint64_t admission_ns =
+        ToNanos(Clock::now() - pending.context.submit_time) -
+        pending.context.stages[Stage::kCacheLookup];
+    Finish(std::move(pending), std::move(response), admission_ns);
   }
   for (auto& [pending, status] : to_reject) {
     Reject(std::move(pending), std::move(status));
@@ -268,21 +301,17 @@ void QecServer::WorkerLoop() {
 }
 
 void QecServer::Process(Pending pending) {
-  RequestContext& context = pending.context;
   const Clock::time_point dequeue_time = Clock::now();
-  context.stages[Stage::kQueueWait] =
-      ToNanos(dequeue_time - context.submit_time);
-  QEC_HISTOGRAM_RECORD("server/queue_wait_ns",
-                       context.stages[Stage::kQueueWait]);
+  const uint64_t queue_wait_ns =
+      ToNanos(dequeue_time - pending.context.submit_time);
 
   ServeResponse response;
   const ServeRequest& request = pending.request;
-  if (request.cancel != nullptr &&
-      request.cancel->load(std::memory_order_relaxed)) {
+  if (IsCancelled(request)) {
     cancelled_.fetch_add(1, std::memory_order_relaxed);
     QEC_COUNTER_INC("server/cancelled");
     response.status = Status::Cancelled("request cancelled before execution");
-  } else if (dequeue_time > context.deadline) {
+  } else if (dequeue_time > pending.context.deadline) {
     shed_deadline_.fetch_add(1, std::memory_order_relaxed);
     QEC_COUNTER_INC("server/shed_deadline");
     response.status =
@@ -290,21 +319,34 @@ void QecServer::Process(Pending pending) {
   } else if (request.verb == ServeRequest::Verb::kExplain) {
     // Both arms and their line are one expansion stage, outside the
     // expansion cache and the shadow sampler.
-    StageTimer timer(context, Stage::kExpansion);
+    StageTimer timer(pending.context, Stage::kExpansion);
     response.json_line = ExplainJsonLine(request);
   } else {
-    response = Expand(request, &context);
+    response = Expand(&pending);
+  }
+  Finish(std::move(pending), std::move(response), queue_wait_ns);
+}
+
+void QecServer::Finish(Pending pending, ServeResponse response,
+                       uint64_t queue_wait_ns) {
+  RequestContext& context = pending.context;
+  const ServeRequest& request = pending.request;
+  context.stages[Stage::kQueueWait] = queue_wait_ns;
+  QEC_HISTOGRAM_RECORD("server/queue_wait_ns", queue_wait_ns);
+  if (request.verb == ServeRequest::Verb::kExpand) {
     MaybeScheduleShadow(request, response, &context);
   }
 
   // Render the wire line here, inside the timed serialize stage, unless
   // EXPLAIN already did. The stages_ms the line itself carries therefore
-  // shows serialize as 0; the response struct, the stage histograms, and
-  // the flight recorder all get the real value.
+  // shows serialize as 0 (a miss's outcome-tail render included); the
+  // response struct, the stage histograms, and the flight recorder all get
+  // the real value.
   response.trace_id = context.trace_id;
-  response.queue_seconds = ToSeconds(dequeue_time - context.submit_time);
+  response.queue_seconds = static_cast<double>(queue_wait_ns) / 1e9;
   response.total_seconds = ToSeconds(Clock::now() - context.submit_time);
   response.stages = context.stages;
+  response.stages[Stage::kSerialize] = 0;
   {
     StageTimer timer(context, Stage::kSerialize);
     if (response.json_line.empty()) {
@@ -329,36 +371,48 @@ void QecServer::Process(Pending pending) {
   pending.callback(std::move(response));
 }
 
-ServeResponse QecServer::Expand(const ServeRequest& request,
-                                RequestContext* context) {
-  ServeResponse response;
-  const core::QueryExpanderOptions effective = EffectiveOptions(request);
-  std::string key;
-  if (cache_ != nullptr) {
-    StageTimer timer(*context, Stage::kCacheLookup);
-    key = ExpansionCacheKey(NormalizeQuery(request.query),
+std::optional<ServeResponse> QecServer::Lookup(Pending* pending,
+                                               bool count_miss) {
+  if (cache_ == nullptr) return std::nullopt;
+  StageTimer timer(pending->context, Stage::kCacheLookup);
+  std::string& key = pending->cache_key;
+  if (key.empty()) {
+    const core::QueryExpanderOptions effective =
+        EffectiveOptions(pending->request);
+    key = ExpansionCacheKey(NormalizeQuery(pending->request.query),
                             effective.max_clusters, effective.algorithm,
                             OptionsFingerprint(effective));
-    std::optional<ServeResponse> hit = cache_->Get(key);
-    if (hit.has_value()) {
-      QEC_COUNTER_INC("server/cache_hits");
-      hit->from_cache = true;
-      // Identity and timing are per-request, never per-cache-entry: drop
-      // whatever the original computation left behind. rendered_tail stays:
-      // it depends only on the outcome, which is exactly what the cache
-      // deduplicates.
-      hit->trace_id = 0;
-      hit->stages = StageTimings{};
-      hit->json_line.clear();
-      return *std::move(hit);
-    }
-    QEC_COUNTER_INC("server/cache_misses");
   }
+  const std::optional<std::shared_ptr<const ServeResponse>> entry =
+      count_miss ? cache_->Get(key) : cache_->Probe(key);
+  if (!entry.has_value()) {
+    if (count_miss) QEC_COUNTER_INC("server/cache_misses");
+    return std::nullopt;
+  }
+  QEC_COUNTER_INC("server/cache_hits");
+  std::optional<ServeResponse> hit(**entry);
+  hit->from_cache = true;
+  // Identity and timing are per-request, never per-cache-entry: drop
+  // whatever the original computation left behind. rendered_tail stays: it
+  // depends only on the outcome, which is exactly what the cache
+  // deduplicates.
+  hit->trace_id = 0;
+  hit->stages = StageTimings{};
+  hit->json_line.clear();
+  return hit;
+}
 
+ServeResponse QecServer::Expand(Pending* pending) {
+  std::optional<ServeResponse> hit = Lookup(pending, /*count_miss=*/true);
+  if (hit.has_value()) return *std::move(hit);
+
+  ServeResponse response;
+  const core::QueryExpanderOptions effective =
+      EffectiveOptions(pending->request);
   Result<core::ExpansionOutcome> outcome = [&] {
-    StageTimer timer(*context, Stage::kExpansion);
+    StageTimer timer(pending->context, Stage::kExpansion);
     core::QueryExpander expander(*index_, effective);
-    return expander.ExpandText(request.query);
+    return expander.ExpandText(pending->request.query);
   }();
   if (!outcome.ok()) {
     response.status = outcome.status();
@@ -369,10 +423,15 @@ ServeResponse QecServer::Expand(const ServeRequest& request,
     // Only successful expansions are cached (no negative caching): errors
     // are either caller mistakes or transient, and both should re-resolve.
     // The rendered tail rides along with the entry so hits splice a string
-    // instead of re-formatting the whole queries array per request.
-    StageTimer timer(*context, Stage::kCacheLookup);
-    response.rendered_tail = RenderOutcomeTail(response.outcome);
-    cache_->Put(key, response);
+    // instead of re-formatting the whole queries array per request; it is
+    // rendering, so it times as serialize, and only the Put as lookup.
+    {
+      StageTimer timer(pending->context, Stage::kSerialize);
+      response.rendered_tail = RenderOutcomeTail(response.outcome);
+    }
+    StageTimer timer(pending->context, Stage::kCacheLookup);
+    cache_->Put(pending->cache_key,
+                std::make_shared<const ServeResponse>(response));
   }
   return response;
 }

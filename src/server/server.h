@@ -10,6 +10,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -48,8 +49,9 @@ struct ServerOptions {
   /// they can fill the admission queue deterministically, then call
   /// Start().
   bool start_workers = true;
-  /// Ring size of the always-on flight recorder (/slowlog). Every request
-  /// that reaches the pool leaves a record; the ring keeps the most recent
+  /// Ring size of the always-on flight recorder (/slowlog). Every submitted
+  /// request leaves a record, whether a worker ran it, the cache answered
+  /// it at admission, or it was rejected; the ring keeps the most recent
   /// ones.
   size_t flight_recorder_capacity = 256;
   /// Requests whose total latency reaches this many milliseconds are
@@ -100,12 +102,14 @@ struct ServerStats {
 /// Concurrent serving layer over one immutable InvertedIndex: a worker
 /// pool fed by a bounded admission queue, with graceful shedding, per-
 /// request deadlines/cancellation, and an expansion-result LRU cache.
-/// Every request that runs the engine (EXPAND and EXPLAIN) runs on the
-/// pool; only PING and STATS are answered on the caller's thread. The
-/// index (and its corpus) must outlive the server; because they are
-/// immutable for the server's lifetime, cached responses never need
-/// invalidation — rebuild the index and restart the server to pick up new
-/// documents.
+/// Every request that runs the engine (an EXPAND that misses the cache, and
+/// every EXPLAIN) runs on the pool. An EXPAND that hits the cache at
+/// admission is answered on the submitting thread, through the same
+/// finishing code as a worker; PING and STATS are answered on the caller's
+/// thread through ControlResponse. The index (and its corpus) must outlive
+/// the server; because they are immutable for the server's lifetime,
+/// cached responses never need invalidation — rebuild the index and
+/// restart the server to pick up new documents.
 ///
 /// Everything is instrumented through qec_obs: server/queue_depth (+peak)
 /// gauges, server/{admitted,shed_queue_full,shed_deadline,cancelled}
@@ -126,9 +130,10 @@ class QecServer {
 
   /// Completion callback of a submitted request: invoked exactly once with
   /// the final response and its rendered `json_line`, on a worker thread
-  /// for executed requests or on the submitting thread for immediate
-  /// rejections. Callbacks must not block (the network front end posts the
-  /// response to its event loop).
+  /// for executed requests, or on the submitting thread (before SubmitBatch
+  /// returns) for cache hits and immediate rejections. Callbacks must not
+  /// block (the network front end completes the response on its event
+  /// loop: in place when called there, by a post otherwise).
   using ResponseCallback = std::function<void(ServeResponse)>;
 
   /// One request of a batch submission.
@@ -140,9 +145,12 @@ class QecServer {
   /// Admits a pipelined burst under a single queue-lock acquisition and one
   /// worker wakeup, so co-arriving requests for one hot cluster run back to
   /// back on cache-warm state instead of interleaving with unrelated work.
-  /// The only admission path, for EXPAND and EXPLAIN alike: a PING or
-  /// STATS is rejected with InvalidArgument, and a request past a full
-  /// queue or at shutdown with Unavailable, each callback invoked before
+  /// The only admission path, for EXPAND and EXPLAIN alike. Each EXPAND is
+  /// looked up in the expansion cache before the queue lock is taken; a hit
+  /// is admitted and answered on the calling thread, never queued and never
+  /// shed for a full queue. A PING or STATS is rejected with
+  /// InvalidArgument, and a request past a full queue or at shutdown with
+  /// Unavailable. Hits and rejections invoke their callbacks before
   /// SubmitBatch returns.
   void SubmitBatch(std::vector<AsyncRequest> batch);
 
@@ -207,12 +215,19 @@ class QecServer {
 
  private:
   using Clock = std::chrono::steady_clock;
+  /// Entries are shared and immutable, so a hit's shard lock covers only a
+  /// reference-count bump; the copy a hit returns is made outside it.
+  using ResponseCache =
+      ShardedLruCache<std::string, std::shared_ptr<const ServeResponse>>;
 
   struct Pending {
     ServeRequest request;
     ResponseCallback callback;
     /// Trace id, submit time, deadline, and stage stopwatch accumulators.
     RequestContext context;
+    /// The EXPAND's expansion-cache key, built by its admission lookup and
+    /// reused by the worker's; empty until then.
+    std::string cache_key;
   };
 
   /// One queued shadow run: everything needed to re-run the query through
@@ -238,9 +253,22 @@ class QecServer {
   void WorkerLoop();
   /// Processes one dequeued request end to end and invokes its callback.
   void Process(Pending pending);
-  /// Runs an EXPAND against `context`, accumulating the cache_lookup and
-  /// expansion stages into it.
-  ServeResponse Expand(const ServeRequest& request, RequestContext* context);
+  /// Looks an EXPAND up in the expansion cache, timed as its cache_lookup
+  /// stage, building pending->cache_key on first use. Returns the hit with
+  /// its per-request fields cleared, or nullopt (always, when the cache is
+  /// off). `count_miss` false leaves a miss uncounted: the admission probe
+  /// does, so the worker's lookup counts the one miss.
+  std::optional<ServeResponse> Lookup(Pending* pending, bool count_miss);
+  /// Runs a dequeued EXPAND: looks it up once more (an identical request
+  /// queued before it may have filled the entry since admission), else runs
+  /// the expander (expansion stage) and caches the result.
+  ServeResponse Expand(Pending* pending);
+  /// The one finishing path, for worker-run requests and admission hits:
+  /// stamps `queue_wait_ns` and the response's identity and timing,
+  /// samples an EXPAND for shadowing, renders the line (serialize stage),
+  /// records the histograms and the flight record, counts the request
+  /// completed, and invokes its callback.
+  void Finish(Pending pending, ServeResponse response, uint64_t queue_wait_ns);
   /// Samples a completed foreground EXPAND; enqueues a ShadowJob (low
   /// priority, sheddable) when selected and sets context->shadow_sampled.
   void MaybeScheduleShadow(const ServeRequest& request,
@@ -275,7 +303,7 @@ class QecServer {
   bool stopping_ = false;
   size_t peak_queue_depth_ = 0;
 
-  std::unique_ptr<ShardedLruCache<std::string, ServeResponse>> cache_;
+  std::unique_ptr<ResponseCache> cache_;
   std::unique_ptr<ShadowEvaluator> shadow_;
   obs::FlightRecorder recorder_;
 

@@ -273,6 +273,39 @@ TEST_F(NetServerFixture, PipelinedBurstAnswersInOrder) {
   EXPECT_GE(stats.batches, 1u);
 }
 
+// A cache hit behind a cold EXPAND is answered at admission, on the loop
+// thread, before the cold one finishes on a worker; its slot still keeps
+// the response stream in request order.
+TEST_F(NetServerFixture, CacheHitBehindAColdExpandAnswersInOrder) {
+  QecServer server(index_);
+  auto net = StartNet(&server);
+  auto warm_request = ParseRequestLine("EXPAND " + query(1));
+  ASSERT_TRUE(warm_request.ok());
+  const ServeResponse warm = server.Submit(*warm_request).get();
+  ASSERT_TRUE(warm.status.ok());
+  auto cold_request = ParseRequestLine("EXPAND " + query(0));
+  ASSERT_TRUE(cold_request.ok());
+
+  TestClient client(net->port());
+  ASSERT_TRUE(client.connected());
+  const std::string wire =
+      "EXPAND " + query(0) + "\nEXPAND " + query(1) + "\nPING\n";
+  ASSERT_TRUE(client.Send(wire));
+  const std::string cold_line = client.ReadLine();
+  const std::string warm_line = client.ReadLine();
+  EXPECT_EQ(client.ReadLine(), "{\"status\":\"ok\",\"pong\":true}");
+
+  EXPECT_NE(cold_line.find("\"cached\":false"), std::string::npos) << cold_line;
+  EXPECT_NE(warm_line.find("\"cached\":true"), std::string::npos) << warm_line;
+  EXPECT_NE(warm_line.find(RenderOutcomeTail(warm.outcome)), std::string::npos)
+      << warm_line;
+  const ServeResponse cold = server.Submit(*cold_request).get();
+  ASSERT_TRUE(cold.status.ok());
+  EXPECT_NE(cold_line.find(RenderOutcomeTail(cold.outcome)), std::string::npos)
+      << cold_line;
+  EXPECT_EQ(server.stats().completed, 4u);
+}
+
 // EXPLAIN runs on the worker pool, never on the loop thread: with no
 // workers it stays owed while another connection's PING is answered.
 TEST_F(NetServerFixture, ExplainWaitsForWorkersWhilePingIsAnswered) {

@@ -683,6 +683,89 @@ TEST_F(ServerFixture, CacheHitGetsFreshPerRequestTelemetry) {
   EXPECT_EQ(parsed->Find("trace_id")->string, TraceIdToHex(second.trace_id));
 }
 
+// A warm EXPAND is answered at admission: its callback runs on the thread
+// that calls SubmitBatch, before SubmitBatch returns, through the same
+// finishing path (counts, cache stats, flight record) as a worker.
+TEST_F(ServerFixture, WarmExpandIsAnsweredOnTheSubmittingThread) {
+  QecServer server(index_);
+  ASSERT_TRUE(server.Submit(Expand("canon products")).get().status.ok());
+  const ServerStats before = server.stats();
+
+  bool done = false;
+  std::thread::id callback_thread;
+  ServeResponse response;
+  std::vector<QecServer::AsyncRequest> batch(1);
+  batch[0].request = Expand("canon products");
+  batch[0].on_done = [&](ServeResponse r) {
+    callback_thread = std::this_thread::get_id();
+    response = std::move(r);
+    done = true;
+  };
+  server.SubmitBatch(std::move(batch));
+  ASSERT_TRUE(done);
+  EXPECT_EQ(callback_thread, std::this_thread::get_id());
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  EXPECT_TRUE(response.from_cache);
+  EXPECT_NE(response.json_line.find("\"cached\":true"), std::string::npos)
+      << response.json_line;
+
+  const ServerStats after = server.stats();
+  EXPECT_EQ(after.admitted, before.admitted + 1);
+  EXPECT_EQ(after.completed, before.completed + 1);
+  EXPECT_EQ(after.expansion_cache.hits, before.expansion_cache.hits + 1);
+  EXPECT_EQ(after.expansion_cache.misses, before.expansion_cache.misses);
+  const auto records = server.flight_recorder().Recent(1);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].trace_id, response.trace_id);
+  EXPECT_TRUE(records[0].from_cache);
+}
+
+// A cold burst of one query queued before any worker runs: each miss is
+// looked up again on its worker, so only the copies a worker dequeued
+// before the first fill computes miss, and every copy gets the same answer.
+TEST_F(ServerFixture, ColdBurstOfOneQueryMissesAtMostOncePerWorker) {
+  ServerOptions options;
+  options.start_workers = false;
+  options.num_threads = 2;
+  QecServer server(index_, options);
+  const size_t kBurst = 20;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::string> lines(kBurst);
+  size_t done = 0;
+  std::vector<QecServer::AsyncRequest> batch;
+  for (size_t i = 0; i < kBurst; ++i) {
+    QecServer::AsyncRequest async;
+    async.request = Expand("canon products");
+    async.on_done = [&, i](ServeResponse response) {
+      std::lock_guard<std::mutex> lock(mu);
+      lines[i] = std::move(response.json_line);
+      if (++done == kBurst) cv.notify_one();
+    };
+    batch.push_back(std::move(async));
+  }
+  server.SubmitBatch(std::move(batch));
+  EXPECT_EQ(server.queue_depth(), kBurst);
+  server.Start();
+  const size_t workers = server.num_workers();
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
+                            [&] { return done == kBurst; }));
+  }
+  auto tail = [](const std::string& line) {
+    const size_t at = line.find(",\"clusters\":");
+    return at == std::string::npos ? std::string() : line.substr(at);
+  };
+  ASSERT_FALSE(tail(lines[0]).empty()) << lines[0];
+  for (size_t i = 1; i < kBurst; ++i) {
+    EXPECT_EQ(tail(lines[i]), tail(lines[0])) << i;
+  }
+  const LruCacheStats cache = server.stats().expansion_cache;
+  EXPECT_LE(cache.misses, workers);
+  EXPECT_EQ(cache.hits + cache.misses, kBurst);
+}
+
 TEST_F(ServerFixture, ErrorResponsesCarryTraceId) {
   QecServer server(index_);
   ServeRequest request = Expand("zzzzunknownwordzzzz");
